@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureBudget
+from .errors import ConfigError, QuadratureBudget
 from .green import GreenValue
-from .potential import evaluate_f
+from .potential import check_wavenumber, evaluate_f
 
 __all__ = ["SeriesTerm", "born_series", "path_term_count"]
 
@@ -83,8 +83,9 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
     all returned terms divided by 2ik.
     """
     if not 0 <= max_order <= 3:
-        raise ValueError("orders 0..3 are implemented")
-    k = complex(k)
+        raise ConfigError("order", f"orders 0..3 are implemented, got {max_order}")
+    k = check_wavenumber(k)
+    x_in, y_in = x, y
     if x < y:
         x, y = y, x
     quad = _Quad(spec, n_nodes, node_budget)
@@ -161,5 +162,5 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
         terms.append(SeriesTerm(3, "B3", +1, acc))
 
     total = sum(t.value for t in terms)
-    gv = GreenValue(total / (2j * k), x, y, k, f"born_{max_order}")
+    gv = GreenValue(total / (2j * k), x_in, y_in, k, f"born_{max_order}")
     return gv, terms

@@ -24,14 +24,13 @@ __all__ = ["main"]
 
 def _parse_k(text):
     parts = text.split(",")
+    if len(parts) not in (1, 2):
+        raise ConfigError("--k", f"expected re or re,im, got {text!r}")
     try:
-        if len(parts) == 1:
-            return check_wavenumber(complex(float(parts[0]), 0.0))
-        if len(parts) == 2:
-            return check_wavenumber(complex(float(parts[0]), float(parts[1])))
+        k = complex(*map(float, parts))
     except ValueError as exc:
         raise ConfigError("--k", str(exc)) from exc
-    raise ConfigError("--k", f"expected re or re,im, got {text!r}")
+    return check_wavenumber(k)
 
 
 def _parse_grid(text):
@@ -123,22 +122,21 @@ def cmd_coefficients(args):
     return 0
 
 
-_ROUTES = {"A", "B", "C", "C-asym", "born"}
-
-
-def _green_one(spec, x, y, k, args):
-    if args.route == "A":
-        return sl3.green_wronskian(spec, x, y, k)
-    if args.route == "B":
-        return green_mod.green_closed_form(spec, x, y, k)
-    if args.route == "C":
-        return green_mod.green_polyrep(spec, x, y, k, P=args.P)
-    if args.route == "C-asym":
-        return green_mod.green_polyrep(
-            spec, x, y, k, P=args.P, variant="asymmetric"
-        )
-    gv, _ = born_mod.born_series(spec, x, y, k, max_order=args.order)
-    return gv
+# route name -> (spec, x, y, k, args) -> GreenValue; functions are looked up
+# at call time so that rebinding a module attribute reaches the CLI
+_ROUTES = {
+    "A": lambda spec, x, y, k, args: sl3.green_wronskian(spec, x, y, k),
+    "B": lambda spec, x, y, k, args: green_mod.green_closed_form(spec, x, y, k),
+    "C": lambda spec, x, y, k, args: green_mod.green_polyrep(
+        spec, x, y, k, P=args.P
+    ),
+    "C-asym": lambda spec, x, y, k, args: green_mod.green_polyrep(
+        spec, x, y, k, P=args.P, variant="asymmetric"
+    ),
+    "born": lambda spec, x, y, k, args: born_mod.born_series(
+        spec, x, y, k, max_order=args.order
+    )[0],
+}
 
 
 def cmd_green(args):
@@ -160,7 +158,7 @@ def cmd_green(args):
             for x in grid:
                 for y in grid:
                     try:
-                        gv = _green_one(spec, x, y, k, args)
+                        gv = _ROUTES[args.route](spec, x, y, k, args)
                     except green_mod.DenominatorZero:
                         row = [x, y, k.real, k.imag, "", "", "pole", ""]
                         if args.check:

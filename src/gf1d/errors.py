@@ -5,8 +5,9 @@ class Gf1dError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(Gf1dError):
-    """A potential/config file could not be parsed; the message names the field."""
+class ConfigError(Gf1dError, ValueError):
+    """An input is outside the supported domain, or a potential/config file
+    could not be parsed; the message names the field."""
 
     def __init__(self, field, message):
         self.field = field

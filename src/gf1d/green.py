@@ -34,6 +34,7 @@ from .polyrep import (
     lambda_r_power,
     mu_over_one_minus_c_xi,
 )
+from .potential import check_wavenumber
 from .transfer import interval_triple, semi_infinite_coefficients
 
 __all__ = [
@@ -83,7 +84,7 @@ def _closed_denominator(rl3, t, rr1):
 
 def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
     """Closed form in the interval coefficients (route B)."""
-    k = complex(k)
+    k = check_wavenumber(k)
     x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
     d = _closed_denominator(rl3, t, rr1)
     if abs(d) < DENOMINATOR_THRESHOLD:
@@ -102,7 +103,7 @@ def green_polyrep(
     where B is the mu-independent series obtained by applying L+ - K- to
     U(x,y) Lambda_r(y).
     """
-    k = complex(k)
+    k = check_wavenumber(k)
     x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
     v = apply_U(MobiusAction.from_triple(t), lambda_r(rr1, P))
     if variant == "symmetric":
@@ -127,7 +128,7 @@ def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
     """[2ikG]**n = (1/n) <Lambda_l**n, U Lambda_r**n> for integer n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = complex(k)
+    k = check_wavenumber(k)
     x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
     v = apply_U(MobiusAction.from_triple(t), lambda_r_power(rr1, n, P))
     val = inner_product(lambda_l_power(rl3, n, P), v) / n
@@ -150,7 +151,7 @@ def green_negative_power(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = complex(k)
+    k = check_wavenumber(k)
     q = n + 2
     x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
     v = mu_over_one_minus_c_xi(q, rr1, P)
@@ -188,7 +189,7 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
     the last, where the pairing with the left vector closes the chain.
     Reversed intervals along the chain use the inverse evolution.
     """
-    k = complex(k)
+    k = check_wavenumber(k)
     pairs = [(max(p), min(p)) for p in pairs]
     m = len(pairs)
     if m not in _PRODUCT_PREFACTOR:

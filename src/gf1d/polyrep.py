@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainViolation, GammaPole, TruncationOverflow
+from .errors import ConfigError, DomainViolation, GammaPole, TruncationOverflow
 
 __all__ = [
     "PolyVec",
@@ -46,115 +47,133 @@ __all__ = [
 
 GENERATORS = ("J+", "J-", "J3", "K+", "K-", "K3", "L+", "L-", "L3")
 
-# geometric-tail ratio is capped here when estimating dropped coefficients
-_RHO_CAP = 0.99
-
-
-@dataclass
 class PolyVec:
-    """Sparse vector: coeffs[(p, n)] is the coefficient of xi**p mu**(q0+n)."""
+    """Vector stored as mu-degree rows.
 
-    coeffs: dict
-    P: int
-    q0: float = 0.0
-    loss: float = 0.0
+    ``rows[n]`` is the coefficient array c[0..P] of xi**p mu**(q0+n); rows
+    that are all zero are dropped and no row is modified in place.  The
+    constructor also takes the sparse form {(p, n): c}; ``coeffs`` is a
+    read-only view in that form.
+    """
+
+    def __init__(self, coeffs, P, q0=0.0, loss=0.0):
+        _check_cutoff(P)
+        rows = {}
+        for (p, n), c in coeffs.items():
+            if not 0 <= p <= P:
+                raise ValueError(f"xi-degree {p} outside [0, {P}]")
+            rows.setdefault(n, np.zeros(P + 1, dtype=complex))[p] = c
+        self._set(rows, P, q0, loss)
+
+    def _set(self, rows, P, q0, loss):
+        self.P, self.q0, self.loss = P, q0, loss
+        self.rows = {n: rows[n] for n in sorted(rows) if np.count_nonzero(rows[n])}
+
+    @classmethod
+    def _of_rows(cls, rows, P, q0, loss):
+        """Vector owning ``rows``, each already of length P+1."""
+        v = cls.__new__(cls)
+        v._set(rows, P, q0, loss)
+        return v
 
     @classmethod
     def basis(cls, p, n, P, q0=0.0):
         return cls({(p, n): 1.0 + 0j}, P, q0)
 
-    def copy(self):
-        return PolyVec(dict(self.coeffs), self.P, self.q0, self.loss)
+    @classmethod
+    def from_components(cls, comps, P, q0=0.0, loss=0.0):
+        """Vector from {n: array}; each array is cut or zero-padded to P+1."""
+        _check_cutoff(P)
+        rows = {}
+        for n, arr in comps.items():
+            arr = np.asarray(arr)[: P + 1]
+            rows[n] = np.zeros(P + 1, dtype=complex)
+            rows[n][: arr.size] = arr
+        return cls._of_rows(rows, P, q0, loss)
+
+    @property
+    def coeffs(self):
+        return MappingProxyType(
+            {
+                (int(p), n): complex(row[p])
+                for n, row in self.rows.items()
+                for p in np.flatnonzero(row)
+            }
+        )
 
     def q_of(self, n):
         return self.q0 + n
 
     def mu_degrees(self):
-        return sorted({n for (_, n) in self.coeffs})
+        return list(self.rows)
 
     def component(self, n):
         """Coefficient array c[p] of the mu-degree-(q0+n) part, length P+1."""
-        c = np.zeros(self.P + 1, dtype=complex)
-        for (p, m), v in self.coeffs.items():
-            if m == n:
-                c[p] = v
-        return c
-
-    @classmethod
-    def from_components(cls, comps, P, q0=0.0, loss=0.0):
-        coeffs = {}
-        for n, arr in comps.items():
-            for p, v in enumerate(arr[: P + 1]):
-                if v != 0:
-                    coeffs[(p, n)] = complex(v)
-        return cls(coeffs, P, q0, loss)
+        row = self.rows.get(n)
+        return np.zeros(self.P + 1, dtype=complex) if row is None else row.copy()
 
     def __add__(self, other):
         if self.P != other.P or self.q0 != other.q0:
             raise ValueError("incompatible vectors")
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, 0j) + v
-        return PolyVec(out, self.P, self.q0, self.loss + other.loss)
+        rows = dict(self.rows)
+        for n, row in other.rows.items():
+            rows[n] = rows[n] + row if n in rows else row
+        return PolyVec._of_rows(rows, self.P, self.q0, self.loss + other.loss)
 
     def __sub__(self, other):
         return self + (other * -1.0)
 
     def __mul__(self, scalar):
-        return PolyVec(
-            {k: v * scalar for k, v in self.coeffs.items()},
-            self.P,
-            self.q0,
-            self.loss * abs(scalar),
-        )
+        rows = {n: row * scalar for n, row in self.rows.items()}
+        return PolyVec._of_rows(rows, self.P, self.q0, self.loss * abs(scalar))
 
     __rmul__ = __mul__
 
     def max_abs_diff(self, other):
-        keys = set(self.coeffs) | set(other.coeffs)
         return max(
-            (abs(self.coeffs.get(k, 0j) - other.coeffs.get(k, 0j)) for k in keys),
+            (
+                float(np.max(np.abs(self.component(n) - other.component(n))))
+                for n in self.rows.keys() | other.rows.keys()
+            ),
             default=0.0,
         )
 
 
+def _check_cutoff(P):
+    if P < 1:
+        raise ConfigError("P", f"series cutoff must be >= 1, got {P}")
+
+
+# generator -> (xi-degree shift, mu-degree shift, coefficient(p, q))
+_GENERATOR_ACTION = {
+    "J+": (1, 0, lambda p, q: -(p + q)),
+    "J-": (-1, 0, lambda p, q: p),
+    "K+": (-1, 1, lambda p, q: p),
+    "K-": (1, -1, lambda p, q: q),
+    "L+": (0, -1, lambda p, q: -q),
+    "L-": (0, 1, lambda p, q: p + q),
+    "J3": (0, 0, lambda p, q: p + q / 2.0),
+    "K3": (0, 0, lambda p, q: (q - p) / 2.0),
+    "L3": (0, 0, lambda p, q: -q - p / 2.0),
+}
+
+
 def apply_generator(name, v):
     """Action of one generator; coefficients pushed beyond P are tallied as loss."""
-    out = {}
+    if name not in _GENERATOR_ACTION:
+        raise ValueError(f"unknown generator {name!r}")
+    dp, dn, coefficient = _GENERATOR_ACTION[name]
+    p = np.arange(v.P + 1)
+    rows = {}
     lost = 0.0
-
-    def put(p, n, c):
-        nonlocal lost
-        if c == 0:
-            return
-        if p > v.P:
-            lost += abs(c)
-            return
-        out[(p, n)] = out.get((p, n), 0j) + c
-
-    for (p, n), c in v.coeffs.items():
-        q = v.q_of(n)
-        if name == "J+":
-            put(p + 1, n, -(p + q) * c)
-        elif name == "J-":
-            put(p - 1, n, p * c)
-        elif name == "K+":
-            put(p - 1, n + 1, p * c)
-        elif name == "K-":
-            put(p + 1, n - 1, q * c)
-        elif name == "L+":
-            put(p, n - 1, -q * c)
-        elif name == "L-":
-            put(p, n + 1, (p + q) * c)
-        elif name == "J3":
-            put(p, n, (p + q / 2.0) * c)
-        elif name == "K3":
-            put(p, n, ((q - p) / 2.0) * c)
-        elif name == "L3":
-            put(p, n, (-q - p / 2.0) * c)
-        else:
-            raise ValueError(f"unknown generator {name!r}")
-    return PolyVec(out, v.P, v.q0, v.loss + lost)
+    for n, row in v.rows.items():
+        # padded[j] holds xi-degree j-1; slot 0 receives only the p = 0
+        # term of a lowering, which has coefficient p = 0
+        padded = np.zeros(v.P + 3, dtype=complex)
+        padded[1 + dp : v.P + 2 + dp] = coefficient(p, v.q_of(n)) * row
+        lost += abs(padded[-1])
+        rows[n + dn] = padded[1:-1]
+    return PolyVec._of_rows(rows, v.P, v.q0, v.loss + lost)
 
 
 def basis_weight(p, q):
@@ -184,12 +203,14 @@ def inner_product(left, right):
     if left.q0 != right.q0:
         raise ValueError("inner product needs matching q-offsets")
     total = 0j
-    for key, lv in left.coeffs.items():
-        rv = right.coeffs.get(key)
-        if rv is None:
+    for n, lrow in left.rows.items():
+        rrow = right.rows.get(n)
+        if rrow is None:
             continue
-        p, n = key
-        total += lv.conjugate() * rv * basis_weight(p, left.q_of(n))
+        q = left.q_of(n)
+        p = np.flatnonzero((lrow != 0) & (rrow != 0))
+        w = np.array([basis_weight(int(j), q) for j in p])
+        total += complex(np.vdot(lrow[p] * w, rrow[p]))
     return total
 
 
@@ -235,17 +256,16 @@ def apply_U(action, v, tol=None):
     n_work = v.P + 1  # one extra order for the tail estimate
     lhat = np.zeros(n_work + 1, dtype=complex)
     lhat[0] = rl
-    if n_work >= 1:
-        lhat[1] = tau * tau
-        for m in range(2, n_work + 1):
-            lhat[m] = lhat[m - 1] * rr
-    comps = {}
+    lhat[1] = tau * tau
+    for m in range(2, n_work + 1):
+        lhat[m] = lhat[m - 1] * rr
+    rows = {}
     tail = 0.0
     emp_ratio = 0.0
-    for n in v.mu_degrees():
+    for n, row in v.rows.items():
         q = v.q_of(n)
         g = np.zeros(n_work + 1, dtype=complex)
-        g[: v.P + 1] = v.component(n)
+        g[: v.P + 1] = row
         res = _compose_series(g, lhat, n_work)
         # (1 - xi R_r)^(-q): binomial series, valid for any real/complex q
         b = np.zeros(n_work + 1, dtype=complex)
@@ -261,17 +281,14 @@ def apply_U(action, v, tol=None):
         tail += abs(res[n_work])
         if abs(res[n_work - 1]) > 0:
             emp_ratio = max(emp_ratio, abs(res[n_work]) / abs(res[n_work - 1]))
-        comps[n] = res[: v.P + 1]
+        rows[n] = res[: v.P + 1]
     # geometric extrapolation of the dropped tail; no bound when the
     # coefficient ratio reaches 1
     rho = max(abs(rr), emp_ratio)
-    if rho >= _RHO_CAP:
-        loss = math.inf if rho >= 1.0 else (v.loss + tail) / (1.0 - rho)
-    else:
-        loss = (v.loss + tail) / (1.0 - rho)
+    loss = math.inf if rho >= 1.0 else (v.loss + tail) / (1.0 - rho)
     if tol is not None and loss > tol:
         raise TruncationOverflow(f"estimated truncation loss {loss:.3e} > {tol:.3e}")
-    return PolyVec.from_components(comps, v.P, v.q0, loss)
+    return PolyVec._of_rows(rows, v.P, v.q0, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +296,12 @@ def apply_U(action, v, tol=None):
 
 def lambda_r(r, P):
     """(1 + r) sum_p r**p Psi_{p,1}: the resummed multiple-reflection vector."""
-    coeffs = {}
+    row = []
     c = 1.0 + r
-    for p in range(P + 1):
-        coeffs[(p, 1)] = c
+    for _ in range(P + 1):
+        row.append(c)
         c = c * r
-    return PolyVec(coeffs, P)
+    return PolyVec.from_components({1: row}, P)
 
 
 def lambda_l(r_l, P):
@@ -293,34 +310,23 @@ def lambda_l(r_l, P):
     return lambda_r(complex(r_l).conjugate(), P)
 
 
-def _lambda_power_coeffs(r, n, P):
-    # mu**n (1+r)**n / (1 - r xi)**n
-    pref = (1.0 + r) ** n
-    coeffs = {}
-    b = 1.0 + 0j
-    for p in range(P + 1):
-        coeffs[(p, n)] = pref * b
-        b = b * r * (n + p) / (p + 1)
-    return coeffs
-
-
 def lambda_r_power(r, n, P):
-    """Coefficient-wise n-th function power of lambda_r."""
-    return PolyVec(_lambda_power_coeffs(r, n, P), P)
+    """Coefficient-wise n-th function power of lambda_r: (1+r)**n (mu/(1 - r xi))**n."""
+    return mu_over_one_minus_c_xi(n, r, P, (1.0 + r) ** n)
 
 
 def lambda_l_power(r_l, n, P):
-    return PolyVec(_lambda_power_coeffs(complex(r_l).conjugate(), n, P), P)
+    return lambda_r_power(complex(r_l).conjugate(), n, P)
 
 
 def mu_over_one_minus_c_xi(m, c, P, scale=1.0):
     """Truncated coefficients of scale * (mu / (1 - c xi))**m."""
-    coeffs = {}
-    b = complex(scale)
+    row = []
+    b = 1.0 + 0j
     for p in range(P + 1):
-        coeffs[(p, m)] = b
+        row.append(scale * b)
         b = b * c * (m + p) / (p + 1)
-    return PolyVec(coeffs, P)
+    return PolyVec.from_components({m: row}, P)
 
 
 def ladder_power(n, m, c, P):
@@ -335,19 +341,11 @@ def ladder_power(n, m, c, P):
     v = mu_over_one_minus_c_xi(m, c, P + n)
     for _ in range(n):
         v = apply_generator("L-", v) + apply_generator("K+", v)
-    out = {k: val for k, val in v.coeffs.items() if k[0] <= P}
-    return PolyVec(out, P, v.q0)
+    return PolyVec.from_components(v.rows, P)
 
 
 # ---------------------------------------------------------------------------
 # inverse operators
-
-def _single_mu_degree(v, op_name):
-    degs = v.mu_degrees()
-    if len(degs) != 1:
-        raise DomainViolation(f"{op_name} needs a mu-homogeneous input")
-    return degs[0]
-
 
 def inverse_operator(name, v):
     """Inverses of the endpoint ladder operators on their stated domains.
@@ -357,28 +355,28 @@ def inverse_operator(name, v):
     degree m > 1 and are diagonal in the xi- and (1+xi)-power bases.
     """
     if name in ("L+inv", "(L+-K-)inv"):
-        comps = {}
-        for n in v.mu_degrees():
+        rows = {}
+        for n, row in v.rows.items():
             q = v.q_of(n)
-            if q.real < 1 and not (q == 0 and not np.any(v.component(n))):
+            if q.real < 1:
                 raise DomainViolation(
                     f"{name} needs input vanishing at mu=0; found mu-degree {q}"
                 )
-            g = v.component(n)
-            g = -g / (q + 1)
+            g = -row / (q + 1)
             if name == "(L+-K-)inv":
                 inv1pxi = np.array(
                     [(-1.0) ** m for m in range(v.P + 1)], dtype=complex
                 )
                 g = _series_mul(g, inv1pxi, v.P)
-            comps[n + 1] = g
-        return PolyVec.from_components(comps, v.P, v.q0, v.loss)
+            rows[n + 1] = g
+        return PolyVec._of_rows(rows, v.P, v.q0, v.loss)
     if name in ("L-inv", "(L-+K+)inv"):
-        n = _single_mu_degree(v, name)
+        if len(v.rows) != 1:
+            raise DomainViolation(f"{name} needs a mu-homogeneous input")
+        (n, g), = v.rows.items()
         m = v.q_of(n)
         if not m.real > 1:
             raise DomainViolation(f"{name} needs mu-degree m > 1, got {m}")
-        g = v.component(n)
         if name == "L-inv":
             out = g / np.array([m + j - 1 for j in range(v.P + 1)])
         else:
@@ -388,7 +386,7 @@ def inverse_operator(name, v):
             out[v.P] = g[v.P] / (m + v.P - 1)
             for p in range(v.P - 1, -1, -1):
                 out[p] = (g[p] - (p + 1) * out[p + 1]) / (m + p - 1)
-        return PolyVec.from_components({n - 1: out}, v.P, v.q0, v.loss)
+        return PolyVec._of_rows({n - 1: out}, v.P, v.q0, v.loss)
     raise ValueError(f"unknown inverse operator {name!r}")
 
 
@@ -418,11 +416,12 @@ def adjoint_check(P, q_values=(0, 1, 2, 3), q0=0.0):
             for p in range(P):
                 psi = PolyVec.basis(p, n, P, q0)
                 a_psi = apply_generator(name, psi)
-                for key in a_psi.coeffs:
-                    psi2 = PolyVec.basis(key[0], key[1], P, q0)
-                    lhs = inner_product(psi2, a_psi)
-                    rhs = sign * inner_product(apply_generator(dag, psi2), psi)
-                    worst = max(worst, abs(lhs - rhs))
+                for m, row in a_psi.rows.items():
+                    for p2 in np.flatnonzero(row):
+                        psi2 = PolyVec.basis(p2, m, P, q0)
+                        lhs = inner_product(psi2, a_psi)
+                        rhs = sign * inner_product(apply_generator(dag, psi2), psi)
+                        worst = max(worst, abs(lhs - rhs))
         report.append((name, worst))
     return report
 
@@ -438,10 +437,6 @@ def inner_product_integral_check(p, q, n_nodes=80):
     quad = 2.0 * (1 + p + q) * (p + q) * integral
     formula = basis_weight(p, q)
     return quad, formula
-
-
-# the full bracket table: (id, A, B, {generator: coefficient})
-RELATIONS = []
 
 
 def _build_relations():
@@ -466,6 +461,7 @@ def _build_relations():
     return rel
 
 
+# the full bracket table: (id, A, B, {generator: coefficient})
 RELATIONS = _build_relations()
 
 

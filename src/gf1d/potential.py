@@ -9,6 +9,7 @@ to the jump height.
 from __future__ import annotations
 
 import bisect
+import cmath
 from dataclasses import dataclass, field
 
 import yaml
@@ -32,10 +33,12 @@ __all__ = [
 
 
 def check_wavenumber(k):
-    """Validate Im k >= 0 and return k as a complex number."""
+    """Validate that k is finite, nonzero and has Im k >= 0; return it as complex."""
     k = complex(k)
-    if k.imag < 0:
-        raise ValueError(f"wavenumber must satisfy Im k >= 0, got {k}")
+    if not cmath.isfinite(k) or k == 0 or k.imag < 0:
+        raise ConfigError(
+            "k", f"wavenumber must be finite and nonzero with Im k >= 0, got {k}"
+        )
     return k
 
 
@@ -182,16 +185,6 @@ class PotentialSpec:
             if lo != hi:
                 out.append((x, hi - lo))
         return out
-
-    def is_piecewise_constant(self, x1=None, x2=None):
-        for s in self.segments:
-            if x1 is not None and s.x_end <= x1:
-                continue
-            if x2 is not None and s.x_start >= x2:
-                continue
-            if not s.profile.is_constant:
-                return False
-        return True
 
 
 def vacuum_spec():
@@ -340,11 +333,10 @@ def load_potential(path_or_stream):
             segs.append(Segment(float(node["x_start"]), float(node["x_end"]), prof))
         except (TypeError, ValueError) as exc:
             raise ConfigError(where, str(exc)) from exc
+    # tails first: their ConfigError must keep its field name
+    left_tail = _parse_tail(doc.get("left_tail"), "left_tail")
+    right_tail = _parse_tail(doc.get("right_tail"), "right_tail")
     try:
-        return PotentialSpec(
-            segments=tuple(segs),
-            left_tail=_parse_tail(doc.get("left_tail"), "left_tail"),
-            right_tail=_parse_tail(doc.get("right_tail"), "right_tail"),
-        )
+        return PotentialSpec(tuple(segs), left_tail, right_tail)
     except ValueError as exc:
         raise ConfigError("segments", str(exc)) from exc

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import LogBranch, WronskianZero
 from .green import GreenValue
 from .polyrep import RELATIONS
+from .potential import check_wavenumber
 from .transfer import interval_triple, semi_infinite_coefficients
 
 __all__ = [
@@ -172,7 +173,7 @@ def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
     Wronskian evaluated at the support midpoint x0, where it reduces to
     W = -2ik (1 - R_l(+inf, x0) R_r(x0, -inf)).
     """
-    k = complex(k)
+    k = check_wavenumber(k)
     x_l, x_r = spec.support
     x0 = 0.5 * (x_l + x_r)
     hi, lo = (x, y) if x >= y else (y, x)

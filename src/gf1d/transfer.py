@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     BranchUndefined,
+    ConfigError,
     IntervalMismatch,
     ResonanceDivision,
     StepTooLarge,
@@ -165,27 +166,34 @@ def _panel_f(spec, a, b):
     return lambda x: float(seg.profile.value(x, seg.x_start, seg.x_end))
 
 
-def _propagate_rk4(spec, x1, x2, k, step):
-    # split at breakpoints so each RK4 run sees a smooth f
+def _rk4_panels(spec, x1, x2, step, rhs, y):
+    """Fixed-step RK4 of dy/dx = rhs(f(x), y) from x1 to x2, starting at y.
+
+    The range is split at breakpoints so each run sees a smooth f.
+    """
+    if not step > 0:
+        raise ConfigError("step", f"must be > 0, got {step}")
     nodes = _piecewise_nodes(spec, x1, x2)
-    u = np.eye(2, dtype=complex)
     for a, b in zip(nodes, nodes[1:]):
         f = _panel_f(spec, a, b)
-
-        def rhs(x, u):
-            fx = f(x)
-            return np.array([[-1j * k, fx], [fx, 1j * k]], dtype=complex) @ u
-
         n = max(1, int(np.ceil((b - a) / step)))
         h = (b - a) / n
         x = a
         for _ in range(n):
-            k1 = rhs(x, u)
-            k2 = rhs(x + h / 2, u + h / 2 * k1)
-            k3 = rhs(x + h / 2, u + h / 2 * k2)
-            k4 = rhs(x + h, u + h * k3)
-            u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = rhs(f(x), y)
+            k2 = rhs(f(x + h / 2), y + h / 2 * k1)
+            k3 = rhs(f(x + h / 2), y + h / 2 * k2)
+            k4 = rhs(f(x + h), y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             x += h
+    return y
+
+
+def _propagate_rk4(spec, x1, x2, k, step):
+    def rhs(fx, u):
+        return np.array([[-1j * k, fx], [fx, 1j * k]], dtype=complex) @ u
+
+    u = _rk4_panels(spec, x1, x2, step, rhs, np.eye(2, dtype=complex))
     m = TransferMatrix.from_matrix(u, (x1, x2), k)
     # unimodularity drift is the cheapest local-error proxy for this ODE
     scale = max(1.0, float(np.max(np.abs(u))))
@@ -247,33 +255,20 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
         raise ValueError(f"needs x1 <= x2, got [{x1}, {x2}]")
     k = complex(k)
 
-    nodes = _piecewise_nodes(spec, x1, x2)
-    y = np.array([0.0, 1.0, 0.0], dtype=complex)
-    for a, b in zip(nodes, nodes[1:]):
-        f_panel = _panel_f(spec, a, b)
+    def rhs(f, y):
+        rr, tau, rl = y
+        return np.array(
+            [
+                2j * k * rr + f * (1.0 - rr * rr),
+                1j * k * tau - f * tau * rr,
+                -f * tau * tau,
+            ],
+            dtype=complex,
+        )
 
-        def rhs(x, y):
-            rr, tau, rl = y
-            f = f_panel(x)
-            return np.array(
-                [
-                    2j * k * rr + f * (1.0 - rr * rr),
-                    1j * k * tau - f * tau * rr,
-                    -f * tau * tau,
-                ],
-                dtype=complex,
-            )
-
-        n = max(1, int(np.ceil((b - a) / step)))
-        h = (b - a) / n
-        x = a
-        for _ in range(n):
-            k1 = rhs(x, y)
-            k2 = rhs(x + h / 2, y + h / 2 * k1)
-            k3 = rhs(x + h / 2, y + h / 2 * k2)
-            k4 = rhs(x + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += h
+    y = _rk4_panels(
+        spec, x1, x2, step, rhs, np.array([0.0, 1.0, 0.0], dtype=complex)
+    )
     if abs(y[0]) > 1.0 + 1e-6:
         raise StepTooLarge(f"|R_r| = {abs(y[0]):.6f} escaped the unit disk")
     return ScatteringTriple(

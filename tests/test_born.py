@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gf1d.born import born_series, path_term_count
-from gf1d.errors import QuadratureBudget
+from gf1d.errors import ConfigError, QuadratureBudget
 from gf1d.green import green_closed_form
 from gf1d.potential import slab, vacuum_spec
 
@@ -89,3 +89,18 @@ def test_budget_guard():
         born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1.0, max_order=3, node_budget=100)
     with pytest.raises(ValueError):
         born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1.0, max_order=4)
+
+
+def test_value_keeps_caller_argument_order():
+    spec = slab(0.2, 0.0, 1.0)
+    gv, _ = born_series(spec, 0.3, 0.8, 1.1)
+    assert (gv.x, gv.y) == (0.3, 0.8)
+    swapped, _ = born_series(spec, 0.8, 0.3, 1.1)
+    assert swapped.value == gv.value
+
+
+def test_domain_errors_are_config_errors():
+    with pytest.raises(ConfigError):
+        born_series(slab(0.2), 0.3, 0.8, 1.0, max_order=7)
+    with pytest.raises(ConfigError):
+        born_series(slab(0.2), 0.3, 0.8, 0.0)

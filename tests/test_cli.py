@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -156,3 +157,23 @@ def test_verify_jsonl(capsys):
     assert code == 0
     rows = [json.loads(s) for s in capsys.readouterr().out.strip().splitlines()]
     assert all(r["status"] == "pass" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["green", "--grid=0:1:2", "--k", "1,nan"],
+        ["green", "--k", "0"],
+        ["green", "--route", "born", "--order", "7"],
+        ["green", "--route", "C", "--P", "-5"],
+    ],
+)
+def test_out_of_domain_input_exits_2(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert len(out.splitlines()) <= 1  # at most the header, no data row
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gf1d.errors import ConfigError
 from gf1d.green import (
     green_closed_form,
     green_negative_power,
@@ -10,6 +11,7 @@ from gf1d.green import (
     jump_condition_check,
 )
 from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab, vacuum_spec
+from gf1d.sl3 import green_wronskian
 from gf1d.transfer import semi_infinite_coefficients
 
 SPEC = PotentialSpec(
@@ -132,3 +134,21 @@ def test_jump_condition_second_order():
     r1 = jump_condition_check(slab(0.9, -0.5, 0.5), 0.12, 1.5, h=2e-3)
     r2 = jump_condition_check(slab(0.9, -0.5, 0.5), 0.12, 1.5, h=1e-3)
     assert 3.2 <= r1 / r2 <= 4.8
+
+
+@pytest.mark.parametrize("k", [0.0, float("nan"), complex(1.0, float("inf")), 1 - 0.5j])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda spec, k: green_closed_form(spec, 0.3, -0.2, k),
+        lambda spec, k: green_polyrep(spec, 0.3, -0.2, k, P=8),
+        lambda spec, k: green_power(spec, 0.3, -0.2, k, 2, P=8),
+        lambda spec, k: green_negative_power(spec, 0.3, -0.2, k, 1, P=8),
+        lambda spec, k: green_product(spec, [(0.3, -0.2), (0.1, 0.0)], k, P=8),
+        lambda spec, k: green_wronskian(spec, 0.3, -0.2, k),
+    ],
+    ids=["B", "C", "power", "negative_power", "product", "A"],
+)
+def test_routes_reject_wavenumbers_outside_domain(route, k):
+    with pytest.raises(ConfigError):
+        route(slab(0.8, -1, 1), k)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf1d.errors import DomainViolation, GammaPole
+from gf1d.errors import ConfigError, DomainViolation, GammaPole
 from gf1d.polyrep import (
     GENERATORS,
     MobiusAction,
@@ -267,3 +267,34 @@ def test_adjoint_property(p, n, name):
         lhs = inner_product(phi, a_psi)
         rhs = sign * inner_product(apply_generator(dag, phi), psi)
         assert abs(lhs - rhs) < 1e-9
+
+
+def test_rows_are_the_storage():
+    v = PolyVec({(2, 1): 1.5, (0, 3): 0.0}, 4)
+    assert list(v.rows) == [1]  # all-zero rows are dropped
+    assert np.array_equal(v.rows[1], [0, 0, 1.5, 0, 0])
+    assert dict(v.coeffs) == {(2, 1): 1.5}
+    with pytest.raises(TypeError):
+        v.coeffs[(0, 1)] = 1.0
+    w = PolyVec.from_components({1: [1.0, 2.0], 2: np.arange(1.0, 9.0)}, 4)
+    assert np.array_equal(w.rows[1], [1, 2, 0, 0, 0])
+    assert np.array_equal(w.rows[2], [1, 2, 3, 4, 5])
+    assert list((w - w).rows) == []
+
+
+def test_cutoff_below_one_is_a_config_error():
+    for P in (0, -5):
+        with pytest.raises(ConfigError):
+            PolyVec({}, P)
+        with pytest.raises(ConfigError):
+            lambda_r(0.3, P)
+
+
+def test_generator_tallies_overflow_as_loss():
+    P = 5
+    v = PolyVec({(P, 2): 2.0, (1, 2): 1.0}, P)
+    w = apply_generator("K-", v)  # raises the xi-degree: p = P leaves the cutoff
+    assert w.coeffs == {(2, 1): 2.0}
+    assert w.loss == 4.0
+    with pytest.raises(ValueError):
+        apply_generator("M+", v)

@@ -162,3 +162,17 @@ def test_load_potential_errors_name_the_field():
         load_potential(io.StringIO("- just\n- a list\n"))
     with pytest.raises(ConfigError):
         load_potential(io.StringIO("bad: ["))
+
+
+@pytest.mark.parametrize(
+    "k", [0.0, 0j, float("nan"), float("inf"), complex(1.0, float("nan")), 1 - 1e-9j]
+)
+def test_check_wavenumber_rejects_outside_domain(k):
+    with pytest.raises(ConfigError):
+        check_wavenumber(k)
+
+
+def test_bad_tail_keeps_its_field_name():
+    with pytest.raises(ConfigError) as err:
+        load_potential(io.StringIO("left_tail: {type: linear}\n"))
+    assert err.value.field == "left_tail.type"

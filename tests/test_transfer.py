@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from gf1d.errors import (
     BranchUndefined,
+    ConfigError,
     IntervalMismatch,
     ResonanceDivision,
     UnsupportedProfile,
@@ -277,3 +278,12 @@ def test_composition_associativity_property(c1, c2, split, k_re):
     left = compose(compose(c, b), a).as_matrix()
     right = compose(c, compose(b, a)).as_matrix()
     assert np.max(np.abs(left - right)) < 1e-12
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+def test_fixed_step_routes_reject_nonpositive_step(step):
+    spec = PotentialSpec(segments=(Segment(0.0, 1.0, LinearProfile(0.1, 0.5)),))
+    with pytest.raises(ConfigError):
+        propagate(spec, 0.0, 1.0, 1.0, method="rk4", step=step)
+    with pytest.raises(ConfigError):
+        riccati_coefficients(spec, 0.0, 1.0, 1.0, step=step)
