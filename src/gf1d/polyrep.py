@@ -16,6 +16,7 @@ vector.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,6 +199,23 @@ def basis_weight(p, q):
         raise GammaPole(f"weight undefined at (p, q) = ({p}, {q})") from exc
 
 
+@functools.lru_cache(maxsize=64)
+def _weight_row(P, q):
+    """(w, poles): read-only weights basis_weight(p, q) for p <= P, with 0
+    at the xi-degrees where the weight is undefined, listed in ``poles``."""
+    w = np.zeros(P + 1)
+    poles = []
+    for p in range(P + 1):
+        try:
+            w[p] = basis_weight(p, q)
+        except GammaPole:
+            poles.append(p)
+    w.flags.writeable = False
+    poles = np.array(poles, dtype=int)
+    poles.flags.writeable = False
+    return w, poles
+
+
 def inner_product(left, right):
     """Conjugate-linear in left, linear in right."""
     if left.q0 != right.q0:
@@ -208,9 +226,10 @@ def inner_product(left, right):
         if rrow is None:
             continue
         q = left.q_of(n)
-        p = np.flatnonzero((lrow != 0) & (rrow != 0))
-        w = np.array([basis_weight(int(j), q) for j in p])
-        total += complex(np.vdot(lrow[p] * w, rrow[p]))
+        w, poles = _weight_row(left.P, q)
+        if np.any((lrow[poles] != 0) & (rrow[poles] != 0)):
+            raise GammaPole(f"weight undefined at q = {q} on a nonzero term")
+        total += complex(np.vdot(lrow * w, rrow))
     return total
 
 
@@ -237,12 +256,58 @@ def _series_mul(a, b, n):
     return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
 
 
-def _compose_series(g, lhat, n):
-    """g(lhat(xi)) truncated at order n, by Horner over the series lhat."""
-    out = np.zeros(n + 1, dtype=complex)
-    for c in g[::-1]:
-        out = _series_mul(out, lhat, n)
-        out[0] += c
+# powers of Lhat up to this exponent come from the binomial expansion in u;
+# its rounding grows with the exponent
+_EXPANDED_POWERS = 4
+_PASCAL = np.array(
+    [[math.comb(t, j) for j in range(_EXPANDED_POWERS + 1)]
+     for t in range(_EXPANDED_POWERS + 1)],
+    dtype=float,
+)
+
+
+@functools.lru_cache(maxsize=32)
+def _u_binomials(n):
+    """Read-only C(m-1, j-1) for j <= _EXPANDED_POWERS and m <= n.
+
+    With u = xi / (1 - xi R_r), the xi**m coefficient of u**j is
+    C(m-1, j-1) R_r**(m-j).
+    """
+    c = np.zeros((_EXPANDED_POWERS + 1, n + 1))
+    c[0, 0] = 1.0
+    for j in range(1, _EXPANDED_POWERS + 1):
+        c[j, j:] = [math.comb(m - 1, j - 1) for m in range(j, n + 1)]
+    c.flags.writeable = False
+    return c
+
+
+def _powers(z, n):
+    """z**0 .. z**n by repeated multiplication."""
+    out = np.empty(n + 1, dtype=complex)
+    out[0] = 1.0
+    out[1:] = z
+    return np.cumprod(out)
+
+
+def _lhat_powers(action, n, B):
+    """Rows Lhat**0 .. Lhat**B of the evolution's xi-substitution, to order n.
+
+    Lhat = R_l + tau**2 u; the binomial expansion of (R_l + tau**2 u)**t
+    gives the first powers in one small matrix product, and the powers
+    beyond _EXPANDED_POWERS are truncated products by Lhat.
+    """
+    T = min(B, _EXPANDED_POWERS)
+    j = np.arange(T + 1)[:, None]
+    u = _u_binomials(n)[: T + 1] * _powers(action.r_right, n)[(np.arange(n + 1) - j).clip(0)]
+    expansion = (
+        _PASCAL[: T + 1, : T + 1]
+        * _powers(action.r_left, T)[(j - j.T).clip(0)]
+        * _powers(action.tau**2, T)
+    )
+    out = np.empty((B + 1, n + 1), dtype=complex)
+    out[: T + 1] = expansion @ u
+    for s in range(T + 1, B + 1):
+        out[s] = np.convolve(out[s - 1], out[1])[: n + 1]
     return out
 
 
@@ -250,45 +315,53 @@ def apply_U(action, v, tol=None):
     """Evolution applied to v, expanded to the cutoff of v.
 
     Each mu-homogeneous component mu**q g(xi) maps to
-    tau**q (1 - xi R_r)**(-q) g(Lhat(xi)).
+    tau**q (1 - xi R_r)**(-q) g(Lhat(xi)).  The composition g(Lhat) is
+    evaluated by baby and giant steps (Paterson and Stockmeyer): in blocks
+    of B coefficients, g(Lhat) = sum_b S_b(Lhat) Lhat**(B b), where every
+    S_b is summed from one table of Lhat**0 .. Lhat**(B-1) and the blocks
+    are combined by Horner in Lhat**B.  With B near sqrt(P) that is about
+    sqrt(P) truncated products per row instead of P, and every partial sum
+    is a value of the composition, so the rounding stays that of Horner.
     """
-    tau, rr, rl = action.tau, action.r_right, action.r_left
-    n_work = v.P + 1  # one extra order for the tail estimate
-    lhat = np.zeros(n_work + 1, dtype=complex)
-    lhat[0] = rl
-    lhat[1] = tau * tau
-    for m in range(2, n_work + 1):
-        lhat[m] = lhat[m - 1] * rr
+    tau, rr = action.tau, action.r_right
+    P = v.P
+    n = P + 1  # one extra order for the tail estimate
+    B = max(_EXPANDED_POWERS, math.isqrt(max(1, len(v.rows)) * (P + 1) - 1) + 1)
+    B = min(B, P + 1)
+    powers = _lhat_powers(action, n, B)
+    baby, giant = powers[:B], powers[B]
+    n_blocks = -(-(P + 1) // B)
+    m = np.arange(n)
     rows = {}
     tail = 0.0
     emp_ratio = 0.0
-    for n, row in v.rows.items():
-        q = v.q_of(n)
-        g = np.zeros(n_work + 1, dtype=complex)
-        g[: v.P + 1] = row
-        res = _compose_series(g, lhat, n_work)
-        # (1 - xi R_r)^(-q): binomial series, valid for any real/complex q
-        b = np.zeros(n_work + 1, dtype=complex)
-        b[0] = 1.0
-        for m in range(1, n_work + 1):
-            b[m] = b[m - 1] * rr * (q + m - 1) / m
-        res = _series_mul(res, b, n_work)
+    for k, g in v.rows.items():
+        q = v.q_of(k)
+        blocks = np.zeros((n_blocks, B), dtype=complex)
+        blocks.flat[: P + 1] = g
+        sums = blocks @ baby
+        res = sums[-1]
+        for s in sums[-2::-1]:
+            res = np.convolve(res, giant)[: n + 1] + s
+        # (1 - xi R_r)**(-q): binomial series, valid for any real/complex q
+        b = np.cumprod(np.concatenate([[1.0], rr * (q + m) / (m + 1)]))
+        res = np.convolve(res, b)[: n + 1]
         if float(q).is_integer():
             tq = tau ** int(round(q))
         else:
             tq = cmath.exp(q * cmath.log(tau))
         res *= tq
-        tail += abs(res[n_work])
-        if abs(res[n_work - 1]) > 0:
-            emp_ratio = max(emp_ratio, abs(res[n_work]) / abs(res[n_work - 1]))
-        rows[n] = res[: v.P + 1]
+        tail += abs(res[n])
+        if abs(res[P]) > 0:
+            emp_ratio = max(emp_ratio, abs(res[n]) / abs(res[P]))
+        rows[k] = res[: P + 1]
     # geometric extrapolation of the dropped tail; no bound when the
     # coefficient ratio reaches 1
     rho = max(abs(rr), emp_ratio)
     loss = math.inf if rho >= 1.0 else (v.loss + tail) / (1.0 - rho)
     if tol is not None and loss > tol:
         raise TruncationOverflow(f"estimated truncation loss {loss:.3e} > {tol:.3e}")
-    return PolyVec._of_rows(rows, v.P, v.q0, loss)
+    return PolyVec._of_rows(rows, P, v.q0, loss)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -24,8 +25,32 @@ from gf1d.polyrep import (
     lambda_r_power,
     mu_over_one_minus_c_xi,
 )
-from gf1d.transfer import compose_triples, interval_triple
-from gf1d.potential import slab
+from gf1d.polyrep import _weight_row
+from gf1d.transfer import (
+    compose_triples,
+    interval_triple,
+    semi_infinite_coefficients,
+)
+from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab
+
+
+def _horner_apply_U(action, v):
+    """Reference evolution: g(Lhat) by Horner over the full series Lhat,
+    O(P**3); rows to order P+1."""
+    tau, rr, rl = action.tau, action.r_right, action.r_left
+    n = v.P + 1
+    lhat = np.concatenate([[rl], tau * tau * rr ** np.arange(n)])
+    m = np.arange(n)
+    out = {}
+    for k, row in v.rows.items():
+        q = v.q_of(k)
+        res = np.zeros(n + 1, dtype=complex)
+        for c in row[::-1]:
+            res = np.convolve(res, lhat)[: n + 1]
+            res[0] += c
+        b = np.cumprod(np.concatenate([[1.0], rr * (q + m) / (m + 1)]))
+        out[k] = np.convolve(res, b)[: n + 1] * cmath.exp(q * cmath.log(tau))
+    return out
 
 
 def test_generator_actions_on_basis():
@@ -298,3 +323,98 @@ def test_generator_tallies_overflow_as_loss():
     assert w.loss == 4.0
     with pytest.raises(ValueError):
         apply_generator("M+", v)
+
+
+_polar = st.builds(
+    lambda r, phase: r * cmath.exp(1j * phase),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tau=_polar.filter(lambda z: abs(z) > 0),
+    rr=_polar.map(lambda z: 0.949 * z),
+    rl=_polar.map(lambda z: 0.949 * z),
+    c=_polar.map(lambda z: 0.949 * z),
+    n=st.integers(1, 3),
+    q0=st.sampled_from([0.0, 0.5]),
+    P=st.sampled_from([1, 2, 12, 64, 128, 400]),
+    generating=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_apply_U_matches_horner_oracle(tau, rr, rl, c, n, q0, P, generating, seed):
+    # rows: a generating vector (mu / (1 - c xi))**n, or random coefficients
+    if generating:
+        row = mu_over_one_minus_c_xi(n, c, P).rows[n]
+    else:
+        rng = np.random.default_rng(seed)
+        row = rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1)
+    v = PolyVec.from_components({n: row}, P, q0)
+    action = MobiusAction(tau, rr, rl)
+    got = apply_U(action, v).rows.get(n, np.zeros(P + 1))
+    want = _horner_apply_U(action, v)[n][: P + 1]
+    # any summation order meets the forward rounding bound: P eps times the
+    # same composition on absolute values; independent draws of (tau, R_r,
+    # R_l) include compositions whose condition number alone exceeds 1e4
+    abs_v = PolyVec.from_components({n: np.abs(row)}, P, q0)
+    bound = _horner_apply_U(MobiusAction(abs(tau), abs(rr), abs(rl)), abs_v)[n]
+    allowed = 1e-12 * max(1.0, np.max(np.abs(want))) + (
+        (P + 1) * np.finfo(float).eps * bound[: P + 1].real
+    )
+    assert np.all(np.abs(got - want) <= allowed)
+
+
+def test_apply_U_strong_medium_matches_horner_oracle():
+    # f = 4 then -2 near k = 0.6: |R_r(y, -inf)| = 0.98 and |R_l| = 0.72.  A
+    # Taylor shift of g by R_l followed by a shear by R_r (three truncated
+    # convolutions) loses every digit here; the composition must not.
+    spec = PotentialSpec(
+        segments=(
+            Segment(-1.0, 0.0, ConstantProfile(4.0)),
+            Segment(0.0, 1.0, ConstantProfile(-2.0)),
+        )
+    )
+    k = 0.6 + 0.05j
+    rr1, _ = semi_infinite_coefficients(spec, -0.2, k)
+    action = MobiusAction.from_triple(interval_triple(spec, -0.2, 0.8, k))
+    for v in (lambda_r(rr1, 128), lambda_r_power(rr1, 3, 128)):
+        (n,) = v.rows
+        want = _horner_apply_U(action, v)[n][:129]
+        got = apply_U(action, v).rows[n]
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_apply_U_vacuum_is_a_pure_phase_per_coefficient():
+    # R_r = R_l = 0: xi**p mu**q picks up tau**(q + 2p) and nothing else
+    P, q0 = 64, 0.5
+    tau = 0.93 * cmath.exp(0.7j)
+    rng = np.random.default_rng(3)
+    rows = {n: rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1) for n in (1, 2)}
+    w = apply_U(MobiusAction(tau, 0j, 0j), PolyVec.from_components(rows, P, q0))
+    p = np.arange(P + 1)
+    for n, row in rows.items():
+        want = row * np.exp((n + q0 + 2 * p) * cmath.log(tau))
+        assert np.all(np.abs(w.rows[n] - want) <= 1e-13 * np.abs(row))
+    assert w.loss == 0.0
+
+
+def test_weight_row_is_cached_and_read_only():
+    w, poles = _weight_row(8, 2)
+    assert _weight_row(8, 2)[0] is w
+    assert list(w) == [basis_weight(p, 2) for p in range(9)]
+    assert poles.size == 0
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert _weight_row(8, -1)[1].tolist() == list(range(9))
+
+
+def test_gamma_pole_only_where_both_sides_are_nonzero():
+    P = 6
+    # mu-degree -1: every weight is undefined
+    left = PolyVec({(2, -1): 1.0, (0, 1): 1.0}, P)
+    right = PolyVec({(3, -1): 1.0, (0, 1): 2.0}, P)
+    assert inner_product(left, right) == 2.0
+    with pytest.raises(GammaPole):
+        inner_product(left, PolyVec({(2, -1): 1.0}, P))
