@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureBudget
 from .green import GreenValue
-from .potential import check_wavenumber, evaluate_f
+from .potential import check_point, check_wavenumber, evaluate_f
 
 __all__ = ["SeriesTerm", "born_series", "path_term_count"]
 
@@ -31,7 +31,7 @@ class SeriesTerm:
 def path_term_count(order):
     """Number of region integrals contributing at the given order."""
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise ConfigError("order", f"order must be >= 0, got {order}")
     return 1 if order == 0 else 2
 
 
@@ -85,7 +85,7 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
     if not 0 <= max_order <= 3:
         raise ConfigError("order", f"orders 0..3 are implemented, got {max_order}")
     k = check_wavenumber(k)
-    x_in, y_in = x, y
+    x_in, y_in = check_point(x, "x"), check_point(y, "y")
     if x < y:
         x, y = y, x
     quad = _Quad(spec, n_nodes, node_budget)

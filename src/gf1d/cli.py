@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import born as born_mod
@@ -41,8 +42,10 @@ def _parse_grid(text):
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError("--grid", str(exc)) from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("--grid", f"start and stop must be finite, got {text!r}")
     if n < 1 or (n > 1 and not stop > start):
-        raise ConfigError("--grid", "grid must be finite and strictly increasing")
+        raise ConfigError("--grid", "grid must be strictly increasing with n >= 1")
     if n == 1:
         return [start]
     step = (stop - start) / (n - 1)
@@ -122,20 +125,29 @@ def cmd_coefficients(args):
     return 0
 
 
+def _born(spec, x, y, k, args):
+    if args.method != "exact_piecewise":
+        raise ConfigError("--method", "route born samples f directly; it has no rk4")
+    return born_mod.born_series(spec, x, y, k, max_order=args.order)[0]
+
+
 # route name -> (spec, x, y, k, args) -> GreenValue; functions are looked up
 # at call time so that rebinding a module attribute reaches the CLI
 _ROUTES = {
-    "A": lambda spec, x, y, k, args: sl3.green_wronskian(spec, x, y, k),
-    "B": lambda spec, x, y, k, args: green_mod.green_closed_form(spec, x, y, k),
+    "A": lambda spec, x, y, k, args: sl3.green_wronskian(
+        spec, x, y, k, method=args.method, step=args.step
+    ),
+    "B": lambda spec, x, y, k, args: green_mod.green_closed_form(
+        spec, x, y, k, method=args.method, step=args.step
+    ),
     "C": lambda spec, x, y, k, args: green_mod.green_polyrep(
-        spec, x, y, k, P=args.P
+        spec, x, y, k, P=args.P, method=args.method, step=args.step
     ),
     "C-asym": lambda spec, x, y, k, args: green_mod.green_polyrep(
-        spec, x, y, k, P=args.P, variant="asymmetric"
+        spec, x, y, k, P=args.P, variant="asymmetric", method=args.method,
+        step=args.step,
     ),
-    "born": lambda spec, x, y, k, args: born_mod.born_series(
-        spec, x, y, k, max_order=args.order
-    )[0],
+    "born": _born,
 }
 
 
@@ -171,7 +183,9 @@ def cmd_green(args):
                         val.real, val.imag, gv.route, gv.truncation_loss,
                     ]
                     if args.check:
-                        gb = green_mod.green_closed_form(spec, x, y, k)
+                        gb = green_mod.green_closed_form(
+                            spec, x, y, k, method=args.method, step=args.step
+                        )
                         row.append(abs(val - 2j * k * gb.value))
                     w.row(row)
     finally:
@@ -211,13 +225,16 @@ def build_parser():
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
+    def propagation(p):
+        p.add_argument("--method", choices=("exact_piecewise", "rk4"),
+                       default="exact_piecewise")
+        p.add_argument("--step", type=float, default=1e-3)
+
     p = sub.add_parser("coefficients", help="transmission/reflection of intervals")
     common(p)
     p.add_argument("--grid", metavar="START:STOP:N")
     p.add_argument("--interval", action="append", default=[], metavar="X1:X2")
-    p.add_argument("--method", choices=("exact_piecewise", "rk4"),
-                   default="exact_piecewise")
-    p.add_argument("--step", type=float, default=1e-3)
+    propagation(p)
     p.set_defaults(func=cmd_coefficients)
 
     p = sub.add_parser("green", help="Green function on a grid")
@@ -228,6 +245,7 @@ def build_parser():
     p.add_argument("--order", type=int, default=2, help="multiple-scattering order")
     p.add_argument("--check", action="store_true",
                    help="add a column with |route - closed form|")
+    propagation(p)
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("verify", help="run the identity verification suite")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorZero
+from .errors import ConfigError, DenominatorZero
 from .polyrep import (
     MobiusAction,
     PolyVec,
@@ -34,7 +34,7 @@ from .polyrep import (
     lambda_r_power,
     mu_over_one_minus_c_xi,
 )
-from .potential import check_wavenumber
+from .potential import check_point, check_wavenumber
 from .transfer import interval_triple, semi_infinite_coefficients
 
 __all__ = [
@@ -68,6 +68,8 @@ class GreenValue:
 
 def _endpoint_data(spec, x, y, k, method, step):
     """(rl3, triple(x,y), rr1) with x >= y enforced by symmetry."""
+    check_point(x, "x")
+    check_point(y, "y")
     if x < y:
         x, y = y, x
     rr1, _ = semi_infinite_coefficients(spec, y, k, method, step)
@@ -120,14 +122,16 @@ def green_polyrep(
         two_ik_g = complex(np.polynomial.polynomial.polyval(rl3, b))
         loss = 2.0 * v.loss * max(1.0, abs(rl3))
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ConfigError(
+            "variant", f"must be 'symmetric' or 'asymmetric', got {variant!r}"
+        )
     return GreenValue(two_ik_g / (2j * k), x, y, k, f"polyrep_{variant}", loss)
 
 
 def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
     """[2ikG]**n = (1/n) <Lambda_l**n, U Lambda_r**n> for integer n >= 1."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n", f"power must be >= 1, got {n}")
     k = check_wavenumber(k)
     x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
     v = apply_U(MobiusAction.from_triple(t), lambda_r_power(rr1, n, P))
@@ -150,7 +154,7 @@ def green_negative_power(
     dropped from both.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n", f"power must be >= 1, got {n}")
     k = check_wavenumber(k)
     q = n + 2
     x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
@@ -190,10 +194,11 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
     Reversed intervals along the chain use the inverse evolution.
     """
     k = check_wavenumber(k)
-    pairs = [(max(p), min(p)) for p in pairs]
+    pairs = [(check_point(x, "x"), check_point(y, "y")) for x, y in pairs]
     m = len(pairs)
     if m not in _PRODUCT_PREFACTOR:
-        raise ValueError("products are implemented for 2 or 3 factors")
+        raise ConfigError("pairs", f"products of 2 or 3 factors are implemented, got {m}")
+    pairs = [(max(p), min(p)) for p in pairs]
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
     rr1, _ = semi_infinite_coefficients(spec, ys[0], k, method, step)

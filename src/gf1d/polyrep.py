@@ -256,29 +256,27 @@ def _series_mul(a, b, n):
     return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
 
 
+_EPS = np.finfo(float).eps
+
 # powers of Lhat up to this exponent come from the binomial expansion in u;
 # its rounding grows with the exponent
 _EXPANDED_POWERS = 4
-_PASCAL = np.array(
-    [[math.comb(t, j) for j in range(_EXPANDED_POWERS + 1)]
-     for t in range(_EXPANDED_POWERS + 1)],
-    dtype=float,
-)
+_J = np.arange(_EXPANDED_POWERS + 1)
+_PASCAL = np.array([[math.comb(t, j) for j in _J] for t in _J], dtype=float)
+_PASCAL_EXPONENTS = (_J[:, None] - _J).clip(0)
 
 
 @functools.lru_cache(maxsize=32)
-def _u_binomials(n):
-    """Read-only C(m-1, j-1) for j <= _EXPANDED_POWERS and m <= n.
-
-    With u = xi / (1 - xi R_r), the xi**m coefficient of u**j is
-    C(m-1, j-1) R_r**(m-j).
-    """
+def _u_coefficients(n):
+    """(C, e), read-only, for u = xi / (1 - xi R_r): the xi**m coefficient
+    of u**j is C[j, m] R_r**e[j, m] for j <= _EXPANDED_POWERS and m <= n."""
     c = np.zeros((_EXPANDED_POWERS + 1, n + 1))
     c[0, 0] = 1.0
-    for j in range(1, _EXPANDED_POWERS + 1):
+    for j in _J[1:]:
         c[j, j:] = [math.comb(m - 1, j - 1) for m in range(j, n + 1)]
-    c.flags.writeable = False
-    return c
+    e = (np.arange(n + 1) - _J[:, None]).clip(0)
+    c.flags.writeable = e.flags.writeable = False
+    return c, e
 
 
 def _powers(z, n):
@@ -297,11 +295,11 @@ def _lhat_powers(action, n, B):
     beyond _EXPANDED_POWERS are truncated products by Lhat.
     """
     T = min(B, _EXPANDED_POWERS)
-    j = np.arange(T + 1)[:, None]
-    u = _u_binomials(n)[: T + 1] * _powers(action.r_right, n)[(np.arange(n + 1) - j).clip(0)]
+    c, e = _u_coefficients(n)
+    u = c[: T + 1] * _powers(action.r_right, n)[e[: T + 1]]
     expansion = (
         _PASCAL[: T + 1, : T + 1]
-        * _powers(action.r_left, T)[(j - j.T).clip(0)]
+        * _powers(action.r_left, T)[_PASCAL_EXPONENTS[: T + 1, : T + 1]]
         * _powers(action.tau**2, T)
     )
     out = np.empty((B + 1, n + 1), dtype=complex)
@@ -320,8 +318,9 @@ def apply_U(action, v, tol=None):
     of B coefficients, g(Lhat) = sum_b S_b(Lhat) Lhat**(B b), where every
     S_b is summed from one table of Lhat**0 .. Lhat**(B-1) and the blocks
     are combined by Horner in Lhat**B.  With B near sqrt(P) that is about
-    sqrt(P) truncated products per row instead of P, and every partial sum
-    is a value of the composition, so the rounding stays that of Horner.
+    2 sqrt(P) truncated products per row instead of P.  Every partial sum
+    is a value of the composition; re-expanding g about R_l instead would
+    be cheaper but loses every digit when |R| approaches 1.
     """
     tau, rr = action.tau, action.r_right
     P = v.P
@@ -352,7 +351,8 @@ def apply_U(action, v, tol=None):
             tq = cmath.exp(q * cmath.log(tau))
         res *= tq
         tail += abs(res[n])
-        if abs(res[P]) > 0:
+        # a ratio of two coefficients at rounding level says nothing of the tail
+        if abs(res[P]) > _EPS * np.max(np.abs(res)):
             emp_ratio = max(emp_ratio, abs(res[n]) / abs(res[P]))
         rows[k] = res[: P + 1]
     # geometric extrapolation of the dropped tail; no bound when the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -29,6 +30,7 @@ __all__ = [
     "truncate",
     "load_potential",
     "check_wavenumber",
+    "check_point",
 ]
 
 
@@ -40,6 +42,13 @@ def check_wavenumber(k):
             "k", f"wavenumber must be finite and nonzero with Im k >= 0, got {k}"
         )
     return k
+
+
+def check_point(x, field="x"):
+    """Validate that a position is finite; return it unchanged."""
+    if not math.isfinite(x):
+        raise ConfigError(field, f"position must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)

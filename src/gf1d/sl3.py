@@ -18,7 +18,7 @@ import numpy as np
 from .errors import LogBranch, WronskianZero
 from .green import GreenValue
 from .polyrep import RELATIONS
-from .potential import check_wavenumber
+from .potential import check_point, check_wavenumber
 from .transfer import interval_triple, semi_infinite_coefficients
 
 __all__ = [
@@ -174,6 +174,8 @@ def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
     W = -2ik (1 - R_l(+inf, x0) R_r(x0, -inf)).
     """
     k = check_wavenumber(k)
+    check_point(x, "x")
+    check_point(y, "y")
     x_l, x_r = spec.support
     x0 = 0.5 * (x_l + x_r)
     hi, lo = (x, y) if x >= y else (y, x)

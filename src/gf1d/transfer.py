@@ -152,7 +152,7 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
         return TransferMatrix.from_matrix(u, (x1, x2), k)
     if method == "rk4":
         return _propagate_rk4(spec, x1, x2, k, step)
-    raise ValueError(f"unknown method {method!r}")
+    raise ConfigError("method", f"must be 'exact_piecewise' or 'rk4', got {method!r}")
 
 
 def _panel_f(spec, a, b):

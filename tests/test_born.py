@@ -104,3 +104,9 @@ def test_domain_errors_are_config_errors():
         born_series(slab(0.2), 0.3, 0.8, 1.0, max_order=7)
     with pytest.raises(ConfigError):
         born_series(slab(0.2), 0.3, 0.8, 0.0)
+
+
+def test_negative_order_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        path_term_count(-1)
+    assert err.value.field == "order"

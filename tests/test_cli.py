@@ -166,6 +166,9 @@ def test_verify_jsonl(capsys):
         ["green", "--k", "0"],
         ["green", "--route", "born", "--order", "7"],
         ["green", "--route", "C", "--P", "-5"],
+        ["green", "--grid=0:1e400:2"],
+        ["green", "--grid=nan:1:2"],
+        ["green", "--route", "born", "--method", "rk4"],
     ],
 )
 def test_out_of_domain_input_exits_2(argv, capsys):
@@ -177,3 +180,36 @@ def test_out_of_domain_input_exits_2(argv, capsys):
     assert len(out.splitlines()) <= 1  # at most the header, no data row
     assert err.startswith("error: ") and "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_green_rk4_on_linear_medium(tmp_path, capsys):
+    from gf1d.green import green_closed_form
+    from gf1d.potential import load_potential
+
+    p = tmp_path / "lin.yaml"
+    p.write_text(
+        "segments:\n"
+        "  - x_start: 0\n"
+        "    x_end: 1\n"
+        "    profile: {type: linear, c0: 0.2, c1: 0.6}\n"
+    )
+    code = main(
+        [
+            "green", "--potential", str(p), "--k", "1.2,0.3", "--grid=0.1:0.9:3",
+            "--method", "rk4", "--step", "0.01",
+        ]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 1 + 9
+    spec = load_potential(str(p))
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        k = complex(float(row["k_re"]), float(row["k_im"]))
+        gv = green_closed_form(
+            spec, float(row["x"]), float(row["y"]), k, method="rk4", step=0.01
+        )
+        want = 2j * k * gv.value
+        assert float(row["two_ik_g_re"]) == want.real
+        assert float(row["two_ik_g_im"]) == want.imag

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from gf1d.born import born_series
 from gf1d.errors import ConfigError
 from gf1d.green import (
     green_closed_form,
@@ -152,3 +155,51 @@ def test_jump_condition_second_order():
 def test_routes_reject_wavenumbers_outside_domain(route, k):
     with pytest.raises(ConfigError):
         route(slab(0.8, -1, 1), k)
+
+
+_POINT_ROUTES = {
+    "B": lambda spec, x, y: green_closed_form(spec, x, y, 1.1),
+    "C": lambda spec, x, y: green_polyrep(spec, x, y, 1.1, P=8),
+    "power": lambda spec, x, y: green_power(spec, x, y, 1.1, 2, P=8),
+    "negative_power": lambda spec, x, y: green_negative_power(spec, x, y, 1.1, 1, P=8),
+    "product_first": lambda spec, x, y: green_product(spec, [(x, y), (0.1, 0.0)], 1.1, P=8),
+    "product_last": lambda spec, x, y: green_product(spec, [(0.1, 0.0), (x, y)], 1.1, P=8),
+    "A": lambda spec, x, y: green_wronskian(spec, x, y, 1.1),
+    "born": lambda spec, x, y: born_series(spec, x, y, 1.1, max_order=1),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("route", list(_POINT_ROUTES))
+def test_routes_reject_points_outside_domain(route, bad):
+    for x, y, field in ((bad, -0.2, "x"), (0.3, bad, "y")):
+        with pytest.raises(ConfigError) as err:
+            _POINT_ROUTES[route](slab(0.8, -1, 1), x, y)
+        assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: green_polyrep(SPEC, 0.3, -0.2, 1.1, P=8, variant="mixed"), "variant"),
+        (lambda: green_power(SPEC, 0.3, -0.2, 1.1, 0, P=8), "n"),
+        (lambda: green_negative_power(SPEC, 0.3, -0.2, 1.1, 0, P=8), "n"),
+        (lambda: green_product(SPEC, [(0.3, -0.2)] * 4, 1.1, P=8), "pairs"),
+    ],
+    ids=["variant", "power", "negative_power", "product"],
+)
+def test_input_errors_name_their_field(call, field):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.field == field
+
+
+def test_product_loss_is_finite_and_bounds_the_cutoff_change():
+    # the last coefficients of a chain vector sit at rounding level, and
+    # their ratio used to make this loss infinite
+    k = 0.8 + 0.5j
+    pairs = [(0.6, -0.3), (0.45, -0.1), (0.3, 0.05)]
+    a = green_product(SPEC, pairs, k, P=36)
+    b = green_product(SPEC, pairs, k, P=72)
+    assert math.isfinite(a.truncation_loss)
+    assert abs(a.value - b.value) <= a.truncation_loss

@@ -287,3 +287,9 @@ def test_fixed_step_routes_reject_nonpositive_step(step):
         propagate(spec, 0.0, 1.0, 1.0, method="rk4", step=step)
     with pytest.raises(ConfigError):
         riccati_coefficients(spec, 0.0, 1.0, 1.0, step=step)
+
+
+def test_unknown_method_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        propagate(slab(0.5), 0.0, 1.0, 1.0, method="euler")
+    assert err.value.field == "method"
