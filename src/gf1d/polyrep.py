@@ -252,61 +252,17 @@ class MobiusAction:
 
 
 def _series_mul(a, b, n):
-    """Truncated Cauchy product of coefficient arrays, length n+1."""
-    return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
+    """Truncated Cauchy product of coefficient arrays of length >= n+1.
+
+    Only the orders up to n are formed: the orders above n of two decaying
+    series underflow into subnormal numbers, which cost many times more.
+    """
+    padded = np.zeros(2 * n + 1, dtype=complex)
+    padded[n:] = a[: n + 1]
+    return np.convolve(padded, b[: n + 1], mode="valid")
 
 
 _EPS = np.finfo(float).eps
-
-# powers of Lhat up to this exponent come from the binomial expansion in u;
-# its rounding grows with the exponent
-_EXPANDED_POWERS = 4
-_J = np.arange(_EXPANDED_POWERS + 1)
-_PASCAL = np.array([[math.comb(t, j) for j in _J] for t in _J], dtype=float)
-_PASCAL_EXPONENTS = (_J[:, None] - _J).clip(0)
-
-
-@functools.lru_cache(maxsize=32)
-def _u_coefficients(n):
-    """(C, e), read-only, for u = xi / (1 - xi R_r): the xi**m coefficient
-    of u**j is C[j, m] R_r**e[j, m] for j <= _EXPANDED_POWERS and m <= n."""
-    c = np.zeros((_EXPANDED_POWERS + 1, n + 1))
-    c[0, 0] = 1.0
-    for j in _J[1:]:
-        c[j, j:] = [math.comb(m - 1, j - 1) for m in range(j, n + 1)]
-    e = (np.arange(n + 1) - _J[:, None]).clip(0)
-    c.flags.writeable = e.flags.writeable = False
-    return c, e
-
-
-def _powers(z, n):
-    """z**0 .. z**n by repeated multiplication."""
-    out = np.empty(n + 1, dtype=complex)
-    out[0] = 1.0
-    out[1:] = z
-    return np.cumprod(out)
-
-
-def _lhat_powers(action, n, B):
-    """Rows Lhat**0 .. Lhat**B of the evolution's xi-substitution, to order n.
-
-    Lhat = R_l + tau**2 u; the binomial expansion of (R_l + tau**2 u)**t
-    gives the first powers in one small matrix product, and the powers
-    beyond _EXPANDED_POWERS are truncated products by Lhat.
-    """
-    T = min(B, _EXPANDED_POWERS)
-    c, e = _u_coefficients(n)
-    u = c[: T + 1] * _powers(action.r_right, n)[e[: T + 1]]
-    expansion = (
-        _PASCAL[: T + 1, : T + 1]
-        * _powers(action.r_left, T)[_PASCAL_EXPONENTS[: T + 1, : T + 1]]
-        * _powers(action.tau**2, T)
-    )
-    out = np.empty((B + 1, n + 1), dtype=complex)
-    out[: T + 1] = expansion @ u
-    for s in range(T + 1, B + 1):
-        out[s] = np.convolve(out[s - 1], out[1])[: n + 1]
-    return out
 
 
 def apply_U(action, v, tol=None):
@@ -317,17 +273,23 @@ def apply_U(action, v, tol=None):
     evaluated by baby and giant steps (Paterson and Stockmeyer): in blocks
     of B coefficients, g(Lhat) = sum_b S_b(Lhat) Lhat**(B b), where every
     S_b is summed from one table of Lhat**0 .. Lhat**(B-1) and the blocks
-    are combined by Horner in Lhat**B.  With B near sqrt(P) that is about
-    2 sqrt(P) truncated products per row instead of P.  Every partial sum
-    is a value of the composition; re-expanding g about R_l instead would
-    be cheaper but loses every digit when |R| approaches 1.
+    are combined by Horner in Lhat**B.  With B near sqrt(rows (P+1)) that
+    is about 2 sqrt(P) truncated products per row instead of P.  Every
+    partial sum is a value of the composition; re-expanding g about R_l
+    instead would be cheaper but loses every digit when |R| approaches 1.
     """
-    tau, rr = action.tau, action.r_right
+    tau, rr, rl = action.tau, action.r_right, action.r_left
     P = v.P
     n = P + 1  # one extra order for the tail estimate
-    B = max(_EXPANDED_POWERS, math.isqrt(max(1, len(v.rows)) * (P + 1) - 1) + 1)
-    B = min(B, P + 1)
-    powers = _lhat_powers(action, n, B)
+    B = min(P + 1, math.isqrt(max(1, len(v.rows)) * (P + 1) - 1) + 1)
+    powers = np.zeros((B + 1, n + 1), dtype=complex)  # Lhat**0 .. Lhat**B
+    powers[0, 0] = 1.0
+    powers[1, 0] = rl
+    powers[1, 1] = tau * tau
+    powers[1, 2:] = rr
+    powers[1, 1:] = np.cumprod(powers[1, 1:])
+    for t in range(2, B + 1):
+        powers[t] = _series_mul(powers[t - 1], powers[1], n)
     baby, giant = powers[:B], powers[B]
     n_blocks = -(-(P + 1) // B)
     m = np.arange(n)
@@ -341,10 +303,10 @@ def apply_U(action, v, tol=None):
         sums = blocks @ baby
         res = sums[-1]
         for s in sums[-2::-1]:
-            res = np.convolve(res, giant)[: n + 1] + s
+            res = _series_mul(res, giant, n) + s
         # (1 - xi R_r)**(-q): binomial series, valid for any real/complex q
         b = np.cumprod(np.concatenate([[1.0], rr * (q + m) / (m + 1)]))
-        res = np.convolve(res, b)[: n + 1]
+        res = _series_mul(res, b, n)
         if float(q).is_integer():
             tq = tau ** int(round(q))
         else:
