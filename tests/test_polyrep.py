@@ -11,6 +11,7 @@ from gf1d.polyrep import (
     GENERATORS,
     MobiusAction,
     PolyVec,
+    _weight_row,
     adjoint_check,
     apply_generator,
     apply_U,
@@ -25,7 +26,6 @@ from gf1d.polyrep import (
     lambda_r_power,
     mu_over_one_minus_c_xi,
 )
-from gf1d.polyrep import _weight_row
 from gf1d.transfer import (
     compose_triples,
     interval_triple,
