@@ -17,7 +17,7 @@ import sys
 from . import born as born_mod
 from . import green as green_mod
 from . import sl3, transfer, verify
-from .errors import ConfigError, Gf1dError
+from .errors import ConfigError, DenominatorZero, Gf1dError, WronskianZero
 from .potential import PotentialSpec, check_wavenumber, load_potential
 
 __all__ = ["main"]
@@ -107,10 +107,9 @@ def cmd_coefficients(args):
     try:
         w = _Writer(stream, args.format, header)
         for k in ks:
+            sweep = transfer.Sweep(spec, k, args.method, args.step)
             for x1, x2 in intervals:
-                t = transfer.interval_triple(
-                    spec, x1, x2, k, method=args.method, step=args.step
-                )
+                t = sweep.triple(x1, x2)
                 w.row(
                     [
                         x1, x2, k.real, k.imag,
@@ -125,27 +124,21 @@ def cmd_coefficients(args):
     return 0
 
 
-def _born(spec, x, y, k, args):
+def _born(sweep, x, y, args):
     if args.method != "exact_piecewise":
         raise ConfigError("--method", "route born samples f directly; it has no rk4")
-    return born_mod.born_series(spec, x, y, k, max_order=args.order)[0]
+    return born_mod.born_series(sweep.spec, x, y, sweep.k, max_order=args.order)[0]
 
 
-# route name -> (spec, x, y, k, args) -> GreenValue; functions are looked up
-# at call time so that rebinding a module attribute reaches the CLI
+# route name -> (sweep, x, y, args) -> GreenValue; every pair at one k reads
+# the same sweep.  Functions are looked up at call time so that rebinding a
+# module attribute reaches the CLI.
 _ROUTES = {
-    "A": lambda spec, x, y, k, args: sl3.green_wronskian(
-        spec, x, y, k, method=args.method, step=args.step
-    ),
-    "B": lambda spec, x, y, k, args: green_mod.green_closed_form(
-        spec, x, y, k, method=args.method, step=args.step
-    ),
-    "C": lambda spec, x, y, k, args: green_mod.green_polyrep(
-        spec, x, y, k, P=args.P, method=args.method, step=args.step
-    ),
-    "C-asym": lambda spec, x, y, k, args: green_mod.green_polyrep(
-        spec, x, y, k, P=args.P, variant="asymmetric", method=args.method,
-        step=args.step,
+    "A": lambda sweep, x, y, args: sl3.wronskian_from(sweep, x, y),
+    "B": lambda sweep, x, y, args: green_mod.closed_form_from(sweep, x, y),
+    "C": lambda sweep, x, y, args: green_mod.polyrep_from(sweep, x, y, P=args.P),
+    "C-asym": lambda sweep, x, y, args: green_mod.polyrep_from(
+        sweep, x, y, P=args.P, variant="asymmetric"
     ),
     "born": _born,
 }
@@ -167,11 +160,13 @@ def cmd_green(args):
     try:
         w = _Writer(stream, args.format, header)
         for k in ks:
+            sweep = transfer.Sweep(spec, k, args.method, args.step)
             for x in grid:
                 for y in grid:
                     try:
-                        gv = _ROUTES[args.route](spec, x, y, k, args)
-                    except green_mod.DenominatorZero:
+                        gv = _ROUTES[args.route](sweep, x, y, args)
+                    except (DenominatorZero, WronskianZero):
+                        # k sits on a bound-state pole
                         row = [x, y, k.real, k.imag, "", "", "pole", ""]
                         if args.check:
                             row.append("")
@@ -183,10 +178,11 @@ def cmd_green(args):
                         val.real, val.imag, gv.route, gv.truncation_loss,
                     ]
                     if args.check:
-                        gb = green_mod.green_closed_form(
-                            spec, x, y, k, method=args.method, step=args.step
-                        )
-                        row.append(abs(val - 2j * k * gb.value))
+                        try:
+                            gb = green_mod.closed_form_from(sweep, x, y)
+                            row.append(abs(val - 2j * k * gb.value))
+                        except DenominatorZero:
+                            row.append("")
                     w.row(row)
     finally:
         if close:

@@ -11,6 +11,10 @@ The series routes evaluate the same object through the polynomial
 realization: a matrix element of the evolution between multiple-
 reflection vectors, or a generating-series value at the left
 reflection coefficient.
+
+Every route reads its endpoint data from a ``transfer.Sweep``; the
+``*_from(sweep, ...)`` functions are the value halves, which a caller that
+evaluates many points at one k (the CLI grid) calls on one shared sweep.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .polyrep import (
     mu_over_one_minus_c_xi,
 )
 from .potential import check_point, check_wavenumber
-from .transfer import interval_triple, semi_infinite_coefficients
+from .transfer import Sweep
 
 __all__ = [
     "GreenValue",
@@ -66,16 +70,19 @@ class GreenValue:
     truncation_loss: float = 0.0
 
 
-def _endpoint_data(spec, x, y, k, method, step):
-    """(rl3, triple(x,y), rr1) with x >= y enforced by symmetry."""
+def _sweep(spec, x, y, k, method, step):
+    """Checked wavenumber and points, and the sweep a single-point route reads."""
+    k = check_wavenumber(k)
     check_point(x, "x")
     check_point(y, "y")
+    return Sweep(spec, k, method, step)
+
+
+def _endpoint_data(sweep, x, y):
+    """(rl3, triple(y, x), rr1) with x >= y enforced by symmetry."""
     if x < y:
         x, y = y, x
-    rr1, _ = semi_infinite_coefficients(spec, y, k, method, step)
-    _, rl3 = semi_infinite_coefficients(spec, x, k, method, step)
-    t = interval_triple(spec, y, x, k, method, step)
-    return x, y, rl3, t, rr1
+    return sweep.r_left(x), sweep.triple(y, x), sweep.r_right(y)
 
 
 def _closed_denominator(rl3, t, rr1):
@@ -86,8 +93,13 @@ def _closed_denominator(rl3, t, rr1):
 
 def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
     """Closed form in the interval coefficients (route B)."""
-    k = check_wavenumber(k)
-    x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
+    return closed_form_from(_sweep(spec, x, y, k, method, step), x, y)
+
+
+def closed_form_from(sweep, x, y):
+    """Route B at (x, y) from a sweep of the medium at its k."""
+    k = sweep.k
+    rl3, t, rr1 = _endpoint_data(sweep, x, y)
     d = _closed_denominator(rl3, t, rr1)
     if abs(d) < DENOMINATOR_THRESHOLD:
         raise DenominatorZero(f"|D| = {abs(d):.3e} below threshold at k = {k}")
@@ -105,8 +117,13 @@ def green_polyrep(
     where B is the mu-independent series obtained by applying L+ - K- to
     U(x,y) Lambda_r(y).
     """
-    k = check_wavenumber(k)
-    x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
+    return polyrep_from(_sweep(spec, x, y, k, method, step), x, y, P, variant)
+
+
+def polyrep_from(sweep, x, y, P=64, variant="symmetric"):
+    """Route C at (x, y) from a sweep of the medium at its k."""
+    k = sweep.k
+    rl3, t, rr1 = _endpoint_data(sweep, x, y)
     v = apply_U(MobiusAction.from_triple(t), lambda_r(rr1, P))
     if variant == "symmetric":
         left = lambda_l(rl3, P)
@@ -132,8 +149,9 @@ def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
     """[2ikG]**n = (1/n) <Lambda_l**n, U Lambda_r**n> for integer n >= 1."""
     if n < 1:
         raise ConfigError("n", f"power must be >= 1, got {n}")
-    k = check_wavenumber(k)
-    x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
+    sweep = _sweep(spec, x, y, k, method, step)
+    k = sweep.k
+    rl3, t, rr1 = _endpoint_data(sweep, x, y)
     v = apply_U(MobiusAction.from_triple(t), lambda_r_power(rr1, n, P))
     val = inner_product(lambda_l_power(rl3, n, P), v) / n
     amp = abs(1.0 + rl3) ** n / (1.0 - min(abs(rl3), 0.99))
@@ -155,9 +173,10 @@ def green_negative_power(
     """
     if n < 1:
         raise ConfigError("n", f"power must be >= 1, got {n}")
-    k = check_wavenumber(k)
+    sweep = _sweep(spec, x, y, k, method, step)
+    k = sweep.k
     q = n + 2
-    x2, y2, rl3, t, rr1 = _endpoint_data(spec, x, y, k, method, step)
+    rl3, t, rr1 = _endpoint_data(sweep, x, y)
     v = mu_over_one_minus_c_xi(q, rr1, P)
     for _ in range(n):
         v = inverse_operator("(L-+K+)inv", v)
@@ -201,17 +220,18 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
     pairs = [(max(p), min(p)) for p in pairs]
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
-    rr1, _ = semi_infinite_coefficients(spec, ys[0], k, method, step)
-    _, rl_end = semi_infinite_coefficients(spec, xs[-1], k, method, step)
+    sweep = Sweep(spec, k, method, step)
+    rr1 = sweep.r_right(ys[0])
+    rl_end = sweep.r_left(xs[-1])
     v = lambda_r(rr1, P)
     pos = ys[0]
     for yj in ys[1:]:
-        t = interval_triple(spec, pos, yj, k, method, step)
+        t = sweep.triple(pos, yj)
         v = apply_U(MobiusAction.from_triple(t), v)
         v = apply_generator("L-", v) + apply_generator("K+", v)
         pos = yj
     for i, xj in enumerate(xs):
-        t = interval_triple(spec, pos, xj, k, method, step)
+        t = sweep.triple(pos, xj)
         v = apply_U(MobiusAction.from_triple(t), v)
         if i < m - 1:
             v = apply_generator("L+", v) - apply_generator("K-", v)

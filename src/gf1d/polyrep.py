@@ -162,7 +162,7 @@ _GENERATOR_ACTION = {
 def apply_generator(name, v):
     """Action of one generator; coefficients pushed beyond P are tallied as loss."""
     if name not in _GENERATOR_ACTION:
-        raise ValueError(f"unknown generator {name!r}")
+        raise ConfigError("name", f"unknown generator {name!r}")
     dp, dn, coefficient = _GENERATOR_ACTION[name]
     p = np.arange(v.P + 1)
     rows = {}
@@ -422,7 +422,7 @@ def inverse_operator(name, v):
             for p in range(v.P - 1, -1, -1):
                 out[p] = (g[p] - (p + 1) * out[p + 1]) / (m + p - 1)
         return PolyVec._of_rows({n - 1: out}, v.P, v.q0, v.loss)
-    raise ValueError(f"unknown inverse operator {name!r}")
+    raise ConfigError("name", f"unknown inverse operator {name!r}")
 
 
 # ---------------------------------------------------------------------------

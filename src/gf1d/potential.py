@@ -147,6 +147,7 @@ class PotentialSpec:
     left_tail: float | None = None
     right_tail: float | None = None
     _starts: tuple = field(init=False, repr=False, compare=False, default=())
+    _breakpoints: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -157,6 +158,12 @@ class PotentialSpec:
                 )
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", tuple(s.x_start for s in segs))
+        pts = set()
+        for s in segs:
+            pts.update((s.x_start, s.x_end))
+            if isinstance(s.profile, SampledProfile):
+                pts.update(p[0] for p in s.profile.points)
+        object.__setattr__(self, "_breakpoints", tuple(sorted(pts)))
 
     @property
     def support(self):
@@ -176,14 +183,8 @@ class PotentialSpec:
         return self.segments[i]
 
     def breakpoints(self):
-        """Sorted positions where f may jump or change slope."""
-        pts = []
-        for s in self.segments:
-            pts.append(s.x_start)
-            pts.append(s.x_end)
-            if isinstance(s.profile, SampledProfile):
-                pts.extend(p[0] for p in s.profile.points)
-        return sorted(set(pts))
+        """Sorted tuple of the positions where f may jump or change slope."""
+        return self._breakpoints
 
     def jump_points(self):
         """List of (position, jump height f(x+) - f(x-))."""
@@ -246,7 +247,7 @@ def schroedinger_potential(spec, x):
 def truncate(spec, x1, x2):
     """Restriction chi_[x1,x2] * f with vacuum tails."""
     if not x1 < x2:
-        raise ValueError(f"truncate needs x1 < x2, got [{x1}, {x2}]")
+        raise ConfigError("x2", f"truncate needs x1 < x2, got [{x1}, {x2}]")
     segs = []
     # tails become segments where they overlap the window
     x_l, x_r = spec.support

@@ -13,13 +13,15 @@ decaying solutions and their Wronskian.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .errors import LogBranch, WronskianZero
+from .errors import LogBranch, ResonanceDivision, WronskianZero
 from .green import GreenValue
 from .polyrep import RELATIONS
 from .potential import check_point, check_wavenumber
-from .transfer import interval_triple, semi_infinite_coefficients
+from .transfer import Sweep
 
 __all__ = [
     "GeneratorSet3",
@@ -152,18 +154,35 @@ def intertwiner_check(m, triple, gens=None):
     return [(cid, float(np.max(np.abs(r)))) for cid, r in checks]
 
 
-def _phi_plus(spec, x, x0, k, method, step):
+def _across(num, t):
+    """num / tau(t): a decaying solution read on the far side of x0, where it grows."""
+    if t.tau == 0 or not cmath.isfinite(phi := num / t.tau):
+        raise ResonanceDivision(
+            f"|tau| = {abs(t.tau):.3e} on {t.interval}: the decaying solution overflows"
+        )
+    return phi
+
+
+def _phi_plus(sweep, x, x0):
     # solution decaying to the right, normalized at x0
-    _, rl = semi_infinite_coefficients(spec, x, k, method, step)
-    t = interval_triple(spec, x0, x, k, method, step)  # coefficients of U(x, x0)
-    return (1.0 + rl) * t.tau / (1.0 - rl * t.r_right)
+    rl = sweep.r_left(x)
+    if x >= x0:
+        t = sweep.triple(x0, x)  # coefficients of U(x, x0)
+        return (1.0 + rl) * t.tau / (1.0 - rl * t.r_right)
+    # U(x, x0) is the inverse of U(x0, x); written in the forward triple and
+    # R_l(+inf, x0) it has no cancellation
+    t = sweep.triple(x, x0)
+    return _across((1.0 + rl) * (1.0 - t.r_right * sweep.r_left(x0)), t)
 
 
-def _phi_minus(spec, x, x0, k, method, step):
+def _phi_minus(sweep, x, x0):
     # solution decaying to the left, normalized at x0
-    rr, _ = semi_infinite_coefficients(spec, x, k, method, step)
-    t = interval_triple(spec, x, x0, k, method, step)  # coefficients of U(x0, x)
-    return (1.0 + rr) * t.tau / (1.0 - t.r_left * rr)
+    rr = sweep.r_right(x)
+    if x <= x0:
+        t = sweep.triple(x, x0)  # coefficients of U(x0, x)
+        return (1.0 + rr) * t.tau / (1.0 - t.r_left * rr)
+    t = sweep.triple(x0, x)
+    return _across((1.0 + rr) * (1.0 - t.r_left * sweep.r_right(x0)), t)
 
 
 def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
@@ -176,20 +195,21 @@ def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
     k = check_wavenumber(k)
     check_point(x, "x")
     check_point(y, "y")
-    x_l, x_r = spec.support
+    return wronskian_from(Sweep(spec, k, method, step), x, y)
+
+
+def wronskian_from(sweep, x, y):
+    """Route A at (x, y) from a sweep of the medium at its k."""
+    k = sweep.k
+    x_l, x_r = sweep.spec.support
     x0 = 0.5 * (x_l + x_r)
     hi, lo = (x, y) if x >= y else (y, x)
-    rr0, rl0 = semi_infinite_coefficients(spec, x0, k, method, step)
-    denom = 1.0 - rl0 * rr0
+    denom = 1.0 - sweep.r_left(x0) * sweep.r_right(x0)
     if abs(denom) < WRONSKIAN_THRESHOLD:
         raise WronskianZero(
             f"|W| / |2ik| = {abs(denom):.3e} below threshold at k = {k}"
         )
-    two_ik_g = (
-        _phi_plus(spec, hi, x0, k, method, step)
-        * _phi_minus(spec, lo, x0, k, method, step)
-        / denom
-    )
+    two_ik_g = _phi_plus(sweep, hi, x0) * _phi_minus(sweep, lo, x0) / denom
     return GreenValue(
         value=two_ik_g / (2j * k), x=x, y=y, k=k, route="wronskian",
         truncation_loss=0.0,

@@ -9,10 +9,17 @@ which is unimodular: alpha(k) alpha(-k) - beta(k) beta(-k) = 1.
 Transmission/reflection coefficients of an interval are
 
     tau = 1/alpha(k),  R_r = beta(k)/alpha(k),  R_l = -beta(-k)/alpha(k).
+
+``Sweep`` is the propagation core the routes read: for one medium and one
+k it composes these triples piece by piece with the two-interval formula
+(the Redheffer star product), so R_r(x, -inf), R_l(+inf, x) and the triple
+of [y, x] at every query point come from shared work.  ``propagate`` and
+the matrix algebra stay as independent checks and for reversed intervals.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 from dataclasses import dataclass
 
@@ -40,9 +47,12 @@ __all__ = [
     "semi_infinite_coefficients",
     "tail_reflection",
     "interval_triple",
+    "Sweep",
 ]
 
 RESONANCE_THRESHOLD = 1e-13
+# largest unimodularity residual of an rk4 evolution, relative to its squared scale
+RK4_DRIFT_BOUND = 1e-6
 # switch to the series of cosh(z), sinh(z)/z below this |z| to avoid cancellation
 KAPPA_SERIES_SWITCH = 1e-4
 
@@ -133,7 +143,7 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     fixed step (general profiles).
     """
     if x2 < x1:
-        raise ValueError(f"propagate needs x1 <= x2, got [{x1}, {x2}]")
+        raise ConfigError("x2", f"propagate needs x1 <= x2, got [{x1}, {x2}]")
     k = complex(k)
     if x2 == x1:
         return TransferMatrix.identity(x1, k)
@@ -153,6 +163,12 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     if method == "rk4":
         return _propagate_rk4(spec, x1, x2, k, step)
     raise ConfigError("method", f"must be 'exact_piecewise' or 'rk4', got {method!r}")
+
+
+def _det_drift(m):
+    """Unimodularity residual of m relative to its squared largest entry (at least 1)."""
+    scale = max(1.0, float(np.max(np.abs(m.as_matrix()))))
+    return m.unimodularity_residual() / (scale * scale)
 
 
 def _panel_f(spec, a, b):
@@ -196,8 +212,7 @@ def _propagate_rk4(spec, x1, x2, k, step):
     u = _rk4_panels(spec, x1, x2, step, rhs, np.eye(2, dtype=complex))
     m = TransferMatrix.from_matrix(u, (x1, x2), k)
     # unimodularity drift is the cheapest local-error proxy for this ODE
-    scale = max(1.0, float(np.max(np.abs(u))))
-    if m.unimodularity_residual() > 1e-6 * scale * scale:
+    if _det_drift(m) > RK4_DRIFT_BOUND:
         raise StepTooLarge(
             f"rk4 step {step} too large: det residual {m.unimodularity_residual():.3e}"
         )
@@ -244,15 +259,13 @@ def scattering_coefficients(m):
 
 def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     """Scattering coefficients of [x1, x2]; x1 > x2 uses the inverse evolution."""
-    if x1 <= x2:
-        return scattering_coefficients(propagate(spec, x1, x2, k, method, step))
-    return scattering_coefficients(invert(propagate(spec, x2, x1, k, method, step)))
+    return Sweep(spec, k, method, step).triple(x1, x2)
 
 
 def riccati_coefficients(spec, x1, x2, k, step=1e-3):
     """Integrate the first-order equations for (R_r, tau, R_l) from x1 to x2."""
     if x2 < x1:
-        raise ValueError(f"needs x1 <= x2, got [{x1}, {x2}]")
+        raise ConfigError("x2", f"needs x1 <= x2, got [{x1}, {x2}]")
     k = complex(k)
 
     def rhs(f, y):
@@ -303,27 +316,166 @@ def tail_reflection(c, k, side):
 
 def semi_infinite_coefficients(spec, x, k, method="exact_piecewise", step=1e-3):
     """(R_r(x, -inf), R_l(+inf, x)) for vacuum or constant tails."""
-    k = complex(k)
-    x_l, x_r = spec.support
-    # reflection seen from x looking left
-    seed = tail_reflection(spec.left_tail, k, "left")
-    if x <= x_l or not spec.segments:
-        rr = seed
+    sweep = Sweep(spec, k, method, step)
+    return sweep.r_right(x), sweep.r_left(x)
+
+
+def _constant_piece(c, dx, k):
+    """(tau, R_r, R_l) of a constant-f piece of width dx, in E = e^{-kappa dx} only.
+
+    With z = kappa dx, Re kappa >= 0 (so |E| <= 1), g = E cosh z and
+    h = E sinh(z) / z, the evolution gives tau = E / (g - ik dx h) and
+    R_r = -R_l = c dx h / (g - ik dx h).  A large Re z underflows E, and
+    with it tau, to zero instead of overflowing cosh.
+    """
+    if c == 0:
+        return cmath.exp(1j * k * dx), 0j, 0j
+    z = cmath.sqrt(c * c - k * k) * dx
+    e = cmath.exp(-z)
+    if abs(z) < KAPPA_SERIES_SWITCH:
+        z2 = z * z
+        g = e * (1.0 + z2 / 2.0 + z2 * z2 / 24.0)
+        h = e * (1.0 + z2 / 6.0 + z2 * z2 / 120.0)
     else:
-        t = interval_triple(spec, x_l, min(x, x_r), k, method, step)
-        if x > x_r:
-            # free stretch between support and x only adds phase to tau
-            t = compose_triples(
-                interval_triple(spec, x_r, x, k, method, step), t
+        g = 0.5 * (1.0 + e * e)
+        # past Re z = 20, sinh may overflow while 1 - E**2 has no cancellation
+        h = e * cmath.sinh(z) / z if z.real < 20.0 else (1.0 - e * e) / (2.0 * z)
+    den = g - 1j * k * dx * h
+    if abs(den) <= RESONANCE_THRESHOLD * abs(e):
+        raise ResonanceDivision(f"|alpha| below threshold on a piece of width {dx}")
+    r = c * dx * h / den
+    return e / den, r, -r
+
+
+# (tau, R_r, R_l, rk4 drift) of an empty interval
+_IDENTITY = (1.0 + 0j, 0j, 0j, 0.0)
+
+
+def _star(outer, inner):
+    """Two-interval composition of (tau, R_r, R_l, drift): outer lies right of inner."""
+    to, ro_r, ro_l, do = outer
+    ti, ri_r, ri_l, di = inner
+    d = 1.0 - ro_l * ri_r
+    tt = to * ti
+    # |alpha| of the union is |d / tt|
+    if abs(d) <= RESONANCE_THRESHOLD * abs(tt):
+        raise ResonanceDivision(f"|alpha| = {abs(d / tt):.3e} below threshold")
+    return (tt / d, ro_r + to * to * ri_r / d, ri_l + ti * ti * ro_l / d, do + di)
+
+
+class Sweep:
+    """Scattering data of one medium at one k, shared by every query point.
+
+    Triples are composed from pieces: the pieces between consecutive
+    breakpoints of the medium are shared by all points, and each query
+    point adds the pieces to its neighbouring breakpoints.  A value at given
+    points therefore depends on those points and the breakpoints only, not
+    on the other points a sweep has served.  Constant pieces use the closed
+    form in e^{-kappa dx}; non-constant pieces need ``method="rk4"``.
+    Results are memoized, so a grid pays for each piece and each span once.
+    """
+
+    def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
+        if method not in ("exact_piecewise", "rk4"):
+            raise ConfigError(
+                "method", f"must be 'exact_piecewise' or 'rk4', got {method!r}"
             )
-        rr = t.r_right + t.tau**2 * seed / (1.0 - t.r_left * seed)
-    # reflection seen from x looking right
-    seed = tail_reflection(spec.right_tail, k, "right")
-    if x >= x_r or not spec.segments:
-        rl = seed
-    else:
-        t = interval_triple(spec, max(x, x_l), x_r, k, method, step)
-        if x < x_l:
-            t = compose_triples(t, interval_triple(spec, x, x_l, k, method, step))
-        rl = t.r_left + t.tau**2 * seed / (1.0 - seed * t.r_right)
-    return rr, rl
+        if method == "rk4" and not step > 0:
+            raise ConfigError("step", f"must be > 0, got {step}")
+        self.spec = spec
+        self.k = complex(k)
+        self.method = method
+        self.step = step
+        self._bps = spec.breakpoints()
+        self._pieces = {}
+        self._rows = {}  # breakpoint index i -> [span(b_i, b_j) for j >= i]
+        self._spans = {}
+        self._rr = {}
+        self._rl = {}
+
+    def _piece(self, a, b):
+        """Triple of [a, b], which no breakpoint splits."""
+        t = self._pieces.get((a, b))
+        if t is None:
+            mid = 0.5 * (a + b)
+            seg = self.spec.segment_at(mid)
+            if seg is None or seg.profile.is_constant:
+                t = _constant_piece(evaluate_f(self.spec, mid), b - a, self.k) + (0.0,)
+            elif self.method == "rk4":
+                m = _propagate_rk4(self.spec, a, b, self.k, self.step)
+                s = scattering_coefficients(m)
+                t = (s.tau, s.r_right, s.r_left, _det_drift(m))
+            else:
+                raise UnsupportedProfile(
+                    f"segment [{seg.x_start}, {seg.x_end}] is not constant; use rk4"
+                )
+            self._pieces[(a, b)] = t
+        return t
+
+    def _row(self, i, j):
+        """Span from breakpoint i to breakpoint j >= i, extending row i as needed."""
+        bps = self._bps
+        row = self._rows.setdefault(i, [_IDENTITY])
+        while len(row) <= j - i:
+            n = i + len(row) - 1
+            row.append(_star(self._piece(bps[n], bps[n + 1]), row[-1]))
+        return row[j - i]
+
+    def _span(self, x1, x2):
+        """Unchecked (tau, R_r, R_l, drift) of [x1, x2] for x1 <= x2."""
+        t = self._spans.get((x1, x2))
+        if t is None:
+            bps = self._bps
+            i = bisect.bisect_left(bps, x1)
+            j = bisect.bisect_right(bps, x2) - 1
+            if x1 == x2:
+                t = _IDENTITY
+            elif i > j:
+                t = self._piece(x1, x2)
+            else:
+                t = self._row(i, j)
+                if x1 < bps[i]:
+                    t = _star(t, self._piece(x1, bps[i]))
+                if bps[j] < x2:
+                    t = _star(self._piece(bps[j], x2), t)
+            self._spans[(x1, x2)] = t
+        if t[3] > RK4_DRIFT_BOUND:
+            raise StepTooLarge(
+                f"rk4 step {self.step} too large: summed det drift {t[3]:.3e} "
+                f"on [{x1}, {x2}]"
+            )
+        return t
+
+    def triple(self, x1, x2):
+        """Scattering coefficients of [x1, x2]; x1 > x2 uses the inverse evolution."""
+        if x1 > x2:
+            m = propagate(self.spec, x2, x1, self.k, self.method, self.step)
+            return scattering_coefficients(invert(m))
+        t = self._span(x1, x2)
+        return ScatteringTriple(t[0], t[1], t[2], (x1, x2), self.k)
+
+    def r_right(self, x):
+        """R_r(x, -inf): reflection seen from x looking left."""
+        rr = self._rr.get(x)
+        if rr is None:
+            seed = tail_reflection(self.spec.left_tail, self.k, "left")
+            if not self._bps or x <= self._bps[0]:
+                rr = seed
+            else:
+                t = self._span(self._bps[0], x)
+                rr = t[1] + t[0] ** 2 * seed / (1.0 - t[2] * seed)
+            self._rr[x] = rr
+        return rr
+
+    def r_left(self, x):
+        """R_l(+inf, x): reflection seen from x looking right."""
+        rl = self._rl.get(x)
+        if rl is None:
+            seed = tail_reflection(self.spec.right_tail, self.k, "right")
+            if not self._bps or x >= self._bps[-1]:
+                rl = seed
+            else:
+                t = self._span(x, self._bps[-1])
+                rl = t[2] + t[0] ** 2 * seed / (1.0 - seed * t[1])
+            self._rl[x] = rl
+        return rl

@@ -213,3 +213,113 @@ def test_green_rk4_on_linear_medium(tmp_path, capsys):
         want = 2j * k * gv.value
         assert float(row["two_ik_g_re"]) == want.real
         assert float(row["two_ik_g_im"]) == want.imag
+
+
+def test_large_im_k_grid_is_finite(capsys):
+    # exp(-Im k |x - y|) underflows to 0 instead of raising OverflowError
+    code = main(["green", "--grid=-30:30:2", "--k", "1,20"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + 4
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert np.isfinite(float(row["two_ik_g_re"]))
+        assert np.isfinite(float(row["two_ik_g_im"]))
+
+
+# f = 1 in both tails and 0 on [-1, 1]: a bound state at the real k below
+# the tail threshold, where the closed-form denominator vanishes
+POLE_POT = """
+left_tail: {type: constant, c: 1.0}
+right_tail: {type: constant, c: 1.0}
+segments:
+  - x_start: -1.0
+    x_end: 1.0
+    profile: {type: constant, c: 0.0}
+"""
+POLE_K = 0.5149332646611294
+
+
+def _rows(text):
+    lines = text.strip().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("route", ["A", "B", "C"])
+def test_grid_rows_equal_per_pair_library_calls(route, tmp_path, capsys):
+    from gf1d import green, sl3
+    from gf1d.errors import DenominatorZero, WronskianZero
+    from gf1d.potential import load_potential
+
+    p = tmp_path / "pole.yaml"
+    p.write_text(POLE_POT)
+    code = main(
+        [
+            "green", "--potential", str(p), "--grid=-1.6:1.6:7", "--route", route,
+            "--k", "0.8,0.3", "--k", f"{POLE_K!r}", "--P", "24", "--check",
+        ]
+    )
+    assert code == 0
+    spec = load_potential(str(p))
+    library = {
+        "A": lambda x, y, k: sl3.green_wronskian(spec, x, y, k),
+        "B": lambda x, y, k: green.green_closed_form(spec, x, y, k),
+        "C": lambda x, y, k: green.green_polyrep(spec, x, y, k, P=24),
+    }[route]
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 2 * 49
+    poles = blank_checks = 0
+    for row in rows:
+        x, y = float(row["x"]), float(row["y"])
+        k = complex(float(row["k_re"]), float(row["k_im"]))
+        try:
+            want = 2j * k * library(x, y, k).value
+        except (DenominatorZero, WronskianZero):
+            assert row["route"] == "pole"
+            poles += 1
+            continue
+        got = complex(float(row["two_ik_g_re"]), float(row["two_ik_g_im"]))
+        assert _close(got, want)
+        try:
+            check = abs(want - 2j * k * green.green_closed_form(spec, x, y, k).value)
+        except DenominatorZero:
+            assert row["abs_diff_route_b"] == ""
+            blank_checks += 1
+            continue
+        assert _close(float(row["abs_diff_route_b"]), check)
+    # route C has no pole guard: at the pole only its check column is blank
+    assert (blank_checks if route == "C" else poles) > 0
+
+
+def test_coefficients_grid_matches_propagation(pot_file, capsys):
+    from gf1d.potential import slab
+    from gf1d.transfer import invert, propagate, scattering_coefficients
+
+    code = main(
+        [
+            "coefficients", "--potential", pot_file, "--k", "1.3,0.2", "--k", "0.6,0.4",
+            "--grid=-1:1.5:11", "--interval=0.7:-0.8",
+        ]
+    )
+    assert code == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 2 * 11
+    spec = slab(0.8, -0.5, 0.5)
+    for row in rows:
+        x1, x2 = float(row["x1"]), float(row["x2"])
+        k = complex(float(row["k_re"]), float(row["k_im"]))
+        if x1 <= x2:
+            want = scattering_coefficients(propagate(spec, x1, x2, k))
+        else:
+            want = scattering_coefficients(invert(propagate(spec, x2, x1, k)))
+        for name in ("tau", "r_right", "r_left"):
+            got = complex(float(row[f"{name}_re"]), float(row[f"{name}_im"]))
+            w = getattr(want, name)
+            assert abs(got - w) <= 1e-13 * max(1.0, abs(w))

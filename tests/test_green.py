@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from gf1d.born import born_series
-from gf1d.errors import ConfigError
+from gf1d.errors import ConfigError, ResonanceDivision
 from gf1d.green import (
     green_closed_form,
     green_negative_power,
@@ -13,9 +14,17 @@ from gf1d.green import (
     green_product,
     jump_condition_check,
 )
-from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab, vacuum_spec
+from gf1d.polyrep import PolyVec, apply_generator, inverse_operator
+from gf1d.potential import (
+    ConstantProfile,
+    PotentialSpec,
+    Segment,
+    slab,
+    truncate,
+    vacuum_spec,
+)
 from gf1d.sl3 import green_wronskian
-from gf1d.transfer import semi_infinite_coefficients
+from gf1d.transfer import propagate, riccati_coefficients, semi_infinite_coefficients
 
 SPEC = PotentialSpec(
     segments=(
@@ -185,8 +194,16 @@ def test_routes_reject_points_outside_domain(route, bad):
         (lambda: green_power(SPEC, 0.3, -0.2, 1.1, 0, P=8), "n"),
         (lambda: green_negative_power(SPEC, 0.3, -0.2, 1.1, 0, P=8), "n"),
         (lambda: green_product(SPEC, [(0.3, -0.2)] * 4, 1.1, P=8), "pairs"),
+        (lambda: propagate(SPEC, 0.5, -0.5, 1.1), "x2"),
+        (lambda: riccati_coefficients(SPEC, 0.5, -0.5, 1.1), "x2"),
+        (lambda: truncate(SPEC, 0.5, 0.5), "x2"),
+        (lambda: apply_generator("M+", PolyVec({(0, 1): 1.0}, P=4)), "name"),
+        (lambda: inverse_operator("M+inv", PolyVec({(0, 2): 1.0}, P=4)), "name"),
     ],
-    ids=["variant", "power", "negative_power", "product"],
+    ids=[
+        "variant", "power", "negative_power", "product", "propagate", "riccati",
+        "truncate", "apply_generator", "inverse_operator",
+    ],
 )
 def test_input_errors_name_their_field(call, field):
     with pytest.raises(ConfigError) as err:
@@ -203,3 +220,24 @@ def test_product_loss_is_finite_and_bounds_the_cutoff_change():
     b = green_product(SPEC, pairs, k, P=72)
     assert math.isfinite(a.truncation_loss)
     assert abs(a.value - b.value) <= a.truncation_loss
+
+
+@pytest.mark.parametrize(
+    "spec, x, y, k",
+    [(PotentialSpec(), 30.0, -30.0, 1 + 20j), (slab(0.8, -10, 10), 9.0, -9.0, 1 + 60j)],
+    ids=["vacuum", "slab"],
+)
+def test_large_im_k_underflows_to_zero(spec, x, y, k):
+    # |2ikG| ~ exp(-Im k |x - y|) underflows; it used to raise OverflowError
+    for route in (green_closed_form, green_wronskian):
+        v = 2j * k * route(spec, x, y, k).value
+        assert cmath.isfinite(v) and abs(v) <= 1e-200
+
+
+def test_wronskian_across_x0_names_an_overflowing_solution():
+    # both points far right of the support midpoint x0: the left-decaying
+    # solution grows like 1 / tau(x0, y), which leaves the float range
+    with pytest.raises(ResonanceDivision):
+        green_wronskian(slab(0.8, -10, 10), 12.5, 12.4, 1 + 60j)
+    near = green_wronskian(slab(0.8, -10, 10), 9.5, 9.4, 1 + 60j).value
+    assert abs(near - green_closed_form(slab(0.8, -10, 10), 9.5, 9.4, 1 + 60j).value) < 1e-12

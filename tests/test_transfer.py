@@ -11,6 +11,7 @@ from gf1d.errors import (
     ConfigError,
     IntervalMismatch,
     ResonanceDivision,
+    StepTooLarge,
     UnsupportedProfile,
 )
 from gf1d.potential import (
@@ -22,7 +23,9 @@ from gf1d.potential import (
     vacuum_spec,
 )
 from gf1d.transfer import (
+    Sweep,
     TransferMatrix,
+    _constant_piece,
     compose,
     compose_triples,
     constant_step_matrix,
@@ -66,6 +69,25 @@ def test_series_switchover_is_continuous():
         got = constant_step_matrix(c, dx, k)
         want = expm_oracle(c, dx, k)
         assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "c, dx, k",
+    [
+        (0.8, 0.7, 1.0),
+        (-1.5, 0.7, 0.4 + 0.9j),
+        (2.0, 3.0, 2.5 + 0.1j),
+        (1.0 + 1e-9, 0.01, 1.0),  # kappa dx below the series switch
+        (1.0, 0.5, 1.0),  # kappa = 0
+        (3.0, 8.0, 0.5 + 0.2j),  # Re z = 24: past the sinh branch
+    ],
+)
+def test_constant_piece_matches_expm(c, dx, k):
+    u = expm_oracle(c, dx, k)
+    tau, r_right, r_left = _constant_piece(c, dx, k)
+    assert abs(tau - 1.0 / u[0, 0]) < 1e-13
+    assert abs(r_right - u[1, 0] / u[0, 0]) < 1e-13
+    assert abs(r_left + u[0, 1] / u[0, 0]) < 1e-13
 
 
 def test_multi_slab_against_expm_product():
@@ -293,3 +315,123 @@ def test_unknown_method_is_a_config_error():
     with pytest.raises(ConfigError) as err:
         propagate(slab(0.5), 0.0, 1.0, 1.0, method="euler")
     assert err.value.field == "method"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c1=st.floats(-3.0, 3.0),
+    c2=st.floats(-3.0, 3.0),
+    width=st.floats(0.5, 50.0),
+    k_re=st.floats(0.1, 3.0),
+    k_im=st.floats(0.0, 20.0),
+)
+def test_large_im_k_triples_stay_finite_and_bounded(c1, c2, width, k_re, k_im):
+    # Im k times the length reaches about 1e3, where the matrix entries
+    # overflow: the triples must underflow instead
+    spec = PotentialSpec(
+        segments=(
+            Segment(0.0, 0.5 * width, ConstantProfile(c1)),
+            Segment(0.5 * width, width, ConstantProfile(c2)),
+        )
+    )
+    k = complex(k_re, k_im)
+    try:
+        t = interval_triple(spec, -1.0, width + 1.0, k)
+        rr, rl = semi_infinite_coefficients(spec, 0.3 * width, k)
+    except ResonanceDivision:
+        return
+    for v in (t.tau, t.r_right, t.r_left, rr, rl):
+        assert cmath.isfinite(v)
+    for r in (t.r_right, t.r_left, rr, rl):
+        assert abs(r) <= 1.0 + 1e-12
+
+
+# an oracle medium written out apart from gf1d: (x_start, x_end, f) with
+# constant tails on both sides
+_ORACLE_PIECES = ((-1.0, -0.2, 1.1), (-0.2, 0.5, -0.8), (0.5, 1.3, 0.4))
+_ORACLE_TAILS = (0.6, -0.5)
+
+
+def _oracle_generator(c, k):
+    return np.array([[-1j * k, c], [c, 1j * k]], dtype=complex)
+
+
+def _oracle_evolution(x1, x2, k):
+    """U(x2, x1) as a product of expm over the constant stretches of [x1, x2]."""
+    left, right = _ORACLE_TAILS
+    stretches = [(-np.inf, _ORACLE_PIECES[0][0], left)]
+    stretches += list(_ORACLE_PIECES)
+    stretches.append((_ORACLE_PIECES[-1][1], np.inf, right))
+    u = np.eye(2, dtype=complex)
+    for a, b, c in stretches:
+        lo, hi = max(a, x1), min(b, x2)
+        if lo < hi:
+            u = expm((hi - lo) * _oracle_generator(c, k)) @ u
+    return u
+
+
+def _tail_eigenvector(c, k, growing):
+    """Eigenvector of a tail's generator that decays away from the medium."""
+    w, v = np.linalg.eig(_oracle_generator(c, k))
+    i = int(np.argmax(w.real)) if growing else int(np.argmin(w.real))
+    return v[:, i]
+
+
+@pytest.mark.parametrize("k", [1.3 + 0.2j, 0.45 + 0.35j])
+def test_sweep_matches_expm_oracle(k):
+    # R_r, R_l at every grid point and the triple of every grid pair, built
+    # from expm products and the tail eigenvectors, never through the sweep;
+    # the grid reaches into both constant tails
+    spec = PotentialSpec(
+        segments=tuple(Segment(a, b, ConstantProfile(c)) for a, b, c in _ORACLE_PIECES),
+        left_tail=_ORACLE_TAILS[0],
+        right_tail=_ORACLE_TAILS[1],
+    )
+    grid = np.linspace(-2.0, 2.2, 15)
+    far_left, far_right = grid[0] - 0.7, grid[-1] + 0.7
+    v_left = _tail_eigenvector(_ORACLE_TAILS[0], k, growing=True)
+    v_right = _tail_eigenvector(_ORACLE_TAILS[1], k, growing=False)
+    sweep = Sweep(spec, k)
+    for x in grid:
+        w = _oracle_evolution(far_left, x, k) @ v_left
+        assert abs(sweep.r_right(x) - w[1] / w[0]) < 1e-12
+        w = np.linalg.solve(_oracle_evolution(x, far_right, k), v_right)
+        assert abs(sweep.r_left(x) - w[0] / w[1]) < 1e-12
+    for i, x1 in enumerate(grid):
+        for x2 in grid[i:]:
+            u = _oracle_evolution(x1, x2, k)
+            t = sweep.triple(x1, x2)
+            assert abs(t.tau - 1.0 / u[0, 0]) < 1e-12
+            assert abs(t.r_right - u[1, 0] / u[0, 0]) < 1e-12
+            assert abs(t.r_left + u[0, 1] / u[0, 0]) < 1e-12
+
+
+def test_sweep_values_do_not_depend_on_other_points():
+    spec = PotentialSpec(
+        segments=tuple(Segment(a, b, ConstantProfile(c)) for a, b, c in _ORACLE_PIECES),
+        left_tail=_ORACLE_TAILS[0],
+    )
+    k = 1.1 + 0.3j
+    shared = Sweep(spec, k)
+    for x in np.linspace(-1.5, 1.5, 7):
+        shared.r_right(x), shared.r_left(x), shared.triple(-1.5, x)
+    for x in np.linspace(-1.5, 1.5, 7):
+        fresh = Sweep(spec, k)
+        assert fresh.triple(-1.5, x) == shared.triple(-1.5, x)
+        assert fresh.r_right(x) == shared.r_right(x)
+        assert fresh.r_left(x) == shared.r_left(x)
+
+
+def test_rk4_span_is_held_to_the_summed_drift():
+    # three nearly constant rk4 pieces, each within the drift bound on its
+    # own; the span over all three is held to the bound on their sum
+    spec = PotentialSpec(
+        segments=tuple(
+            Segment(a, a + 0.5, LinearProfile(1.5, 1e-6)) for a in (0.0, 0.5, 1.0)
+        )
+    )
+    sweep = Sweep(spec, 1.2 + 0.3j, method="rk4", step=0.17)
+    for a in (0.0, 0.5, 1.0):
+        sweep.triple(a, a + 0.5)
+    with pytest.raises(StepTooLarge):
+        sweep.triple(0.0, 1.5)
