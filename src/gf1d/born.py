@@ -1,10 +1,18 @@
 """Multiple-scattering expansion of the Green function in powers of f.
 
-Each order m <= 3 contributes one or two region integrals: paths whose
-phase accumulates e^{+ik...} (labelled A) and their reversed counterparts
-(labelled B).  The integrands vanish outside the support of f, so all
-infinite integration ranges are clipped to the support; Gauss-Legendre
-panels are aligned with the segment breakpoints and the endpoints x, y.
+An order-m path leaves y, scatters at z_1, ..., z_m and arrives at x,
+turning at each scatterer: its directions alternate as d_i = d_0 (-1)^i.
+Paths that leave y to the left (d_0 = -1) form the region labelled A, those
+that leave to the right (d_0 = +1) the region labelled B.  With
+phi_1(z) = e^{ik|z - y|} on the side d_0 (z - y) > 0, the chain
+
+    phi_{i+1}(z) = int_{d_i (z - z') > 0} e^{ik|z - z'|} (-d_{i-1}) f(z') phi_i(z') dz'
+
+gives the order-m term as phi_{m+1}(x).  Each link is one cumulative
+integral on a grid of Gauss-Legendre panels whose edges are the support
+edges, every breakpoint, and x and y, so every kink of the integrand sits
+on a panel edge and the sums converge spectrally in the node count.  Every
+phase factor is referred to a point upstream of it on the same panel.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureBudget
 from .green import GreenValue
-from .potential import check_point, check_wavenumber, evaluate_f
+from .potential import check_point, check_wavenumber
+from .quadrature import gauss_legendre
 
 __all__ = ["SeriesTerm", "born_series", "path_term_count"]
 
@@ -35,132 +44,105 @@ def path_term_count(order):
     return 1 if order == 0 else 2
 
 
-class _Quad:
-    """Gauss-Legendre panels clipped to the support, with a node budget."""
-
-    def __init__(self, spec, n_nodes, budget):
-        self.spec = spec
-        self.nodes, self.weights = np.polynomial.legendre.leggauss(n_nodes)
-        self.breaks = spec.breakpoints()
-        self.budget = budget
-        self.spent = 0
-
-    def panels(self, lo, hi):
-        x_l, x_r = self.spec.support
-        lo, hi = max(lo, x_l), min(hi, x_r)
-        if lo >= hi:
-            return []
-        pts = [lo, hi] + [b for b in self.breaks if lo < b < hi]
-        pts = sorted(set(pts))
-        return list(zip(pts, pts[1:]))
-
-    def grid(self, lo, hi):
-        """(z, w) arrays covering [lo, hi] within the support."""
-        zs, ws = [], []
-        for a, b in self.panels(lo, hi):
-            zs.append(0.5 * (b - a) * self.nodes + 0.5 * (a + b))
-            ws.append(0.5 * (b - a) * self.weights)
-        if not zs:
-            return np.empty(0), np.empty(0)
-        z = np.concatenate(zs)
-        w = np.concatenate(ws)
-        self.spent += z.size
-        if self.spent > self.budget:
-            raise QuadratureBudget(
-                f"node budget {self.budget} exceeded ({self.spent})"
-            )
-        return z, w
+def _edges(spec, x, y, k):
+    """Panel edges on the support, x and y clipped to it, and the number of
+    equal parts each panel is cut into so that none is wider than 2/|k|."""
+    x_l, x_r = spec.support
+    x, y = min(max(x, x_l), x_r), min(max(y, x_l), x_r)
+    edges = np.array(sorted({x_l, x_r, x, y, *spec.breakpoints()}))
+    return edges, np.ceil(0.5 * abs(k) * np.diff(edges)), x, y
 
 
-def _f_values(spec, z):
-    return np.array([evaluate_f(spec, zi) for zi in z])
+def _split(edges, parts):
+    """The edges with each panel cut into its number of equal parts.
+
+    On the cut panels no phase factor exceeds e^1 in modulus, and every
+    panel resolves e^{ikz} alike.
+    """
+    if np.all(parts == 1):
+        return edges
+    cuts = (np.linspace(a, b, int(n), endpoint=False)
+            for a, b, n in zip(edges[:-1], edges[1:], parts))
+    return np.concatenate([*cuts, edges[-1:]])
+
+
+class _Panels:
+    """f and the phase factors at the nodes of every panel, at one k."""
+
+    def __init__(self, spec, edges, k, n_nodes):
+        t, self.w, self.S = gauss_legendre(n_nodes)
+        a = edges[:-1]
+        self.h = 0.5 * np.diff(edges)
+        self.z = (a + self.h)[:, None] + self.h[:, None] * t
+        self.f = np.empty_like(self.z)
+        for p, zp in enumerate(self.z):
+            seg = spec.segment_at(zp[0])
+            self.f[p] = seg.profile.value(zp, seg.x_start, seg.x_end)
+        self.e = np.exp(1j * k * self.h[:, None] * t)  # node from panel midpoint
+        self.e_inv = 1.0 / self.e
+        self.e_half = np.exp(1j * k * self.h)  # midpoint from panel edge
+        self.across = self.e_half**2
+
+    def cumulative(self, psi, d):
+        """int_{d (z - z') > 0} e^{ik|z - z'|} psi(z') dz' at the nodes and edges."""
+        if d > 0:
+            inward, outward, S = self.e_inv, self.e, self.S
+        else:
+            inward, outward, S = self.e, self.e_inv, self.w - self.S
+        g = psi * inward  # psi referred to the panel midpoint
+        inner = self.h[:, None] * outward * (g @ S.T)
+        total = self.h * self.e_half * (g @ self.w)  # panel's share at its far edge
+        at_edges = np.zeros(len(total) + 1, complex)
+        if d > 0:
+            for p in range(len(total)):
+                at_edges[p + 1] = at_edges[p] * self.across[p] + total[p]
+            near_edge = at_edges[:-1]
+        else:
+            for p in reversed(range(len(total))):
+                at_edges[p] = at_edges[p + 1] * self.across[p] + total[p]
+            near_edge = at_edges[1:]
+        return (near_edge * self.e_half)[:, None] * outward + inner, at_edges
 
 
 def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
     """Terms of the expansion of 2ikG(x, y) up to max_order.
 
     Returns (GreenValue, [SeriesTerm]); the value is the partial sum over
-    all returned terms divided by 2ik.
+    all returned terms divided by 2ik.  Each order costs two cumulative
+    passes of n_nodes nodes per panel, counted against node_budget.
     """
-    if not 0 <= max_order <= 3:
-        raise ConfigError("order", f"orders 0..3 are implemented, got {max_order}")
+    if max_order < 0:
+        raise ConfigError("order", f"order must be >= 0, got {max_order}")
+    if n_nodes < 1:
+        raise ConfigError("n_nodes", f"must be >= 1, got {n_nodes}")
     k = check_wavenumber(k)
     x_in, y_in = check_point(x, "x"), check_point(y, "y")
+    for name in ("left_tail", "right_tail"):
+        if getattr(spec, name) not in (None, 0.0):
+            raise ConfigError(name, "the Born series needs vacuum tails")
     if x < y:
         x, y = y, x
-    quad = _Quad(spec, n_nodes, node_budget)
-    e = lambda phase: np.exp(1j * k * phase)
-    terms = [SeriesTerm(0, "A0", +1, e(x - y))]
-
-    if max_order >= 1:
-        z, w = quad.grid(-np.inf, y)
-        f = _f_values(spec, z)
-        terms.append(SeriesTerm(1, "A1", +1, np.sum(w * f * e(x - 2 * z + y))))
-        z, w = quad.grid(x, np.inf)
-        f = _f_values(spec, z)
-        terms.append(SeriesTerm(1, "B1", -1, -np.sum(w * f * e(-(x - 2 * z + y)))))
-
-    if max_order >= 2:
-        # A2: z1 <= y, z2 >= x; the double integral separates
-        z1, w1 = quad.grid(-np.inf, y)
-        f1 = _f_values(spec, z1)
-        z2, w2 = quad.grid(x, np.inf)
-        f2 = _f_values(spec, z2)
-        i1 = np.sum(w1 * f1 * e(-2 * z1))
-        i2 = np.sum(w2 * f2 * e(2 * z2))
-        terms.append(SeriesTerm(2, "A2", -1, -e(-(x - y)) * i1 * i2))
-        # B2: z1 >= y, z2 <= min(x, z1); nested
-        z1, w1 = quad.grid(y, np.inf)
-        f1 = _f_values(spec, z1)
-        acc = 0j
-        for z1i, w1i, f1i in zip(z1, w1, f1):
-            z2, w2 = quad.grid(-np.inf, min(x, z1i))
-            f2 = _f_values(spec, z2)
-            acc += w1i * f1i * np.sum(
-                w2 * f2 * e(x - 2 * z2 + 2 * z1i - y)
-            )
-        terms.append(SeriesTerm(2, "B2", -1, -acc))
-
-    if max_order >= 3:
-        # A3: z1 <= y, z2 >= z1, z3 <= min(z2, x)
-        z1, w1 = quad.grid(-np.inf, y)
-        f1 = _f_values(spec, z1)
-        acc = 0j
-        for z1i, w1i, f1i in zip(z1, w1, f1):
-            z2, w2 = quad.grid(z1i, np.inf)
-            f2 = _f_values(spec, z2)
-            for z2i, w2i, f2i in zip(z2, w2, f2):
-                z3, w3 = quad.grid(-np.inf, min(z2i, x))
-                f3 = _f_values(spec, z3)
-                acc += (
-                    w1i
-                    * f1i
-                    * w2i
-                    * f2i
-                    * np.sum(w3 * f3 * e(x - 2 * z3 + 2 * z2i - 2 * z1i + y))
-                )
-        terms.append(SeriesTerm(3, "A3", -1, -acc))
-        # B3: z1 >= y, z3 >= x, z2 <= min(z1, z3)
-        z1, w1 = quad.grid(y, np.inf)
-        f1 = _f_values(spec, z1)
-        z3, w3 = quad.grid(x, np.inf)
-        f3 = _f_values(spec, z3)
-        acc = 0j
-        for z1i, w1i, f1i in zip(z1, w1, f1):
-            for z3i, w3i, f3i in zip(z3, w3, f3):
-                z2, w2 = quad.grid(-np.inf, min(z1i, z3i))
-                f2 = _f_values(spec, z2)
-                acc += (
-                    w1i
-                    * f1i
-                    * w3i
-                    * f3i
-                    * np.sum(
-                        w2 * f2 * e(-(x - 2 * z3i + 2 * z2 - 2 * z1i + y))
-                    )
-                )
-        terms.append(SeriesTerm(3, "B3", +1, acc))
-
+    terms = [SeriesTerm(0, "A0", +1, np.exp(1j * k * (x - y)))]
+    edges, parts, x_c, y_c = _edges(spec, x, y, k)
+    spent = 2 * max_order * n_nodes * parts.sum()
+    if spent > node_budget:
+        raise QuadratureBudget(f"node budget {node_budget} exceeded ({spent:g})")
+    if max_order:
+        edges = _split(edges, parts)
+        grid = _Panels(spec, edges, k, n_nodes)
+        # vacuum propagation from y and to x onto the support
+        outside = np.exp(1j * k * (abs(x - x_c) + abs(y - y_c)))
+        at_x = np.searchsorted(edges, x_c)
+        from_y = np.exp(1j * k * abs(grid.z - y_c))
+        by_order = []
+        for region, d in (("A", -1), ("B", +1)):
+            phi, sign = np.where(d * (grid.z - y_c) > 0, from_y, 0), 1
+            for m in range(1, max_order + 1):
+                d_in, d = d, -d
+                sign *= -d_in
+                phi, at_edges = grid.cumulative(-d_in * grid.f * phi, d)
+                by_order.append((m, f"{region}{m}", sign, outside * at_edges[at_x]))
+        terms += [SeriesTerm(*t) for t in sorted(by_order)]
     total = sum(t.value for t in terms)
     gv = GreenValue(total / (2j * k), x_in, y_in, k, f"born_{max_order}")
     return gv, terms

@@ -238,7 +238,8 @@ def build_parser():
     p.add_argument("--grid", metavar="START:STOP:N")
     p.add_argument("--route", default="B")
     p.add_argument("--P", type=int, default=64, help="series cutoff")
-    p.add_argument("--order", type=int, default=2, help="multiple-scattering order")
+    p.add_argument("--order", type=int, default=2,
+                   help="multiple-scattering order of route born, any n >= 0")
     p.add_argument("--check", action="store_true",
                    help="add a column with |route - closed form|")
     propagation(p)

@@ -25,6 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, DomainViolation, GammaPole, TruncationOverflow
+from .quadrature import gauss_legendre
 
 __all__ = [
     "PolyVec",
@@ -465,7 +466,7 @@ def inner_product_integral_check(p, q, n_nodes=80):
     """Radial quadrature of the diagonal weight vs the factorial formula."""
     if p + q < 1:
         raise ValueError("needs p + q >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights, _ = gauss_legendre(n_nodes)
     r = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     integral = float(np.sum(w * r ** (2 * p + 1) * (1.0 - r**2) ** q))

@@ -87,6 +87,14 @@ def test_green_born_route(pot_file, capsys):
     assert "born_1" in out
 
 
+def test_born_route_rejects_constant_tail(tmp_path, capsys):
+    p = tmp_path / "tail.yaml"
+    p.write_text(POT + "left_tail: {type: constant, c: 0.05}\n")
+    code = main(["green", "--potential", str(p), "--route", "born"])
+    assert code == 2
+    assert "left_tail" in capsys.readouterr().err
+
+
 def test_jsonl_output(pot_file, capsys):
     code = main(
         [
@@ -164,7 +172,7 @@ def test_verify_jsonl(capsys):
     [
         ["green", "--grid=0:1:2", "--k", "1,nan"],
         ["green", "--k", "0"],
-        ["green", "--route", "born", "--order", "7"],
+        ["green", "--route", "born", "--order", "-1"],
         ["green", "--route", "C", "--P", "-5"],
         ["green", "--grid=0:1e400:2"],
         ["green", "--grid=nan:1:2"],
