@@ -59,8 +59,8 @@ def order_sums(pieces, x, y, k, max_order, **kw):
     return sums
 
 
-# f jumps from 0.7 to -0.4 at 0.5, between y and the support edge; x sits
-# inside the support, where the inner limit of the nested orders has a kink
+# two slabs; with x = 0.3 inside the support, the inner limit min(x, z) of
+# the nested orders puts a kink at x
 KINK = [(-1.0, 0.5, 0.7), (0.5, 1.0, -0.4)]
 
 
