@@ -44,26 +44,24 @@ def path_term_count(order):
     return 1 if order == 0 else 2
 
 
-def _edges(spec, x, y, k):
-    """Panel edges on the support, x and y clipped to it, and the number of
-    equal parts each panel is cut into so that none is wider than 2/|k|."""
+def _knots(spec, x, y):
+    """Support edges, the breakpoints inside the support, and x and y clipped
+    to it: every place where the integrands may kink."""
     x_l, x_r = spec.support
     x, y = min(max(x, x_l), x_r), min(max(y, x_l), x_r)
-    edges = np.array(sorted({x_l, x_r, x, y, *spec.breakpoints()}))
-    return edges, np.ceil(0.5 * abs(k) * np.diff(edges)), x, y
+    inner = (b for b in spec.breakpoints() if x_l < b < x_r)
+    return sorted({x_l, x_r, x, y, *inner}), x, y
 
 
-def _split(edges, parts):
-    """The edges with each panel cut into its number of equal parts.
+def _split(knots, parts):
+    """Panel edges: each span between knots cut into its number of equal parts.
 
-    On the cut panels no phase factor exceeds e^1 in modulus, and every
-    panel resolves e^{ikz} alike.
+    With no part wider than 2/|k|, no phase factor on a panel exceeds e^1 in
+    modulus, and every panel resolves e^{ikz} alike.
     """
-    if np.all(parts == 1):
-        return edges
-    cuts = (np.linspace(a, b, int(n), endpoint=False)
-            for a, b, n in zip(edges[:-1], edges[1:], parts))
-    return np.concatenate([*cuts, edges[-1:]])
+    spans = zip(knots, knots[1:], parts.tolist())
+    cuts = (a + j * ((b - a) / n) for a, b, n in spans for j in range(int(n)))
+    return np.array([*cuts, knots[-1]])
 
 
 class _Panels:
@@ -74,10 +72,13 @@ class _Panels:
         a = edges[:-1]
         self.h = 0.5 * np.diff(edges)
         self.z = (a + self.h)[:, None] + self.h[:, None] * t
-        self.f = np.empty_like(self.z)
-        for p, zp in enumerate(self.z):
-            seg = spec.segment_at(zp[0])
-            self.f[p] = seg.profile.value(zp, seg.x_start, seg.x_end)
+        # f is linear between breakpoints, and no panel straddles one
+        ends, e = [], edges.tolist()
+        for za, zb in zip(e, e[1:]):
+            seg = spec.segment_at(0.5 * (za + zb))
+            ends += [seg.profile.value(z, seg.x_start, seg.x_end) for z in (za, zb)]
+        fa, fb = np.reshape(ends, (-1, 2, 1)).transpose(1, 0, 2)
+        self.f = fa + (fb - fa) * (0.5 * (t + 1))
         self.e = np.exp(1j * k * self.h[:, None] * t)  # node from panel midpoint
         self.e_inv = 1.0 / self.e
         self.e_half = np.exp(1j * k * self.h)  # midpoint from panel edge
@@ -123,12 +124,13 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
     if x < y:
         x, y = y, x
     terms = [SeriesTerm(0, "A0", +1, np.exp(1j * k * (x - y)))]
-    edges, parts, x_c, y_c = _edges(spec, x, y, k)
+    knots, x_c, y_c = _knots(spec, x, y)
+    parts = np.ceil(0.5 * abs(k) * np.diff(knots))
     spent = 2 * max_order * n_nodes * parts.sum()
     if spent > node_budget:
         raise QuadratureBudget(f"node budget {node_budget} exceeded ({spent:g})")
     if max_order:
-        edges = _split(edges, parts)
+        edges = _split(knots, parts)
         grid = _Panels(spec, edges, k, n_nodes)
         # vacuum propagation from y and to x onto the support
         outside = np.exp(1j * k * (abs(x - x_c) + abs(y - y_c)))

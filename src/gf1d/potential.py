@@ -13,7 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -105,8 +104,6 @@ class SampledProfile:
         return self.points[i], self.points[i + 1]
 
     def value(self, x, x_start, x_end):
-        if isinstance(x, np.ndarray):  # np.interp holds the end values beyond
-            return np.interp(x, *zip(*self.points))
         (xa, fa), (xb, fb) = self._bracket(x)
         t = (x - xa) / (xb - xa)
         return fa + t * (fb - fa)

@@ -5,7 +5,15 @@ from scipy.linalg import expm
 from gf1d.born import born_series, path_term_count
 from gf1d.errors import ConfigError, QuadratureBudget
 from gf1d.green import green_closed_form
-from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab, vacuum_spec
+from gf1d.potential import (
+    ConstantProfile,
+    LinearProfile,
+    PotentialSpec,
+    SampledProfile,
+    Segment,
+    slab,
+    vacuum_spec,
+)
 
 
 def oracle_two_ik_g(pieces, s, x, y, k):
@@ -208,6 +216,26 @@ def test_large_wavenumber_matches_taylor_coefficients():
     want = taylor_coefficients(KINK, 0.3, -0.2, k)[:4]
     got = order_sums(KINK, 0.3, -0.2, k, max_order=3)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        (
+            Segment(-1.0, 0.5, LinearProfile(0.1, -0.2)),
+            Segment(0.5, 1.0, ConstantProfile(-0.05)),
+        ),
+        # sample points past the left end of the segment, and f extrapolated
+        # linearly beyond the last point, as evaluate_f does
+        (Segment(0.0, 1.0, SampledProfile(((-0.5, 0.1), (0.3, -0.1), (0.8, 0.12)))),),
+    ],
+)
+@pytest.mark.parametrize("x, y", [(0.3, -0.2), (1.7, -0.6)])
+def test_sloped_media_match_route_b(segments, x, y):
+    spec, k = PotentialSpec(segments), 1.3 + 0.2j
+    gv, _ = born_series(spec, x, y, k, max_order=12, n_nodes=16)
+    want = green_closed_form(spec, x, y, k, method="rk4").value
+    assert abs(gv.value - want) < 1e-12 * abs(want)
 
 
 def test_large_im_k_stays_finite_and_accurate():

@@ -1,7 +1,6 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from gf1d.errors import ConfigError
@@ -83,9 +82,6 @@ def test_sampled_profile_interpolates():
     assert abs(evaluate_f(spec, 0.25) - 0.5) < 1e-14
     assert abs(evaluate_f(spec, 0.75) - 0.5) < 1e-14
     assert not prof.is_constant
-    xs = np.linspace(0.0, 1.0, 7)
-    want = [prof.value(x, 0.0, 1.0) for x in xs.tolist()]
-    assert np.max(np.abs(prof.value(xs, 0.0, 1.0) - want)) < 1e-15
 
 
 def test_segments_must_be_contiguous():
