@@ -110,7 +110,8 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
 
     Returns (GreenValue, [SeriesTerm]); the value is the partial sum over
     all returned terms divided by 2ik.  Each order costs two cumulative
-    passes of n_nodes nodes per panel, counted against node_budget.
+    passes of n_nodes nodes per panel, and the rule's n_nodes x n_nodes
+    integration matrix costs n_nodes**2, all counted against node_budget.
     """
     if max_order < 0:
         raise ConfigError("order", f"order must be >= 0, got {max_order}")
@@ -126,7 +127,7 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
     terms = [SeriesTerm(0, "A0", +1, np.exp(1j * k * (x - y)))]
     knots, x_c, y_c = _knots(spec, x, y)
     parts = np.ceil(0.5 * abs(k) * np.diff(knots))
-    spent = 2 * max_order * n_nodes * parts.sum()
+    spent = 2 * max_order * n_nodes * parts.sum() + (n_nodes**2 if max_order else 0)
     if spent > node_budget:
         raise QuadratureBudget(f"node budget {node_budget} exceeded ({spent:g})")
     if max_order:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,11 @@ __all__ = [
 ]
 
 RESONANCE_THRESHOLD = 1e-13
-# largest unimodularity residual of an rk4 evolution, relative to its squared scale
-RK4_DRIFT_BOUND = 1e-6
+# largest step-doubling error of a stepped evolution, relative to its scale
+STEP_ERROR_BOUND = 1e-6
 # switch to the series of cosh(z), sinh(z)/z below this |z| to avoid cancellation
 KAPPA_SERIES_SWITCH = 1e-4
+_EYE = np.eye(2, dtype=complex)[None]
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,9 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     """U(x2, x1) for the given medium.
 
     ``exact_piecewise`` composes closed-form matrix exponentials per
-    constant piece; ``rk4`` integrates the evolution equation with a
-    fixed step (general profiles).
+    constant piece; ``rk4`` steps every piece with fourth-order Magnus
+    steps no wider than ``step`` (general profiles), held to the summed
+    step-doubling error.
     """
     if x2 < x1:
         raise ConfigError("x2", f"propagate needs x1 <= x2, got [{x1}, {x2}]")
@@ -161,62 +164,91 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
             u = constant_step_matrix(c, b - a, k) @ u
         return TransferMatrix.from_matrix(u, (x1, x2), k)
     if method == "rk4":
-        return _propagate_rk4(spec, x1, x2, k, step)
+        _check_step(step)
+        u, err = np.eye(2, dtype=complex), 0.0
+        nodes = _piecewise_nodes(spec, x1, x2)
+        for a, b in zip(nodes, nodes[1:]):
+            m, e = _magnus_panel(spec, a, b, k, step)
+            u, err = m @ u, err + e
+        if err > STEP_ERROR_BOUND:
+            raise StepTooLarge(
+                f"rk4 step {step} too large: step-doubling error {err:.3e} "
+                f"on [{x1}, {x2}]"
+            )
+        return TransferMatrix.from_matrix(u, (x1, x2), k)
     raise ConfigError("method", f"must be 'exact_piecewise' or 'rk4', got {method!r}")
 
 
-def _det_drift(m):
-    """Unimodularity residual of m relative to its squared largest entry (at least 1)."""
-    scale = max(1.0, float(np.max(np.abs(m.as_matrix()))))
-    return m.unimodularity_residual() / (scale * scale)
+def _panel_ends(spec, a, b):
+    """f at the edges of the panel [a, b], which no breakpoint splits.
 
-
-def _panel_f(spec, a, b):
-    """f restricted to the open panel (a, b); stages at the panel edges must
-    not pick up the neighboring segment."""
+    Every profile is linear between breakpoints, so f on the panel is the
+    linear interpolant of these two values.  The segment is found at the
+    panel midpoint, so edge values never come from a neighbouring segment.
+    """
     mid = 0.5 * (a + b)
     seg = spec.segment_at(mid)
     if seg is None or seg.profile.is_constant:
         c = evaluate_f(spec, mid)
-        return lambda x: c
-    return lambda x: float(seg.profile.value(x, seg.x_start, seg.x_end))
+        return c, c
+    p, lo, hi = seg.profile, seg.x_start, seg.x_end
+    return float(p.value(a, lo, hi)), float(p.value(b, lo, hi))
 
 
-def _rk4_panels(spec, x1, x2, step, rhs, y):
-    """Fixed-step RK4 of dy/dx = rhs(f(x), y) from x1 to x2, starting at y.
-
-    The range is split at breakpoints so each run sees a smooth f.
-    """
+def _check_step(step):
     if not step > 0:
         raise ConfigError("step", f"must be > 0, got {step}")
-    nodes = _piecewise_nodes(spec, x1, x2)
-    for a, b in zip(nodes, nodes[1:]):
-        f = _panel_f(spec, a, b)
-        n = max(1, int(np.ceil((b - a) / step)))
-        h = (b - a) / n
-        x = a
-        for _ in range(n):
-            k1 = rhs(f(x), y)
-            k2 = rhs(f(x + h / 2), y + h / 2 * k1)
-            k3 = rhs(f(x + h / 2), y + h / 2 * k2)
-            k4 = rhs(f(x + h), y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x += h
-    return y
 
 
-def _propagate_rk4(spec, x1, x2, k, step):
-    def rhs(fx, u):
-        return np.array([[-1j * k, fx], [fx, 1j * k]], dtype=complex) @ u
+def _step_count(a, b, step):
+    return max(1, math.ceil((b - a) / step))
 
-    u = _rk4_panels(spec, x1, x2, step, rhs, np.eye(2, dtype=complex))
-    m = TransferMatrix.from_matrix(u, (x1, x2), k)
-    # unimodularity drift is the cheapest local-error proxy for this ODE
-    if _det_drift(m) > RK4_DRIFT_BOUND:
-        raise StepTooLarge(
-            f"rk4 step {step} too large: det residual {m.unimodularity_residual():.3e}"
-        )
-    return m
+
+def _magnus(fa, fb, dx, n, k):
+    """Product of n fourth-order Magnus steps across a panel of width dx on
+    which f runs linearly from fa to fb.
+
+    Each step of width h has Gauss nodes f1, f2 and the exponent
+    Omega = a sx + b sy + c sz with a = h (f1 + f2) / 2,
+    b = sqrt(3) h^2 k (f1 - f2) / 6 and c = -ikh, so that
+    exp(Omega) = cosh(q) I + sinh(q) / q Omega with q^2 = a^2 + b^2 + c^2.
+    On a linear f, (f1 + f2) / 2 is f at the step midpoint and
+    f1 - f2 = -(fb - fa) / (n sqrt(3)) is the same for every step.
+    """
+    h = dx / n
+    a = h * (fa + (fb - fa) * ((np.arange(n) + 0.5) / n))
+    b = -h * h * k * (fb - fa) / (6.0 * n)
+    c = -1j * k * h
+    q2 = a * a + (b * b + c * c)
+    small = np.abs(q2) < KAPPA_SERIES_SWITCH**2
+    q = np.sqrt(np.where(small, 1.0, q2))
+    ch = np.where(small, 1.0 + q2 / 2.0 + q2 * q2 / 24.0, np.cosh(q))
+    shc = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0, np.sinh(q) / q)
+    m = np.empty((n, 2, 2), dtype=complex)
+    m[:, 0, 0] = ch + shc * c
+    m[:, 0, 1] = shc * (a - 1j * b)
+    m[:, 1, 0] = shc * (a + 1j * b)
+    m[:, 1, 1] = ch - shc * c
+    # pairwise products keep the step order: U = M_{n-1} ... M_1 M_0
+    while len(m) > 1:
+        if len(m) % 2:
+            m = np.concatenate((m, _EYE))
+        m = m[1::2] @ m[0::2]
+    return m[0]
+
+
+def _magnus_panel(spec, a, b, k, step):
+    """U(b, a) over a panel no breakpoint splits, with its step-doubling error.
+
+    The error estimate is |U_h - U_2h| / 15 for an even step count, relative
+    to max(1, max |U_h|).
+    """
+    n = 2 * _step_count(a, b, 2.0 * step)
+    fa, fb = _panel_ends(spec, a, b)
+    u = _magnus(fa, fb, b - a, n, k)
+    coarse = _magnus(fa, fb, b - a, n // 2, k)
+    scale = max(1.0, float(np.max(np.abs(u))))
+    return u, float(np.max(np.abs(u - coarse))) / (15.0 * scale)
 
 
 def compose(left, right):
@@ -263,30 +295,39 @@ def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
 
 
 def riccati_coefficients(spec, x1, x2, k, step=1e-3):
-    """Integrate the first-order equations for (R_r, tau, R_l) from x1 to x2."""
+    """Integrate the first-order equations for (R_r, tau, R_l) from x1 to x2.
+
+    Fixed-step RK4, split at the breakpoints so each run sees a linear f.
+    It shares no code with ``Sweep`` or ``propagate``, so it checks them.
+    """
     if x2 < x1:
         raise ConfigError("x2", f"needs x1 <= x2, got [{x1}, {x2}]")
+    _check_step(step)
     k = complex(k)
+    ik, ik2 = 1j * k, 2j * k
 
-    def rhs(f, y):
-        rr, tau, rl = y
-        return np.array(
-            [
-                2j * k * rr + f * (1.0 - rr * rr),
-                1j * k * tau - f * tau * rr,
-                -f * tau * tau,
-            ],
-            dtype=complex,
-        )
+    def rhs(f, rr, tau):
+        return ik2 * rr + f * (1.0 - rr * rr), (ik - f * rr) * tau, -f * tau * tau
 
-    y = _rk4_panels(
-        spec, x1, x2, step, rhs, np.array([0.0, 1.0, 0.0], dtype=complex)
-    )
-    if abs(y[0]) > 1.0 + 1e-6:
-        raise StepTooLarge(f"|R_r| = {abs(y[0]):.6f} escaped the unit disk")
-    return ScatteringTriple(
-        tau=y[1], r_right=y[0], r_left=y[2], interval=(x1, x2), k=k
-    )
+    rr, tau, rl = 0j, 1.0 + 0j, 0j
+    nodes = _piecewise_nodes(spec, x1, x2)
+    for a, b in zip(nodes, nodes[1:]):
+        n = _step_count(a, b, step)
+        fa, fb = _panel_ends(spec, a, b)
+        h, df = (b - a) / n, (fb - fa) / n
+        for i in range(n):
+            f0 = fa + i * df
+            fm, f1 = f0 + 0.5 * df, f0 + df
+            r1, t1, l1 = rhs(f0, rr, tau)
+            r2, t2, l2 = rhs(fm, rr + 0.5 * h * r1, tau + 0.5 * h * t1)
+            r3, t3, l3 = rhs(fm, rr + 0.5 * h * r2, tau + 0.5 * h * t2)
+            r4, t4, l4 = rhs(f1, rr + h * r3, tau + h * t3)
+            rr += h / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+            tau += h / 6.0 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+            rl += h / 6.0 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    if abs(rr) > 1.0 + 1e-6:
+        raise StepTooLarge(f"|R_r| = {abs(rr):.6f} escaped the unit disk")
+    return ScatteringTriple(tau=tau, r_right=rr, r_left=rl, interval=(x1, x2), k=k)
 
 
 def compose_triples(outer, inner):
@@ -347,12 +388,12 @@ def _constant_piece(c, dx, k):
     return e / den, r, -r
 
 
-# (tau, R_r, R_l, rk4 drift) of an empty interval
+# (tau, R_r, R_l, step-doubling error) of an empty interval
 _IDENTITY = (1.0 + 0j, 0j, 0j, 0.0)
 
 
 def _star(outer, inner):
-    """Two-interval composition of (tau, R_r, R_l, drift): outer lies right of inner."""
+    """Two-interval composition of (tau, R_r, R_l, error): outer lies right of inner."""
     to, ro_r, ro_l, do = outer
     ti, ri_r, ri_l, di = inner
     d = 1.0 - ro_l * ri_r
@@ -371,8 +412,10 @@ class Sweep:
     point adds the pieces to its neighbouring breakpoints.  A value at given
     points therefore depends on those points and the breakpoints only, not
     on the other points a sweep has served.  Constant pieces use the closed
-    form in e^{-kappa dx}; non-constant pieces need ``method="rk4"``.
-    Results are memoized, so a grid pays for each piece and each span once.
+    form in e^{-kappa dx}; non-constant pieces need ``method="rk4"``, which
+    steps them by Magnus steps, and a span's value is held to the summed
+    step-doubling error of its pieces.  Results are memoized, so a grid
+    pays for each piece and each span once.
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
@@ -380,8 +423,8 @@ class Sweep:
             raise ConfigError(
                 "method", f"must be 'exact_piecewise' or 'rk4', got {method!r}"
             )
-        if method == "rk4" and not step > 0:
-            raise ConfigError("step", f"must be > 0, got {step}")
+        if method == "rk4":
+            _check_step(step)
         self.spec = spec
         self.k = complex(k)
         self.method = method
@@ -402,9 +445,10 @@ class Sweep:
             if seg is None or seg.profile.is_constant:
                 t = _constant_piece(evaluate_f(self.spec, mid), b - a, self.k) + (0.0,)
             elif self.method == "rk4":
-                m = _propagate_rk4(self.spec, a, b, self.k, self.step)
+                u, err = _magnus_panel(self.spec, a, b, self.k, self.step)
+                m = TransferMatrix.from_matrix(u, (a, b), self.k)
                 s = scattering_coefficients(m)
-                t = (s.tau, s.r_right, s.r_left, _det_drift(m))
+                t = (s.tau, s.r_right, s.r_left, err)
             else:
                 raise UnsupportedProfile(
                     f"segment [{seg.x_start}, {seg.x_end}] is not constant; use rk4"
@@ -422,7 +466,7 @@ class Sweep:
         return row[j - i]
 
     def _span(self, x1, x2):
-        """Unchecked (tau, R_r, R_l, drift) of [x1, x2] for x1 <= x2."""
+        """(tau, R_r, R_l, error) of [x1, x2], x1 <= x2, held to the error bound."""
         t = self._spans.get((x1, x2))
         if t is None:
             bps = self._bps
@@ -439,10 +483,10 @@ class Sweep:
                 if bps[j] < x2:
                     t = _star(self._piece(bps[j], x2), t)
             self._spans[(x1, x2)] = t
-        if t[3] > RK4_DRIFT_BOUND:
+        if t[3] > STEP_ERROR_BOUND:
             raise StepTooLarge(
-                f"rk4 step {self.step} too large: summed det drift {t[3]:.3e} "
-                f"on [{x1}, {x2}]"
+                f"rk4 step {self.step} too large: summed step-doubling error "
+                f"{t[3]:.3e} on [{x1}, {x2}]"
             )
         return t
 

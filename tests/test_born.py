@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -154,6 +156,18 @@ def test_budget_guard():
         born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1.0, max_order=3, node_budget=100)
     with pytest.raises(ValueError):
         born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1.0, max_order=-1)
+
+
+def test_budget_charges_the_rule_before_building_it():
+    # the n x n integration matrix of a 2000-node rule would take seconds
+    # and 160 MB; it is charged n**2 and refused at once
+    start = time.perf_counter()
+    with pytest.raises(QuadratureBudget):
+        born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1.0, max_order=1, n_nodes=2000)
+    assert time.perf_counter() - start < 0.5
+    for order, n_nodes in ((2, 16), (3, 12)):
+        gv, _ = born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1.0, order, n_nodes)
+        assert np.isfinite(gv.value)
 
 
 def test_value_keeps_caller_argument_order():

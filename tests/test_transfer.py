@@ -18,6 +18,7 @@ from gf1d.potential import (
     ConstantProfile,
     LinearProfile,
     PotentialSpec,
+    SampledProfile,
     Segment,
     slab,
     vacuum_spec,
@@ -122,18 +123,65 @@ def test_rk4_matches_exact_for_slab():
     assert np.max(np.abs(a - b)) < 1e-9
 
 
+def expm_refinement(f, length, k, n):
+    """U(length, 0) as a product of n thin constant steps at midpoint values of f."""
+    h = length / n
+    u = np.eye(2, dtype=complex)
+    for i in range(n):
+        u = expm_oracle(f((i + 0.5) * h), h, k) @ u
+    return u
+
+
 def test_rk4_linear_profile_against_expm_refinement():
     spec = PotentialSpec(segments=(Segment(0.0, 1.0, LinearProfile(0.5, -1.0)),))
     k = 1.1 + 0.3j
     got = propagate(spec, 0.0, 1.0, k, method="rk4", step=5e-4).as_matrix()
-    # oracle: product of many thin constant steps at midpoint values
-    n = 4000
-    h = 1.0 / n
-    want = np.eye(2, dtype=complex)
-    for i in range(n):
-        xm = (i + 0.5) * h
-        want = expm_oracle(0.5 - 1.0 * xm, h, k) @ want
+    want = expm_refinement(lambda x: 0.5 - x, 1.0, k, 4000)
     assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_rk4_is_fourth_order_on_a_linear_profile():
+    # halving the step cuts the error 16-fold; a wrong commutator sign or
+    # misplaced Gauss nodes leave a second-order step (a factor of 4).  The
+    # oracle's own error, about 3e-9, is a tenth of the finer step's.
+    spec = PotentialSpec(segments=(Segment(0.0, 1.0, LinearProfile(0.5, -1.0)),))
+    k = 1.1 + 0.3j
+    want = expm_refinement(lambda x: 0.5 - x, 1.0, k, 8000)
+    errs = [
+        np.max(np.abs(propagate(spec, 0.0, 1.0, k, "rk4", step).as_matrix() - want))
+        for step in (1 / 16, 1 / 32)
+    ]
+    assert 12 <= errs[0] / errs[1] <= 20
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    fs=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
+    sampled=st.booleans(),
+    length=st.floats(0.2, 1.5),
+    k_re=st.floats(0.2, 3.0),
+    k_im=st.floats(0.0, 2.0),
+    step=st.floats(1e-3, 0.1),
+)
+def test_rk4_is_accurate_or_raises(fs, sampled, length, k_re, k_im, step):
+    # a linear piece (first and last value) or a sampled one (all values at
+    # equal spacing): the stepped evolution either agrees with the expm
+    # refinement or raises StepTooLarge, never a silent wrong value
+    xs = np.linspace(0.0, length, len(fs))
+    if sampled:
+        profile = SampledProfile(tuple(zip(xs.tolist(), fs)))
+    else:
+        xs, fs = [0.0, length], [fs[0], fs[-1]]
+        profile = LinearProfile(fs[0], (fs[1] - fs[0]) / length)
+    spec = PotentialSpec(segments=(Segment(0.0, length, profile),))
+    k = complex(k_re, k_im)
+    try:
+        got = propagate(spec, 0.0, length, k, "rk4", step).as_matrix()
+    except StepTooLarge:
+        return
+    want = expm_refinement(lambda x: np.interp(x, xs, fs), length, k, 3000)
+    scale = max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) / scale < 1e-5
 
 
 def test_compose_and_invert():
@@ -422,16 +470,18 @@ def test_sweep_values_do_not_depend_on_other_points():
         assert fresh.r_left(x) == shared.r_left(x)
 
 
-def test_rk4_span_is_held_to_the_summed_drift():
-    # three nearly constant rk4 pieces, each within the drift bound on its
-    # own; the span over all three is held to the bound on their sum
+def test_rk4_span_is_held_to_the_summed_step_error():
+    # f = 3x - 1.5 in three pieces at a coarse step: each piece's
+    # step-doubling error (about 5e-7) is within the bound on its own; the
+    # span over all three is held to the bound on their sum
+    starts = (0.0, 0.5, 1.0)
     spec = PotentialSpec(
         segments=tuple(
-            Segment(a, a + 0.5, LinearProfile(1.5, 1e-6)) for a in (0.0, 0.5, 1.0)
+            Segment(a, a + 0.5, LinearProfile(3.0 * a - 1.5, 3.0)) for a in starts
         )
     )
-    sweep = Sweep(spec, 1.2 + 0.3j, method="rk4", step=0.17)
-    for a in (0.0, 0.5, 1.0):
+    sweep = Sweep(spec, 1.2 + 0.3j, method="rk4", step=0.05)
+    for a in starts:
         sweep.triple(a, a + 0.5)
     with pytest.raises(StepTooLarge):
         sweep.triple(0.0, 1.5)
