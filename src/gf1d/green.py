@@ -210,7 +210,8 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
     x_1 .. x_m, applying the evolution between consecutive endpoints and
     inserting L- + K+ at each intermediate y and L+ - K- at each x except
     the last, where the pairing with the left vector closes the chain.
-    Reversed intervals along the chain use the inverse evolution.
+    Reversed intervals along the chain use the inverse evolution, which the
+    sweep writes in the forward span.
     """
     k = check_wavenumber(k)
     pairs = [(check_point(x, "x"), check_point(y, "y")) for x, y in pairs]

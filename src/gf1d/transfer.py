@@ -13,8 +13,10 @@ Transmission/reflection coefficients of an interval are
 ``Sweep`` is the propagation core the routes read: for one medium and one
 k it composes these triples piece by piece with the two-interval formula
 (the Redheffer star product), so R_r(x, -inf), R_l(+inf, x) and the triple
-of [y, x] at every query point come from shared work.  ``propagate`` and
-the matrix algebra stay as independent checks and for reversed intervals.
+of [y, x] at every query point come from shared work.  A reversed interval
+is the inverse of its forward span, read from the same memoized triple.
+``propagate``, ``invert``, ``compose`` and the matrix algebra are not on the
+value path: they stay as the independent checks that ``verify`` runs.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ RESONANCE_THRESHOLD = 1e-13
 STEP_ERROR_BOUND = 1e-6
 # switch to the series of cosh(z), sinh(z)/z below this |z| to avoid cancellation
 KAPPA_SERIES_SWITCH = 1e-4
+# largest growth exponent (Im k + max |f|) * width of one Magnus chunk: U
+# grows at most like e^(that exponent), so a chunk's matrix stays finite
+CHUNK_GROWTH = 20.0
 _EYE = np.eye(2, dtype=complex)[None]
 
 
@@ -290,7 +295,7 @@ def scattering_coefficients(m):
 
 
 def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
-    """Scattering coefficients of [x1, x2]; x1 > x2 uses the inverse evolution."""
+    """Scattering coefficients of [x1, x2]; x1 > x2 inverts the span of [x2, x1]."""
     return Sweep(spec, k, method, step).triple(x1, x2)
 
 
@@ -331,15 +336,15 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
 
 
 def compose_triples(outer, inner):
-    """Coefficients of the union interval: outer lies to the right of inner."""
-    d = 1.0 - outer.r_left * inner.r_right
-    return ScatteringTriple(
-        tau=outer.tau * inner.tau / d,
-        r_right=outer.r_right + outer.tau**2 * inner.r_right / d,
-        r_left=inner.r_left + inner.tau**2 * outer.r_left / d,
-        interval=(inner.interval[0], outer.interval[1]),
-        k=outer.k,
+    """Coefficients of the union interval: outer lies to the right of inner.
+
+    The formula is the sweep's own, ``_star``.
+    """
+    t = _star(
+        (outer.tau, outer.r_right, outer.r_left, 0.0),
+        (inner.tau, inner.r_right, inner.r_left, 0.0),
     )
+    return ScatteringTriple(*t[:3], (inner.interval[0], outer.interval[1]), outer.k)
 
 
 def tail_reflection(c, k, side):
@@ -393,15 +398,46 @@ _IDENTITY = (1.0 + 0j, 0j, 0j, 0.0)
 
 
 def _star(outer, inner):
-    """Two-interval composition of (tau, R_r, R_l, error): outer lies right of inner."""
+    """Two-interval composition of (tau, R_r, R_l, error): outer lies right of inner.
+
+    A half line enters as a tail triple, tau = 0 with its reflection seed.
+    """
     to, ro_r, ro_l, do = outer
     ti, ri_r, ri_l, di = inner
     d = 1.0 - ro_l * ri_r
     tt = to * ti
     # |alpha| of the union is |d / tt|
     if abs(d) <= RESONANCE_THRESHOLD * abs(tt):
-        raise ResonanceDivision(f"|alpha| = {abs(d / tt):.3e} below threshold")
+        raise ResonanceDivision(_below_threshold(d, tt))
     return (tt / d, ro_r + to * to * ri_r / d, ri_l + ti * ti * ro_l / d, do + di)
+
+
+def _reverse(t):
+    """(tau, R_r, R_l, error) of U^-1 from the same of an evolution U.
+
+    det U = 1 gives alpha(-k) = delta / tau with delta = tau^2 - R_r R_l, so
+    tau' = tau / delta, R_r' = -R_r / delta and R_l' = -R_l / delta.  The
+    step-doubling error of the forward triple carries over unchanged.
+    """
+    # as Python complex an overflow gives inf, not a numpy RuntimeWarning
+    tau, rr, rl = complex(t[0]), complex(t[1]), complex(t[2])
+    delta = tau * tau - rr * rl
+    # |alpha| of the reversed interval is |delta / tau|
+    if abs(delta) <= RESONANCE_THRESHOLD * abs(tau):
+        raise ResonanceDivision(_below_threshold(delta, tau))
+    out = (tau / delta, -rr / delta, -rl / delta)
+    if not all(map(cmath.isfinite, out)):
+        raise ResonanceDivision(
+            f"|tau| = {abs(tau):.3e}: the reversed transmission overflows"
+        )
+    return out + (t[3],)
+
+
+def _below_threshold(num, den):
+    """Message for |alpha| = |num / den| at or below the threshold."""
+    # den == 0 passes the guard only with num == 0
+    alpha = f"{abs(num / den):.3e}" if den else "0 / 0"
+    return f"|alpha| = {alpha} below threshold"
 
 
 class Sweep:
@@ -413,9 +449,11 @@ class Sweep:
     points therefore depends on those points and the breakpoints only, not
     on the other points a sweep has served.  Constant pieces use the closed
     form in e^{-kappa dx}; non-constant pieces need ``method="rk4"``, which
-    steps them by Magnus steps, and a span's value is held to the summed
-    step-doubling error of its pieces.  Results are memoized, so a grid
-    pays for each piece and each span once.
+    steps them by Magnus steps in chunks short enough for U to stay finite,
+    and a span's value is held to the summed step-doubling error of its
+    pieces.  A reversed interval (x1 > x2) is the inverse of the forward
+    span of [x2, x1], so it shares that span and its error check.  Results
+    are memoized, so a grid pays for each piece and each span once.
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
@@ -445,15 +483,30 @@ class Sweep:
             if seg is None or seg.profile.is_constant:
                 t = _constant_piece(evaluate_f(self.spec, mid), b - a, self.k) + (0.0,)
             elif self.method == "rk4":
-                u, err = _magnus_panel(self.spec, a, b, self.k, self.step)
-                m = TransferMatrix.from_matrix(u, (a, b), self.k)
-                s = scattering_coefficients(m)
-                t = (s.tau, s.r_right, s.r_left, err)
+                t = self._stepped(a, b)
             else:
                 raise UnsupportedProfile(
                     f"segment [{seg.x_start}, {seg.x_end}] is not constant; use rk4"
                 )
             self._pieces[(a, b)] = t
+        return t
+
+    def _stepped(self, a, b):
+        """Triple of a non-constant piece by Magnus steps, in equal chunks.
+
+        Each chunk keeps (Im k + max |f|) * width within CHUNK_GROWTH, so its
+        matrix stays finite; the chunks' triples are composed by ``_star``.
+        """
+        fa, fb = _panel_ends(self.spec, a, b)
+        growth = (abs(self.k.imag) + max(abs(fa), abs(fb))) * (b - a)
+        n = max(1, math.ceil(growth / CHUNK_GROWTH))
+        edges = [a + (b - a) * i / n for i in range(n)] + [b]
+        t = None
+        for lo, hi in zip(edges, edges[1:]):
+            u, err = _magnus_panel(self.spec, lo, hi, self.k, self.step)
+            s = scattering_coefficients(TransferMatrix.from_matrix(u, (lo, hi), self.k))
+            chunk = (s.tau, s.r_right, s.r_left, err)
+            t = chunk if t is None else _star(chunk, t)
         return t
 
     def _row(self, i, j):
@@ -491,11 +544,8 @@ class Sweep:
         return t
 
     def triple(self, x1, x2):
-        """Scattering coefficients of [x1, x2]; x1 > x2 uses the inverse evolution."""
-        if x1 > x2:
-            m = propagate(self.spec, x2, x1, self.k, self.method, self.step)
-            return scattering_coefficients(invert(m))
-        t = self._span(x1, x2)
+        """Scattering coefficients of [x1, x2]; x1 > x2 inverts the span of [x2, x1]."""
+        t = self._span(x1, x2) if x1 <= x2 else _reverse(self._span(x2, x1))
         return ScatteringTriple(t[0], t[1], t[2], (x1, x2), self.k)
 
     def r_right(self, x):
@@ -506,8 +556,8 @@ class Sweep:
             if not self._bps or x <= self._bps[0]:
                 rr = seed
             else:
-                t = self._span(self._bps[0], x)
-                rr = t[1] + t[0] ** 2 * seed / (1.0 - t[2] * seed)
+                tail = (0j, seed, 0j, 0.0)
+                rr = _star(self._span(self._bps[0], x), tail)[1]
             self._rr[x] = rr
         return rr
 
@@ -519,7 +569,7 @@ class Sweep:
             if not self._bps or x >= self._bps[-1]:
                 rl = seed
             else:
-                t = self._span(x, self._bps[-1])
-                rl = t[2] + t[0] ** 2 * seed / (1.0 - seed * t[1])
+                tail = (0j, 0j, seed, 0.0)
+                rl = _star(tail, self._span(x, self._bps[-1]))[2]
             self._rl[x] = rl
         return rl

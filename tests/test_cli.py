@@ -331,3 +331,11 @@ def test_coefficients_grid_matches_propagation(pot_file, capsys):
             got = complex(float(row[f"{name}_re"]), float(row[f"{name}_im"]))
             w = getattr(want, name)
             assert abs(got - w) <= 1e-13 * max(1.0, abs(w))
+
+
+def test_reversed_interval_at_large_im_k_exits_3(capsys):
+    # tau of [30, -30] is e^1200; it used to end in an OverflowError traceback
+    code = main(["coefficients", "--interval=30:-30", "--k", "1,20"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ResonanceDivision: ")

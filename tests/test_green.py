@@ -1,10 +1,13 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from gf1d import transfer
 from gf1d.born import born_series
+from gf1d.cli import main
 from gf1d.errors import ConfigError, ResonanceDivision
 from gf1d.green import (
     green_closed_form,
@@ -17,6 +20,7 @@ from gf1d.green import (
 from gf1d.polyrep import PolyVec, apply_generator, inverse_operator
 from gf1d.potential import (
     ConstantProfile,
+    LinearProfile,
     PotentialSpec,
     Segment,
     slab,
@@ -241,3 +245,51 @@ def test_wronskian_across_x0_names_an_overflowing_solution():
         green_wronskian(slab(0.8, -10, 10), 12.5, 12.4, 1 + 60j)
     near = green_wronskian(slab(0.8, -10, 10), 9.5, 9.4, 1 + 60j).value
     assert abs(near - green_closed_form(slab(0.8, -10, 10), 9.5, 9.4, 1 + 60j).value) < 1e-12
+
+
+def test_rk4_on_a_long_piece_underflows_without_warning():
+    # Im k * width = 1200 on one linear piece: a single Magnus run
+    # overflowed U and returned nan
+    spec = PotentialSpec(segments=(Segment(0.0, 60.0, LinearProfile(0.5, -0.01)),))
+    k = 1 + 20j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = green_closed_form(spec, 50.0, 10.0, k, method="rk4", step=1e-2).value
+    assert cmath.isfinite(v) and abs(2j * k * v) <= 1e-200
+
+
+def test_value_path_never_propagates(monkeypatch, tmp_path, capsys):
+    # reversed intervals come from forward spans: the matrix oracle is
+    # reserved for verify
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("the value path called the matrix oracle")
+
+    for name in ("propagate", "invert", "compose"):
+        monkeypatch.setattr(transfer, name, oracle_only)
+    spec = PotentialSpec(segments=SPEC.segments, left_tail=0.6)
+    k = 1.1 + 0.3j
+    x, y = 0.6, -0.3
+    for route in (green_wronskian, green_closed_form):
+        assert cmath.isfinite(route(spec, x, y, k).value)
+    for variant in ("symmetric", "asymmetric"):
+        v = green_polyrep(spec, x, y, k, P=32, variant=variant).value
+        assert cmath.isfinite(v)
+    assert cmath.isfinite(green_power(spec, x, y, k, 2, P=32).value)
+    assert cmath.isfinite(green_negative_power(spec, x, y, k, 1, P=32).value)
+    # nested pairs: the chain steps back from x_1 to x_2 (and x_3), and
+    # from y_1 to y_2 when the inner pair comes first
+    for pairs in (
+        [(0.6, -0.3), (0.45, -0.1)],
+        [(0.45, -0.1), (0.6, -0.3)],
+        [(0.6, -0.3), (0.45, -0.1), (0.3, 0.05)],
+    ):
+        assert cmath.isfinite(green_product(spec, pairs, k, P=48).value)
+    p = tmp_path / "pot.yaml"
+    p.write_text(
+        "left_tail: {type: constant, c: 0.6}\n"
+        "segments:\n"
+        "  - {x_start: -0.5, x_end: 0.1, profile: {type: constant, c: 1.1}}\n"
+    )
+    argv = ["coefficients", "--potential", str(p), "--k", "1.1,0.3"]
+    assert main(argv + ["--interval=0.4:-0.8"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.linalg import expm
 from gf1d.errors import (
     BranchUndefined,
     ConfigError,
+    Gf1dError,
     IntervalMismatch,
     ResonanceDivision,
     StepTooLarge,
@@ -27,6 +29,7 @@ from gf1d.transfer import (
     Sweep,
     TransferMatrix,
     _constant_piece,
+    _reverse,
     compose,
     compose_triples,
     constant_step_matrix,
@@ -237,6 +240,16 @@ def test_reversed_interval_coefficients():
     m = propagate(spec, 0.0, 1.0, k)
     assert abs(rev.tau - 1.0 / m.alpha_minus) < 1e-14
     assert fwd.interval == (0.0, 1.0) and rev.interval == (1.0, 0.0)
+    # all three against the inverted matrix, on a span that crosses pieces
+    spec = PotentialSpec(
+        segments=tuple(Segment(a, b, ConstantProfile(c)) for a, b, c in _ORACLE_PIECES)
+    )
+    for x_lo, x_hi in ((-1.0, 1.3), (-2.0, 0.1), (0.2, 0.3)):
+        rev = interval_triple(spec, x_hi, x_lo, k)
+        want = scattering_coefficients(invert(propagate(spec, x_lo, x_hi, k)))
+        assert abs(rev.tau - want.tau) < 1e-12
+        assert abs(rev.r_right - want.r_right) < 1e-12
+        assert abs(rev.r_left - want.r_left) < 1e-12
 
 
 def test_riccati_matches_matrix_route():
@@ -485,3 +498,80 @@ def test_rk4_span_is_held_to_the_summed_step_error():
         sweep.triple(a, a + 0.5)
     with pytest.raises(StepTooLarge):
         sweep.triple(0.0, 1.5)
+
+
+def _backward_evolution(pieces, tails, x_hi, x_lo, k):
+    """U(x_lo, x_hi) for x_lo < x_hi, stepped down from x_hi by expm over the
+    constant stretches; no inverse of a forward matrix is taken."""
+    stretches = [(-np.inf, pieces[0][0], tails[0])] + list(pieces)
+    stretches.append((pieces[-1][1], np.inf, tails[1]))
+    u = np.eye(2, dtype=complex)
+    for a, b, c in reversed(stretches):
+        lo, hi = max(a, x_lo), min(b, x_hi)
+        if lo < hi:
+            u = expm(-(hi - lo) * _oracle_generator(c, k)) @ u
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+    widths=st.lists(st.floats(0.2, 15.0), min_size=3, max_size=3),
+    tails=st.tuples(*[st.one_of(st.none(), st.floats(-2.0, 2.0))] * 2),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    k_re=st.floats(0.1, 3.0),
+    k_im=st.floats(0.0, 20.0),
+)
+def test_reversed_interval_is_finite_or_named(cs, widths, tails, ends, k_re, k_im):
+    # Im k times the length reaches about 1e3: the reversed triple inverts
+    # a forward span whose tau may underflow, so it is either finite or a
+    # named error
+    edges = np.cumsum([-3.0] + widths[: len(cs)])
+    pieces = [(a, b, c) for a, b, c in zip(edges, edges[1:], cs)]
+    spec = PotentialSpec(
+        segments=tuple(Segment(a, b, ConstantProfile(c)) for a, b, c in pieces),
+        left_tail=tails[0],
+        right_tail=tails[1],
+    )
+    lo, hi = edges[0] - 3.0, edges[-1] + 3.0
+    x_lo, x_hi = sorted(lo + (hi - lo) * e for e in ends)
+    k = complex(k_re, k_im)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            t = Sweep(spec, k).triple(x_hi, x_lo)
+        except Gf1dError:
+            return
+    got = (t.tau, t.r_right, t.r_left)
+    assert all(cmath.isfinite(v) for v in got)
+    assert t.interval == (x_hi, x_lo)
+    cmax = max(abs(c) for c in list(cs) + [v or 0.0 for v in tails])
+    if (k_im + cmax) * (x_hi - x_lo) > 20.0:
+        return
+    # where U stays within e^20 the expm product is an accurate oracle
+    u = _backward_evolution(pieces, [v or 0.0 for v in tails], x_hi, x_lo, k)
+    want = (1.0 / u[0, 0], u[1, 0] / u[0, 0], -u[0, 1] / u[0, 0])
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
+def test_reverse_names_an_overflowing_triple():
+    # delta = -1e-310 passes the |alpha| guard, but R_r / delta overflows
+    with pytest.raises(ResonanceDivision):
+        _reverse((1e-300 + 0j, 1.0 + 0j, 1e-310 + 0j, 0.0))
+    # the step-doubling error of the forward span carries over
+    assert _reverse((0.5 + 0j, 0.1j, 0.2 + 0j, 3e-7))[3] == 3e-7
+
+
+def test_long_rk4_piece_is_stepped_in_chunks():
+    # (Im k + max |f|) * width is about 85, so the piece takes five chunks;
+    # the matrix over the whole piece is still finite, so one Magnus run is
+    # the reference
+    spec = PotentialSpec(segments=(Segment(0.0, 12.0, LinearProfile(1.5, -0.2)),))
+    k = 0.8 + 5.5j
+    t = Sweep(spec, k, method="rk4", step=1e-3).triple(0.0, 12.0)
+    m = propagate(spec, 0.0, 12.0, k, method="rk4", step=1e-3)
+    want = scattering_coefficients(m)
+    assert abs(t.tau - want.tau) <= 1e-9 * abs(want.tau)
+    assert abs(t.r_right - want.r_right) < 1e-9
+    assert abs(t.r_left - want.r_left) < 1e-9
