@@ -50,10 +50,6 @@ class GammaPole(Gf1dError):
     """Inner-product weight requested at a Gamma-function pole."""
 
 
-class TruncationOverflow(Gf1dError):
-    """Estimated truncation tail of a series operation exceeds tolerance."""
-
-
 class DomainViolation(Gf1dError):
     """Input vector outside the domain of an inverse operator."""
 

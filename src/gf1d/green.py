@@ -20,14 +20,13 @@ evaluates many points at one k (the CLI grid) calls on one shared sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DenominatorZero
 from .polyrep import (
-    MobiusAction,
-    PolyVec,
     apply_generator,
     apply_U,
     inner_product,
@@ -85,10 +84,20 @@ def _endpoint_data(sweep, x, y):
     return sweep.r_left(x), sweep.triple(y, x), sweep.r_right(y)
 
 
-def _closed_denominator(rl3, t, rr1):
-    return (1.0 - rl3 * t.r_right) * (1.0 - t.r_left * rr1) - (
-        rl3 * t.tau**2 * rr1
-    )
+def _denominator(k, rl3, t, rr1):
+    """D of the closed form, guarded against a bound-state pole."""
+    d = (1.0 - rl3 * t.r_right) * (1.0 - t.r_left * rr1) - rl3 * t.tau**2 * rr1
+    if abs(d) < DENOMINATOR_THRESHOLD:
+        raise DenominatorZero(f"|D| = {abs(d):.3e} below threshold at k = {k}")
+    return d
+
+
+def _check_power(n, integral=False):
+    """n >= 1, finite, and of an integer type where ``integral``."""
+    ok = isinstance(n, numbers.Integral) if integral else math.isfinite(n)
+    if not ok or n < 1:
+        kind = "an integer" if integral else "finite and"
+        raise ConfigError("n", f"power must be {kind} >= 1, got {n!r}")
 
 
 def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
@@ -100,11 +109,36 @@ def closed_form_from(sweep, x, y):
     """Route B at (x, y) from a sweep of the medium at its k."""
     k = sweep.k
     rl3, t, rr1 = _endpoint_data(sweep, x, y)
-    d = _closed_denominator(rl3, t, rr1)
-    if abs(d) < DENOMINATOR_THRESHOLD:
-        raise DenominatorZero(f"|D| = {abs(d):.3e} below threshold at k = {k}")
-    two_ik_g = (1.0 + rl3) * t.tau * (1.0 + rr1) / d
+    two_ik_g = (1.0 + rl3) * t.tau * (1.0 + rr1) / _denominator(k, rl3, t, rr1)
     return GreenValue(two_ik_g / (2j * k), x, y, k, "closed_form")
+
+
+def _chain(sweep, pairs, P, n=1):
+    """(value, truncation loss) of <Lambda_l**n, chain Lambda_r**n>.
+
+    With each pair ordered x_i >= y_i, the chain runs from y_1 through
+    y_2 .. y_m then x_1 .. x_m: the evolution between consecutive endpoints
+    (reversed ones from the forward span), with L- + K+ inserted at each
+    later y and L+ - K- at each x but the last.  One pair gives n [2ikG]**n.
+    """
+    pairs = [(max(p), min(p)) for p in pairs]
+    pos = pairs[0][1]
+    rr1, rl_end = sweep.r_right(pos), sweep.r_left(pairs[-1][0])
+    if n == 1:  # lambda_r's own recurrence: route C's values keep their rounding
+        v, left = lambda_r(rr1, P), lambda_l(rl_end, P)
+    else:
+        v, left = lambda_r_power(rr1, n, P), lambda_l_power(rl_end, n, P)
+    for _, yj in pairs[1:]:
+        v = apply_U(sweep.triple(pos, yj), v)
+        v = apply_generator("L-", v) + apply_generator("K+", v)
+        pos = yj
+    for i, (xj, _) in enumerate(pairs):
+        v = apply_U(sweep.triple(pos, xj), v)
+        if i < len(pairs) - 1:
+            v = apply_generator("L+", v) - apply_generator("K-", v)
+        pos = xj
+    amp = abs(1.0 + rl_end) ** n / (1.0 - min(abs(rl_end), 0.99))
+    return inner_product(left, v), v.loss * amp
 
 
 def green_polyrep(
@@ -123,14 +157,11 @@ def green_polyrep(
 def polyrep_from(sweep, x, y, P=64, variant="symmetric"):
     """Route C at (x, y) from a sweep of the medium at its k."""
     k = sweep.k
-    rl3, t, rr1 = _endpoint_data(sweep, x, y)
-    v = apply_U(MobiusAction.from_triple(t), lambda_r(rr1, P))
     if variant == "symmetric":
-        left = lambda_l(rl3, P)
-        two_ik_g = inner_product(left, v)
-        amp = abs(1.0 + rl3) / (1.0 - min(abs(rl3), 0.99))
-        loss = v.loss * amp
+        two_ik_g, loss = _chain(sweep, [(x, y)], P)
     elif variant == "asymmetric":
+        rl3, t, rr1 = _endpoint_data(sweep, x, y)
+        v = apply_U(t, lambda_r(rr1, P))
         # L+ - K- multiplies the mu-degree-one component by -(1+xi); done on
         # a padded array so the top coefficient survives the cutoff
         comp = v.component(1)
@@ -147,15 +178,10 @@ def polyrep_from(sweep, x, y, P=64, variant="symmetric"):
 
 def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
     """[2ikG]**n = (1/n) <Lambda_l**n, U Lambda_r**n> for integer n >= 1."""
-    if n < 1:
-        raise ConfigError("n", f"power must be >= 1, got {n}")
+    _check_power(n)
     sweep = _sweep(spec, x, y, k, method, step)
-    k = sweep.k
-    rl3, t, rr1 = _endpoint_data(sweep, x, y)
-    v = apply_U(MobiusAction.from_triple(t), lambda_r_power(rr1, n, P))
-    val = inner_product(lambda_l_power(rl3, n, P), v) / n
-    amp = abs(1.0 + rl3) ** n / (1.0 - min(abs(rl3), 0.99))
-    return GreenValue(val, x, y, k, f"power_{n}", v.loss * amp)
+    val, loss = _chain(sweep, [(x, y)], P, n)
+    return GreenValue(val / n, x, y, sweep.k, f"power_{n}", loss)
 
 
 def green_negative_power(
@@ -171,8 +197,7 @@ def green_negative_power(
     semi-infinite tails cancel between numerator and normalization and are
     dropped from both.
     """
-    if n < 1:
-        raise ConfigError("n", f"power must be >= 1, got {n}")
+    _check_power(n, integral=True)
     sweep = _sweep(spec, x, y, k, method, step)
     k = sweep.k
     q = n + 2
@@ -180,14 +205,12 @@ def green_negative_power(
     v = mu_over_one_minus_c_xi(q, rr1, P)
     for _ in range(n):
         v = inverse_operator("(L-+K+)inv", v)
-    v = apply_U(MobiusAction.from_triple(t), v)
+    v = apply_U(t, v)
     for _ in range(n):
         v = inverse_operator("(L+-K-)inv", v)
-    b = v.component(v.mu_degrees()[0])
+    b = v.component(min(v.rows))
     numerator = q * complex(np.polynomial.polynomial.polyval(rl3, b))
-    d = _closed_denominator(rl3, t, rr1)
-    if abs(d) < DENOMINATOR_THRESHOLD:
-        raise DenominatorZero(f"|D| = {abs(d):.3e} below threshold at k = {k}")
+    d = _denominator(k, rl3, t, rr1)
     const = (
         (-1.0) ** n
         * q
@@ -203,45 +226,18 @@ _PRODUCT_PREFACTOR = {2: -0.5, 3: 1.0 / 12.0}
 
 
 def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
-    """Product of two or three Green values, prod_i 2ikG(x_i, y_i).
-
-    One chain of evolutions and endpoint ladders: starting from the
-    multiple-reflection vector at y_1, the chain visits y_2 .. y_m then
-    x_1 .. x_m, applying the evolution between consecutive endpoints and
-    inserting L- + K+ at each intermediate y and L+ - K- at each x except
-    the last, where the pairing with the left vector closes the chain.
-    Reversed intervals along the chain use the inverse evolution, which the
-    sweep writes in the forward span.
+    """Product of two or three Green values, prod_i 2ikG(x_i, y_i): a
+    prefactor times route C's operator chain over the pairs (``_chain``).
+    The returned x and y are x_m and y_1, each pair ordered x_i >= y_i.
     """
     k = check_wavenumber(k)
     pairs = [(check_point(x, "x"), check_point(y, "y")) for x, y in pairs]
     m = len(pairs)
     if m not in _PRODUCT_PREFACTOR:
         raise ConfigError("pairs", f"products of 2 or 3 factors are implemented, got {m}")
-    pairs = [(max(p), min(p)) for p in pairs]
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    sweep = Sweep(spec, k, method, step)
-    rr1 = sweep.r_right(ys[0])
-    rl_end = sweep.r_left(xs[-1])
-    v = lambda_r(rr1, P)
-    pos = ys[0]
-    for yj in ys[1:]:
-        t = sweep.triple(pos, yj)
-        v = apply_U(MobiusAction.from_triple(t), v)
-        v = apply_generator("L-", v) + apply_generator("K+", v)
-        pos = yj
-    for i, xj in enumerate(xs):
-        t = sweep.triple(pos, xj)
-        v = apply_U(MobiusAction.from_triple(t), v)
-        if i < m - 1:
-            v = apply_generator("L+", v) - apply_generator("K-", v)
-        pos = xj
-    val = _PRODUCT_PREFACTOR[m] * inner_product(lambda_l(rl_end, P), v)
-    amp = abs(1.0 + rl_end) / (1.0 - min(abs(rl_end), 0.99))
-    return GreenValue(
-        val, xs[-1], ys[0], k, f"product_{m}", v.loss * amp
-    )
+    val, loss = _chain(Sweep(spec, k, method, step), pairs, P)
+    x, y = max(pairs[-1]), min(pairs[0])
+    return GreenValue(_PRODUCT_PREFACTOR[m] * val, x, y, k, f"product_{m}", loss)
 
 
 def jump_condition_check(spec, y, k, h=1e-5, route=green_closed_form, **kw):

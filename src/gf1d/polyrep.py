@@ -8,9 +8,11 @@ operator acts by the substitution xi -> Lhat(xi), mu -> That(xi, mu) with
     Lhat(xi) = R_l + xi tau**2 / (1 - xi R_r),
     That(xi, mu) = mu tau / (1 - xi R_r),
 
-expanded as truncated power series in xi.  Coefficients dropped beyond the
-cutoff are tallied into a scalar truncation-loss estimate carried on each
-vector.
+expanded as truncated power series in xi; (tau, R_r, R_l) are read from
+the interval's scattering triple.  A vector (``PolyVec``) has one form:
+a coefficient array over xi-degrees 0..P per mu-degree.  Coefficients
+dropped beyond the cutoff are tallied into a scalar truncation-loss
+estimate carried on each vector.
 """
 
 from __future__ import annotations
@@ -18,18 +20,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+import numbers
 from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, GammaPole, TruncationOverflow
+from .errors import ConfigError, DomainViolation, GammaPole
 from .quadrature import gauss_legendre
 
 __all__ = [
     "PolyVec",
-    "MobiusAction",
     "GENERATORS",
     "apply_generator",
     "inner_product",
@@ -52,20 +52,19 @@ GENERATORS = ("J+", "J-", "J3", "K+", "K-", "K3", "L+", "L-", "L3")
 class PolyVec:
     """Vector stored as mu-degree rows.
 
-    ``rows[n]`` is the coefficient array c[0..P] of xi**p mu**(q0+n); rows
-    that are all zero are dropped and no row is modified in place.  The
-    constructor also takes the sparse form {(p, n): c}; ``coeffs`` is a
-    read-only view in that form.
+    ``rows[n]`` is the coefficient array c[0..P] of xi**p mu**(q0+n).  The
+    constructor takes {n: array} and cuts or zero-pads each array to P+1;
+    rows that are all zero are dropped and no row is modified in place.
     """
 
-    def __init__(self, coeffs, P, q0=0.0, loss=0.0):
+    def __init__(self, rows, P, q0=0.0, loss=0.0):
         _check_cutoff(P)
-        rows = {}
-        for (p, n), c in coeffs.items():
-            if not 0 <= p <= P:
-                raise ValueError(f"xi-degree {p} outside [0, {P}]")
-            rows.setdefault(n, np.zeros(P + 1, dtype=complex))[p] = c
-        self._set(rows, P, q0, loss)
+        padded = {}
+        for n, arr in rows.items():
+            arr = np.asarray(arr)[: P + 1]
+            padded[n] = np.zeros(P + 1, dtype=complex)
+            padded[n][: arr.size] = arr
+        self._set(padded, P, q0, loss)
 
     def _set(self, rows, P, q0, loss):
         self.P, self.q0, self.loss = P, q0, loss
@@ -80,34 +79,13 @@ class PolyVec:
 
     @classmethod
     def basis(cls, p, n, P, q0=0.0):
-        return cls({(p, n): 1.0 + 0j}, P, q0)
-
-    @classmethod
-    def from_components(cls, comps, P, q0=0.0, loss=0.0):
-        """Vector from {n: array}; each array is cut or zero-padded to P+1."""
         _check_cutoff(P)
-        rows = {}
-        for n, arr in comps.items():
-            arr = np.asarray(arr)[: P + 1]
-            rows[n] = np.zeros(P + 1, dtype=complex)
-            rows[n][: arr.size] = arr
-        return cls._of_rows(rows, P, q0, loss)
-
-    @property
-    def coeffs(self):
-        return MappingProxyType(
-            {
-                (int(p), n): complex(row[p])
-                for n, row in self.rows.items()
-                for p in np.flatnonzero(row)
-            }
-        )
+        if not 0 <= p <= P:
+            raise ValueError(f"xi-degree {p} outside [0, {P}]")
+        return cls._of_rows({n: np.eye(1, P + 1, p, dtype=complex)[0]}, P, q0, 0.0)
 
     def q_of(self, n):
         return self.q0 + n
-
-    def mu_degrees(self):
-        return list(self.rows)
 
     def component(self, n):
         """Coefficient array c[p] of the mu-degree-(q0+n) part, length P+1."""
@@ -142,8 +120,8 @@ class PolyVec:
 
 
 def _check_cutoff(P):
-    if P < 1:
-        raise ConfigError("P", f"series cutoff must be >= 1, got {P}")
+    if not isinstance(P, numbers.Integral) or P < 1:
+        raise ConfigError("P", f"series cutoff must be an integer >= 1, got {P!r}")
 
 
 # generator -> (xi-degree shift, mu-degree shift, coefficient(p, q))
@@ -237,21 +215,6 @@ def inner_product(left, right):
 # ---------------------------------------------------------------------------
 # evolution action
 
-@dataclass(frozen=True)
-class MobiusAction:
-    tau: complex
-    r_right: complex
-    r_left: complex
-
-    @classmethod
-    def from_triple(cls, t):
-        return cls(tau=t.tau, r_right=t.r_right, r_left=t.r_left)
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0 + 0j, 0j, 0j)
-
-
 def _series_mul(a, b, n):
     """Truncated Cauchy product of coefficient arrays of length >= n+1.
 
@@ -266,10 +229,10 @@ def _series_mul(a, b, n):
 _EPS = np.finfo(float).eps
 
 
-def apply_U(action, v, tol=None):
-    """Evolution applied to v, expanded to the cutoff of v.
+def apply_U(t, v):
+    """Evolution of the interval with scattering triple t, applied to v.
 
-    Each mu-homogeneous component mu**q g(xi) maps to
+    Expanded to the cutoff of v, each mu-homogeneous component mu**q g(xi) maps to
     tau**q (1 - xi R_r)**(-q) g(Lhat(xi)).  The composition g(Lhat) is
     evaluated by baby and giant steps (Paterson and Stockmeyer): in blocks
     of B coefficients, g(Lhat) = sum_b S_b(Lhat) Lhat**(B b), where every
@@ -279,7 +242,7 @@ def apply_U(action, v, tol=None):
     partial sum is a value of the composition; re-expanding g about R_l
     instead would be cheaper but loses every digit when |R| approaches 1.
     """
-    tau, rr, rl = action.tau, action.r_right, action.r_left
+    tau, rr, rl = t.tau, t.r_right, t.r_left
     P = v.P
     n = P + 1  # one extra order for the tail estimate
     B = min(P + 1, math.isqrt(max(1, len(v.rows)) * (P + 1) - 1) + 1)
@@ -289,8 +252,8 @@ def apply_U(action, v, tol=None):
     powers[1, 1] = tau * tau
     powers[1, 2:] = rr
     powers[1, 1:] = np.cumprod(powers[1, 1:])
-    for t in range(2, B + 1):
-        powers[t] = _series_mul(powers[t - 1], powers[1], n)
+    for j in range(2, B + 1):
+        powers[j] = _series_mul(powers[j - 1], powers[1], n)
     baby, giant = powers[:B], powers[B]
     n_blocks = -(-(P + 1) // B)
     m = np.arange(n)
@@ -322,8 +285,6 @@ def apply_U(action, v, tol=None):
     # coefficient ratio reaches 1
     rho = max(abs(rr), emp_ratio)
     loss = math.inf if rho >= 1.0 else (v.loss + tail) / (1.0 - rho)
-    if tol is not None and loss > tol:
-        raise TruncationOverflow(f"estimated truncation loss {loss:.3e} > {tol:.3e}")
     return PolyVec._of_rows(rows, P, v.q0, loss)
 
 
@@ -332,12 +293,13 @@ def apply_U(action, v, tol=None):
 
 def lambda_r(r, P):
     """(1 + r) sum_p r**p Psi_{p,1}: the resummed multiple-reflection vector."""
+    _check_cutoff(P)
     row = []
     c = 1.0 + r
     for _ in range(P + 1):
         row.append(c)
         c = c * r
-    return PolyVec.from_components({1: row}, P)
+    return PolyVec({1: row}, P)
 
 
 def lambda_l(r_l, P):
@@ -357,12 +319,13 @@ def lambda_l_power(r_l, n, P):
 
 def mu_over_one_minus_c_xi(m, c, P, scale=1.0):
     """Truncated coefficients of scale * (mu / (1 - c xi))**m."""
+    _check_cutoff(P)
     row = []
     b = 1.0 + 0j
     for p in range(P + 1):
         row.append(scale * b)
         b = b * c * (m + p) / (p + 1)
-    return PolyVec.from_components({m: row}, P)
+    return PolyVec({m: row}, P)
 
 
 def ladder_power(n, m, c, P):
@@ -377,7 +340,7 @@ def ladder_power(n, m, c, P):
     v = mu_over_one_minus_c_xi(m, c, P + n)
     for _ in range(n):
         v = apply_generator("L-", v) + apply_generator("K+", v)
-    return PolyVec.from_components(v.rows, P)
+    return PolyVec(v.rows, P)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +362,8 @@ def inverse_operator(name, v):
                     f"{name} needs input vanishing at mu=0; found mu-degree {q}"
                 )
             g = -row / (q + 1)
-            if name == "(L+-K-)inv":
-                inv1pxi = np.array(
-                    [(-1.0) ** m for m in range(v.P + 1)], dtype=complex
-                )
-                g = _series_mul(g, inv1pxi, v.P)
+            if name == "(L+-K-)inv":  # times 1 / (1 + xi)
+                g = _series_mul(g, (-1.0) ** np.arange(v.P + 1), v.P)
             rows[n + 1] = g
         return PolyVec._of_rows(rows, v.P, v.q0, v.loss)
     if name in ("L-inv", "(L-+K+)inv"):

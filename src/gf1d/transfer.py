@@ -148,40 +148,46 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     ``exact_piecewise`` composes closed-form matrix exponentials per
     constant piece; ``rk4`` steps every piece with fourth-order Magnus
     steps no wider than ``step`` (general profiles), held to the summed
-    step-doubling error.
+    step-doubling error.  A U that leaves the float range raises
+    ``ResonanceDivision``.
     """
     if x2 < x1:
         raise ConfigError("x2", f"propagate needs x1 <= x2, got [{x1}, {x2}]")
     k = complex(k)
     if x2 == x1:
         return TransferMatrix.identity(x1, k)
-    if method == "exact_piecewise":
-        nodes = _piecewise_nodes(spec, x1, x2)
-        u = np.eye(2, dtype=complex)
-        for a, b in zip(nodes, nodes[1:]):
-            mid = 0.5 * (a + b)
-            seg = spec.segment_at(mid)
-            if seg is not None and not seg.profile.is_constant:
-                raise UnsupportedProfile(
-                    f"segment [{seg.x_start}, {seg.x_end}] is not constant; use rk4"
-                )
-            c = evaluate_f(spec, mid)
-            u = constant_step_matrix(c, b - a, k) @ u
-        return TransferMatrix.from_matrix(u, (x1, x2), k)
-    if method == "rk4":
-        _check_step(step)
-        u, err = np.eye(2, dtype=complex), 0.0
-        nodes = _piecewise_nodes(spec, x1, x2)
-        for a, b in zip(nodes, nodes[1:]):
-            m, e = _magnus_panel(spec, a, b, k, step)
-            u, err = m @ u, err + e
-        if err > STEP_ERROR_BOUND:
-            raise StepTooLarge(
-                f"rk4 step {step} too large: step-doubling error {err:.3e} "
-                f"on [{x1}, {x2}]"
-            )
-        return TransferMatrix.from_matrix(u, (x1, x2), k)
-    raise ConfigError("method", f"must be 'exact_piecewise' or 'rk4', got {method!r}")
+    _check_method(method, step)
+    u, err = np.eye(2, dtype=complex), 0.0
+    nodes = _piecewise_nodes(spec, x1, x2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(nodes, nodes[1:]):
+                if method == "rk4":
+                    m, e = _magnus_panel(spec, a, b, k, step)
+                else:
+                    m, e = _exact_piece_matrix(spec, a, b, k), 0.0
+                u, err = m @ u, err + e
+    except OverflowError:
+        u = None
+    if u is None or not np.all(np.isfinite(u)):
+        raise ResonanceDivision(f"U leaves the float range on [{x1}, {x2}] at k = {k}")
+    if err > STEP_ERROR_BOUND:
+        raise StepTooLarge(
+            f"rk4 step {step} too large: step-doubling error {err:.3e} "
+            f"on [{x1}, {x2}]"
+        )
+    return TransferMatrix.from_matrix(u, (x1, x2), k)
+
+
+def _exact_piece_matrix(spec, a, b, k):
+    """Closed-form U(b, a) of a constant piece no breakpoint splits."""
+    mid = 0.5 * (a + b)
+    seg = spec.segment_at(mid)
+    if seg is not None and not seg.profile.is_constant:
+        raise UnsupportedProfile(
+            f"segment [{seg.x_start}, {seg.x_end}] is not constant; use rk4"
+        )
+    return constant_step_matrix(evaluate_f(spec, mid), b - a, k)
 
 
 def _panel_ends(spec, a, b):
@@ -203,6 +209,14 @@ def _panel_ends(spec, a, b):
 def _check_step(step):
     if not step > 0:
         raise ConfigError("step", f"must be > 0, got {step}")
+
+
+def _check_method(method, step):
+    if method not in ("exact_piecewise", "rk4"):
+        msg = f"must be 'exact_piecewise' or 'rk4', got {method!r}"
+        raise ConfigError("method", msg)
+    if method == "rk4":
+        _check_step(step)
 
 
 def _step_count(a, b, step):
@@ -457,12 +471,7 @@ class Sweep:
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
-        if method not in ("exact_piecewise", "rk4"):
-            raise ConfigError(
-                "method", f"must be 'exact_piecewise' or 'rk4', got {method!r}"
-            )
-        if method == "rk4":
-            _check_step(step)
+        _check_method(method, step)
         self.spec = spec
         self.k = complex(k)
         self.method = method

@@ -225,7 +225,7 @@ def run_suite(seed=0, P=48, n_potentials=8, n_wavenumbers=4, corrupt=False):
                 v = polyrep.apply_generator("L-", v) + polyrep.apply_generator(
                     "K+", v
                 )
-            got = polyrep.PolyVec.from_components(v.rows, P)
+            got = polyrep.PolyVec(v.rows, P)
             want = math.factorial(n) * polyrep.lambda_r_power(c, n + 1, P)
             r2 = max(r2, got.max_abs_diff(want))
     _report("ladder-closed-form", "n-fold raising on resolvent vectors", r, results)
@@ -316,9 +316,7 @@ def _inverse_roundtrip_residual(rng, P):
     r = 0.0
     g = rng.normal(size=6) + 1j * rng.normal(size=6)
     for m in (2, 3, 5):
-        v = polyrep.PolyVec.from_components(
-            {m: np.concatenate([g, np.zeros(P - 5)])}, P
-        )
+        v = polyrep.PolyVec({m: g}, P)
         w = polyrep.inverse_operator("(L-+K+)inv", v)
         back = polyrep.apply_generator("L-", w) + polyrep.apply_generator("K+", w)
         for row in (back - v).rows.values():

@@ -140,6 +140,48 @@ def test_product_handles_unsorted_pairs():
     assert abs(a - b) < 1e-14
 
 
+_SMOOTH = PotentialSpec(
+    segments=(
+        Segment(-1.0, -0.2, ConstantProfile(0.7)),
+        Segment(-0.2, 0.5, LinearProfile(-0.4, 0.6)),
+        Segment(0.5, 1.0, ConstantProfile(1.1)),
+    ),
+    left_tail=0.6,
+    right_tail=-0.4,
+)
+_RK4 = {"method": "rk4", "step": 1e-3}
+
+
+@pytest.mark.parametrize("k", [1.1 + 0.3j, 0.5 + 0.2j, 2 + 0.05j])
+def test_series_routes_with_constant_tails_under_rk4(k):
+    # route C, its powers and its products on a medium with constant tails
+    # and a linear piece, against route B on the same sweep method
+    def b(x, y):
+        return 2j * k * green_closed_form(_SMOOTH, x, y, k, **_RK4).value
+
+    def check(value, loss, want):
+        # the three-factor chain reports an infinite loss at two of these k,
+        # which would bound nothing; its true error is below 1e-15
+        slack = loss if math.isfinite(loss) else 0.0
+        assert abs(value - want) <= 1e-10 * max(1.0, abs(want)) + slack
+
+    for x, y in ((0.6, -0.3), (1.3, -1.4), (-0.5, 0.8)):
+        want = b(x, y)
+        for variant in ("symmetric", "asymmetric"):
+            g = green_polyrep(_SMOOTH, x, y, k, variant=variant, **_RK4)
+            check(2j * k * g.value, g.truncation_loss, want)
+        for g, w in (
+            (green_power(_SMOOTH, x, y, k, 2, **_RK4), want**2),
+            (green_negative_power(_SMOOTH, x, y, k, 1, **_RK4), 1.0 / want),
+        ):
+            check(g.value, g.truncation_loss, w)
+    pairs = [(0.6, -0.3), (-0.1, 0.45), (1.3, -1.4)]
+    values = [b(x, y) for x, y in pairs]
+    for m in (2, 3):
+        g = green_product(_SMOOTH, pairs[:m], k, P=96, **_RK4)
+        check(g.value, g.truncation_loss, math.prod(values[:m]))
+
+
 def test_jump_condition():
     for k in (1.2 + 0.4j, 2.0):
         r = jump_condition_check(slab(0.9, -0.5, 0.5), 0.12, k, h=1e-4)
@@ -191,6 +233,9 @@ def test_routes_reject_points_outside_domain(route, bad):
         assert err.value.field == field
 
 
+_SLAB, _K = slab(0.8, -0.5, 0.5), 1.2 + 0.2j
+
+
 @pytest.mark.parametrize(
     "call, field",
     [
@@ -201,12 +246,25 @@ def test_routes_reject_points_outside_domain(route, bad):
         (lambda: propagate(SPEC, 0.5, -0.5, 1.1), "x2"),
         (lambda: riccati_coefficients(SPEC, 0.5, -0.5, 1.1), "x2"),
         (lambda: truncate(SPEC, 0.5, 0.5), "x2"),
-        (lambda: apply_generator("M+", PolyVec({(0, 1): 1.0}, P=4)), "name"),
-        (lambda: inverse_operator("M+inv", PolyVec({(0, 2): 1.0}, P=4)), "name"),
+        (lambda: apply_generator("M+", PolyVec({1: [1.0]}, P=4)), "name"),
+        (lambda: inverse_operator("M+inv", PolyVec({2: [1.0]}, P=4)), "name"),
+        (lambda: green_negative_power(_SLAB, 0.3, -0.2, _K, 2.0), "n"),
+        (lambda: green_negative_power(_SLAB, 0.3, -0.2, _K, 1.5), "n"),
+        (lambda: green_negative_power(_SLAB, 0.3, -0.2, _K, math.inf), "n"),
+        (lambda: green_power(_SLAB, 0.3, -0.2, _K, math.nan), "n"),
+        (lambda: green_power(_SLAB, 0.3, -0.2, _K, math.inf), "n"),
+        (lambda: green_polyrep(_SLAB, 0.3, -0.2, _K, P=2.5), "P"),
+        (lambda: green_polyrep(_SLAB, 0.3, -0.2, _K, P=3.0), "P"),
+        (lambda: green_negative_power(_SLAB, 0.3, -0.2, _K, 1, P=2.5), "P"),
+        (lambda: green_product(_SLAB, [(0.3, -0.2)] * 2, _K, P=3.0), "P"),
     ],
     ids=[
         "variant", "power", "negative_power", "product", "propagate", "riccati",
         "truncate", "apply_generator", "inverse_operator",
+        "negative_power_float_n", "negative_power_fractional_n",
+        "negative_power_inf_n", "power_nan_n", "power_inf_n",
+        "polyrep_fractional_P", "polyrep_float_P", "negative_power_fractional_P",
+        "product_float_P",
     ],
 )
 def test_input_errors_name_their_field(call, field):

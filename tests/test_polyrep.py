@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gf1d.errors import ConfigError, DomainViolation, GammaPole
 from gf1d.polyrep import (
     GENERATORS,
-    MobiusAction,
     PolyVec,
     _weight_row,
     adjoint_check,
@@ -27,6 +26,7 @@ from gf1d.polyrep import (
     mu_over_one_minus_c_xi,
 )
 from gf1d.transfer import (
+    ScatteringTriple,
     compose_triples,
     interval_triple,
     semi_infinite_coefficients,
@@ -34,10 +34,23 @@ from gf1d.transfer import (
 from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab
 
 
-def _horner_apply_U(action, v):
+def _triple(tau, rr, rl):
+    """A scattering triple with the given coefficients; apply_U reads no more."""
+    return ScatteringTriple(tau, rr, rl, (0.0, 0.0), 1.0)
+
+
+def _assert_single(v, p, n, c):
+    """v holds exactly c at xi**p mu**n and no other nonzero entry."""
+    assert list(v.rows) == [n]
+    want = np.zeros(v.P + 1, dtype=complex)
+    want[p] = c
+    assert np.array_equal(v.rows[n], want)
+
+
+def _horner_apply_U(t, v):
     """Reference evolution: g(Lhat) by Horner over the full series Lhat,
     O(P**3); rows to order P+1."""
-    tau, rr, rl = action.tau, action.r_right, action.r_left
+    tau, rr, rl = t.tau, t.r_right, t.r_left
     n = v.P + 1
     lhat = np.concatenate([[rl], tau * tau * rr ** np.arange(n)])
     m = np.arange(n)
@@ -56,23 +69,23 @@ def _horner_apply_U(action, v):
 def test_generator_actions_on_basis():
     P = 8
     v = PolyVec.basis(2, 3, P)  # xi^2 mu^3
-    assert apply_generator("J+", v).coeffs == {(3, 3): -5.0}
-    assert apply_generator("J-", v).coeffs == {(1, 3): 2.0}
-    assert apply_generator("K+", v).coeffs == {(1, 4): 2.0}
-    assert apply_generator("K-", v).coeffs == {(3, 2): 3.0}
-    assert apply_generator("L+", v).coeffs == {(2, 2): -3.0}
-    assert apply_generator("L-", v).coeffs == {(2, 4): 5.0}
-    assert apply_generator("J3", v).coeffs == {(2, 3): 3.5}
-    assert apply_generator("K3", v).coeffs == {(2, 3): 0.5}
-    assert apply_generator("L3", v).coeffs == {(2, 3): -4.0}
+    _assert_single(apply_generator("J+", v), 3, 3, -5.0)
+    _assert_single(apply_generator("J-", v), 1, 3, 2.0)
+    _assert_single(apply_generator("K+", v), 1, 4, 2.0)
+    _assert_single(apply_generator("K-", v), 3, 2, 3.0)
+    _assert_single(apply_generator("L+", v), 2, 2, -3.0)
+    _assert_single(apply_generator("L-", v), 2, 4, 5.0)
+    _assert_single(apply_generator("J3", v), 2, 3, 3.5)
+    _assert_single(apply_generator("K3", v), 2, 3, 0.5)
+    _assert_single(apply_generator("L3", v), 2, 3, -4.0)
 
 
 def test_diagonal_eigenvalues_sum_to_zero():
     v = PolyVec.basis(4, 2, 8)
     total = (
-        apply_generator("J3", v).coeffs[(4, 2)]
-        + apply_generator("K3", v).coeffs[(4, 2)]
-        + apply_generator("L3", v).coeffs[(4, 2)]
+        apply_generator("J3", v).rows[2][4]
+        + apply_generator("K3", v).rows[2][4]
+        + apply_generator("L3", v).rows[2][4]
     )
     assert total == 0.0
 
@@ -124,14 +137,14 @@ def test_inner_product_integral_against_formula():
 
 def test_apply_U_identity_and_vacuum():
     P = 12
-    v = PolyVec({(2, 1): 1.5, (0, 2): -2.0j}, P)
-    w = apply_U(MobiusAction.identity(), v)
+    v = PolyVec({1: [0, 0, 1.5], 2: [-2.0j]}, P)
+    w = apply_U(_triple(1.0 + 0j, 0j, 0j), v)
     assert w.max_abs_diff(v) < 1e-15
     # pure phase: Psi_{p,q} picks up tau^(q + 2p)
     tau = np.exp(0.4j)
-    w = apply_U(MobiusAction(tau, 0j, 0j), v)
-    assert abs(w.coeffs[(2, 1)] - 1.5 * tau**5) < 1e-14
-    assert abs(w.coeffs[(0, 2)] - (-2.0j) * tau**2) < 1e-14
+    w = apply_U(_triple(tau, 0j, 0j), v)
+    assert abs(w.rows[1][2] - 1.5 * tau**5) < 1e-14
+    assert abs(w.rows[2][0] - (-2.0j) * tau**2) < 1e-14
 
 
 def test_apply_U_is_multiplicative_over_composition():
@@ -142,12 +155,10 @@ def test_apply_U_is_multiplicative_over_composition():
     t21 = compose_triples(t2, t1)
     P = 40
     v = lambda_r(0.3 + 0.2j, P)
-    one_step = apply_U(MobiusAction.from_triple(t21), v)
-    two_step = apply_U(
-        MobiusAction.from_triple(t2), apply_U(MobiusAction.from_triple(t1), v)
-    )
+    one_step = apply_U(t21, v)
+    two_step = apply_U(t2, apply_U(t1, v))
     resid = max(
-        abs(one_step.coeffs.get((p, 1), 0j) - two_step.coeffs.get((p, 1), 0j))
+        abs(one_step.component(1)[p] - two_step.component(1)[p])
         for p in range(P // 2)
     )
     assert resid < 1e-12
@@ -156,10 +167,10 @@ def test_apply_U_is_multiplicative_over_composition():
 def test_lambda_vectors():
     r = 0.4 + 0.1j
     v = lambda_r(r, 5)
-    assert v.coeffs[(0, 1)] == 1.0 + r
-    assert abs(v.coeffs[(3, 1)] - (1.0 + r) * r**3) < 1e-15
+    assert v.rows[1][0] == 1.0 + r
+    assert abs(v.rows[1][3] - (1.0 + r) * r**3) < 1e-15
     w = lambda_l(r, 5)
-    assert w.coeffs[(0, 1)] == np.conj(1.0 + r)
+    assert w.rows[1][0] == np.conj(1.0 + r)
     # left pairing against a basis vector is linear in r itself
     got = inner_product(w, PolyVec.basis(2, 1, 5))
     assert abs(got - (1.0 + r) * r**2) < 1e-15
@@ -169,8 +180,8 @@ def test_lambda_power_coefficients():
     r = 0.3
     v = lambda_r_power(r, 2, 6)
     # (1+r)^2 binom(p+1, p) r^p at mu^2
-    assert abs(v.coeffs[(0, 2)] - (1 + r) ** 2) < 1e-15
-    assert abs(v.coeffs[(3, 2)] - (1 + r) ** 2 * 4 * r**3) < 1e-15
+    assert abs(v.rows[2][0] - (1 + r) ** 2) < 1e-15
+    assert abs(v.rows[2][3] - (1 + r) ** 2 * 4 * r**3) < 1e-15
     assert lambda_r_power(r, 1, 6).max_abs_diff(lambda_r(r, 6)) < 1e-15
 
 
@@ -194,7 +205,7 @@ def test_raising_ladder_powers_lambda():
     v = lambda_r(r, P + n)
     for _ in range(n):
         v = apply_generator("L-", v) + apply_generator("K+", v)
-    got = PolyVec({k_: val for k_, val in v.coeffs.items() if k_[0] <= P}, P)
+    got = PolyVec(v.rows, P)
     want = math.factorial(n) * lambda_r_power(r, n + 1, P)
     assert got.max_abs_diff(want) < 1e-12
 
@@ -203,7 +214,7 @@ def test_inverse_operators_roundtrip():
     P = 14
     rng = np.random.default_rng(7)
     g = rng.normal(size=5) + 1j * rng.normal(size=5)
-    v = PolyVec.from_components({3: np.concatenate([g, np.zeros(P - 4)])}, P)
+    v = PolyVec({3: g}, P)
     w = inverse_operator("L-inv", v)
     assert apply_generator("L-", w).max_abs_diff(v) < 1e-13
     w = inverse_operator("L+inv", v)
@@ -214,7 +225,7 @@ def test_inverse_operators_roundtrip():
     w = inverse_operator("(L-+K+)inv", v)
     back = apply_generator("L-", w) + apply_generator("K+", w)
     resid = max(
-        abs(back.coeffs.get((p, 3), 0j) - v.coeffs.get((p, 3), 0j))
+        abs(back.component(3)[p] - v.component(3)[p])
         for p in range(P)
     )
     assert resid < 1e-13
@@ -227,17 +238,17 @@ def test_inverse_operator_closed_forms():
     got = inverse_operator("(L-+K+)inv", v)
     want = mu_over_one_minus_c_xi(m - 1, c, P, 1.0 / ((m - 1) * (1 + c)))
     resid = max(
-        abs(got.coeffs.get((p, m - 1), 0j) - want.coeffs.get((p, m - 1), 0j))
+        abs(got.component(m - 1)[p] - want.component(m - 1)[p])
         for p in range(P // 2)
     )
     assert resid < 1e-12
     # pure mu powers
     v = PolyVec.basis(0, 5, 8)
     w = inverse_operator("L-inv", inverse_operator("L-inv", v))
-    assert abs(w.coeffs[(0, 3)] - math.factorial(2) / math.factorial(4)) < 1e-15
+    assert abs(w.rows[3][0] - math.factorial(2) / math.factorial(4)) < 1e-15
     v = PolyVec.basis(0, 2, 8)
     w = inverse_operator("L+inv", inverse_operator("L+inv", v))
-    assert abs(w.coeffs[(0, 4)] - math.factorial(2) / math.factorial(4)) < 1e-15
+    assert abs(w.rows[4][0] - math.factorial(2) / math.factorial(4)) < 1e-15
 
 
 def test_inverse_operator_domain_checks():
@@ -248,7 +259,7 @@ def test_inverse_operator_domain_checks():
     v = PolyVec.basis(0, 1, P)  # mu-degree 1 is outside the lowering domain
     with pytest.raises(DomainViolation):
         inverse_operator("(L-+K+)inv", v)
-    v = PolyVec({(0, 1): 1.0, (0, 2): 1.0}, P)
+    v = PolyVec({1: [1.0], 2: [1.0]}, P)
     with pytest.raises(DomainViolation):
         inverse_operator("L-inv", v)
 
@@ -257,12 +268,11 @@ def test_truncation_loss_bounds_cutoff_change():
     # halving the cutoff must change the result by less than the reported loss
     r = 0.8
     t = interval_triple(slab(1.6, 0.0, 1.0), 0.0, 1.0, 0.45 + 0.05j)
-    act = MobiusAction.from_triple(t)
     vals = {}
     for P in (24, 48, 96):
-        v = apply_U(act, lambda_r(r, P))
+        v = apply_U(t, lambda_r(r, P))
         vals[P] = (
-            sum(val * (0.5**p) for (p, n), val in v.coeffs.items() if n == 1),
+            sum(val * (0.5**p) for p, val in enumerate(v.component(1))),
             v.loss,
         )
     assert abs(vals[24][0] - vals[96][0]) < vals[24][1]
@@ -287,21 +297,19 @@ def test_adjoint_property(p, n, name):
     psi = PolyVec.basis(p, n, P)
     a_psi = apply_generator(name, psi)
     dag, sign = pairs[name]
-    for (p2, n2) in list(a_psi.coeffs):
-        phi = PolyVec.basis(p2, n2, P)
-        lhs = inner_product(phi, a_psi)
-        rhs = sign * inner_product(apply_generator(dag, phi), psi)
-        assert abs(lhs - rhs) < 1e-9
+    for n2, row in a_psi.rows.items():
+        for p2 in np.flatnonzero(row):
+            phi = PolyVec.basis(p2, n2, P)
+            lhs = inner_product(phi, a_psi)
+            rhs = sign * inner_product(apply_generator(dag, phi), psi)
+            assert abs(lhs - rhs) < 1e-9
 
 
 def test_rows_are_the_storage():
-    v = PolyVec({(2, 1): 1.5, (0, 3): 0.0}, 4)
+    v = PolyVec({1: [0, 0, 1.5], 3: [0.0]}, 4)
     assert list(v.rows) == [1]  # all-zero rows are dropped
     assert np.array_equal(v.rows[1], [0, 0, 1.5, 0, 0])
-    assert dict(v.coeffs) == {(2, 1): 1.5}
-    with pytest.raises(TypeError):
-        v.coeffs[(0, 1)] = 1.0
-    w = PolyVec.from_components({1: [1.0, 2.0], 2: np.arange(1.0, 9.0)}, 4)
+    w = PolyVec({1: [1.0, 2.0], 2: np.arange(1.0, 9.0)}, 4)
     assert np.array_equal(w.rows[1], [1, 2, 0, 0, 0])
     assert np.array_equal(w.rows[2], [1, 2, 3, 4, 5])
     assert list((w - w).rows) == []
@@ -317,9 +325,9 @@ def test_cutoff_below_one_is_a_config_error():
 
 def test_generator_tallies_overflow_as_loss():
     P = 5
-    v = PolyVec({(P, 2): 2.0, (1, 2): 1.0}, P)
+    v = PolyVec({2: [0, 1.0, 0, 0, 0, 2.0]}, P)
     w = apply_generator("K-", v)  # raises the xi-degree: p = P leaves the cutoff
-    assert w.coeffs == {(2, 1): 2.0}
+    _assert_single(w, 2, 1, 2.0)
     assert w.loss == 4.0
     with pytest.raises(ValueError):
         apply_generator("M+", v)
@@ -351,15 +359,15 @@ def test_apply_U_matches_horner_oracle(tau, rr, rl, c, n, q0, P, generating, see
     else:
         rng = np.random.default_rng(seed)
         row = rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1)
-    v = PolyVec.from_components({n: row}, P, q0)
-    action = MobiusAction(tau, rr, rl)
-    got = apply_U(action, v).rows.get(n, np.zeros(P + 1))
-    want = _horner_apply_U(action, v)[n][: P + 1]
+    v = PolyVec({n: row}, P, q0)
+    t = _triple(tau, rr, rl)
+    got = apply_U(t, v).rows.get(n, np.zeros(P + 1))
+    want = _horner_apply_U(t, v)[n][: P + 1]
     # any summation order meets the forward rounding bound: P eps times the
     # same composition on absolute values; independent draws of (tau, R_r,
     # R_l) include compositions whose condition number alone exceeds 1e4
-    abs_v = PolyVec.from_components({n: np.abs(row)}, P, q0)
-    bound = _horner_apply_U(MobiusAction(abs(tau), abs(rr), abs(rl)), abs_v)[n]
+    abs_v = PolyVec({n: np.abs(row)}, P, q0)
+    bound = _horner_apply_U(_triple(abs(tau), abs(rr), abs(rl)), abs_v)[n]
     allowed = 1e-12 * max(1.0, np.max(np.abs(want))) + (
         (P + 1) * np.finfo(float).eps * bound[: P + 1].real
     )
@@ -378,11 +386,11 @@ def test_apply_U_strong_medium_matches_horner_oracle():
     )
     k = 0.6 + 0.05j
     rr1, _ = semi_infinite_coefficients(spec, -0.2, k)
-    action = MobiusAction.from_triple(interval_triple(spec, -0.2, 0.8, k))
+    t = interval_triple(spec, -0.2, 0.8, k)
     for v in (lambda_r(rr1, 128), lambda_r_power(rr1, 3, 128)):
         (n,) = v.rows
-        want = _horner_apply_U(action, v)[n][:129]
-        got = apply_U(action, v).rows[n]
+        want = _horner_apply_U(t, v)[n][:129]
+        got = apply_U(t, v).rows[n]
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -392,7 +400,7 @@ def test_apply_U_vacuum_is_a_pure_phase_per_coefficient():
     tau = 0.93 * cmath.exp(0.7j)
     rng = np.random.default_rng(3)
     rows = {n: rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1) for n in (1, 2)}
-    w = apply_U(MobiusAction(tau, 0j, 0j), PolyVec.from_components(rows, P, q0))
+    w = apply_U(_triple(tau, 0j, 0j), PolyVec(rows, P, q0))
     p = np.arange(P + 1)
     for n, row in rows.items():
         want = row * np.exp((n + q0 + 2 * p) * cmath.log(tau))
@@ -413,8 +421,8 @@ def test_weight_row_is_cached_and_read_only():
 def test_gamma_pole_only_where_both_sides_are_nonzero():
     P = 6
     # mu-degree -1: every weight is undefined
-    left = PolyVec({(2, -1): 1.0, (0, 1): 1.0}, P)
-    right = PolyVec({(3, -1): 1.0, (0, 1): 2.0}, P)
+    left = PolyVec({-1: [0, 0, 1.0], 1: [1.0]}, P)
+    right = PolyVec({-1: [0, 0, 0, 1.0], 1: [2.0]}, P)
     assert inner_product(left, right) == 2.0
     with pytest.raises(GammaPole):
-        inner_product(left, PolyVec({(2, -1): 1.0}, P))
+        inner_product(left, PolyVec({-1: [0, 0, 1.0]}, P))

@@ -1,0 +1,39 @@
+"""The benchmark's tracer binds gf1d functions by name; a rename or a changed
+signature in the library must fail here rather than break ``--trace 1``."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = f"""
+import sys
+sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
+import tracing
+from gf1d import born, green, sl3, slab
+
+t = tracing.Tracer()
+tracing.install(t)
+spec, k = slab(0.8, -0.5, 0.5), 1.2 + 0.2j
+sl3.green_wronskian(spec, 0.3, -0.2, k)
+green.green_closed_form(spec, 0.3, -0.2, k)
+green.green_polyrep(spec, 0.3, -0.2, k, P=16)
+green.green_product(spec, [(0.3, -0.2), (0.1, 0.0)], k, P=16)
+born.born_series(spec, 0.3, -0.2, k, max_order=2)
+want = {{
+    "sl3.green_wronskian", "green.green_closed_form", "green.green_polyrep",
+    "green.green_product", "polyrep.apply_U.P16", "polyrep.inner_product.P16",
+    "polyrep.apply_generator", "polyrep.vectors", "born.order2",
+}}
+missing = want - set(t.names)
+assert not missing, missing
+"""
+
+
+def test_tracer_installs_and_sees_every_route():
+    # a subprocess, so the patched namespaces do not leak into other tests
+    run = subprocess.run(
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr

@@ -575,3 +575,21 @@ def test_long_rk4_piece_is_stepped_in_chunks():
     assert abs(t.tau - want.tau) <= 1e-9 * abs(want.tau)
     assert abs(t.r_right - want.r_right) < 1e-9
     assert abs(t.r_left - want.r_left) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec, x1, x2, method, step",
+    [
+        (PotentialSpec(), -30.0, 30.0, "exact_piecewise", 1e-3),
+        (PotentialSpec(segments=(Segment(0.0, 60.0, LinearProfile(0.5, -0.01)),)),
+         0.0, 60.0, "rk4", 1e-2),
+    ],
+    ids=["vacuum_exact", "linear_rk4"],
+)
+def test_propagate_names_an_overflowing_matrix(spec, x1, x2, method, step):
+    # Im k * width = 1200: U leaves the float range; the closed form raised a
+    # bare OverflowError and the Magnus product warned of overflow in matmul
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResonanceDivision):
+            propagate(spec, x1, x2, 1 + 20j, method=method, step=step)
