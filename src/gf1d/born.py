@@ -44,15 +44,6 @@ def path_term_count(order):
     return 1 if order == 0 else 2
 
 
-def _knots(spec, x, y):
-    """Support edges, the breakpoints inside the support, and x and y clipped
-    to it: every place where the integrands may kink."""
-    x_l, x_r = spec.support
-    x, y = min(max(x, x_l), x_r), min(max(y, x_l), x_r)
-    inner = (b for b in spec.breakpoints() if x_l < b < x_r)
-    return sorted({x_l, x_r, x, y, *inner}), x, y
-
-
 def _split(knots, parts):
     """Panel edges: each span between knots cut into its number of equal parts.
 
@@ -73,10 +64,8 @@ class _Panels:
         self.h = 0.5 * np.diff(edges)
         self.z = (a + self.h)[:, None] + self.h[:, None] * t
         # f is linear between breakpoints, and no panel straddles one
-        ends, e = [], edges.tolist()
-        for za, zb in zip(e, e[1:]):
-            seg = spec.segment_at(0.5 * (za + zb))
-            ends += [seg.profile.value(z, seg.x_start, seg.x_end) for z in (za, zb)]
+        e = edges.tolist()
+        ends = [spec.ends(za, zb) for za, zb in zip(e, e[1:])]
         fa, fb = np.reshape(ends, (-1, 2, 1)).transpose(1, 0, 2)
         self.f = fa + (fb - fa) * (0.5 * (t + 1))
         self.e = np.exp(1j * k * self.h[:, None] * t)  # node from panel midpoint
@@ -125,7 +114,11 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
     if x < y:
         x, y = y, x
     terms = [SeriesTerm(0, "A0", +1, np.exp(1j * k * (x - y)))]
-    knots, x_c, y_c = _knots(spec, x, y)
+    # every place where the integrands may kink: the knots of the support
+    # and x and y clipped to it
+    x_l, x_r = spec.support
+    x_c, y_c = min(max(x, x_l), x_r), min(max(y, x_l), x_r)
+    knots = sorted({*spec.knots(x_l, x_r), x_c, y_c})
     parts = np.ceil(0.5 * abs(k) * np.diff(knots))
     spent = 2 * max_order * n_nodes * parts.sum() + (n_nodes**2 if max_order else 0)
     if spent > node_budget:

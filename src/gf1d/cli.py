@@ -9,9 +9,11 @@ Re/Im columns, rows in deterministic grid order, no timestamps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 from . import born as born_mod
@@ -58,28 +60,28 @@ def _load_spec(path):
     return load_potential(path)
 
 
-class _Writer:
-    def __init__(self, stream, fmt, header):
-        self.fmt = fmt
-        self.stream = stream
-        self.header = header
-        if fmt == "csv":
-            self.csv = csv.writer(stream, lineterminator="\n")
-            self.csv.writerow(header)
-
-    def row(self, values):
-        if self.fmt == "csv":
-            self.csv.writerow(values)
-        else:
-            self.stream.write(
-                json.dumps(dict(zip(self.header, values)), allow_nan=True) + "\n"
-            )
+def _row_writer(stream, fmt, header):
+    """A function that writes one row, as CSV after a header or as a JSON line."""
+    if fmt == "csv":
+        w = csv.writer(stream, lineterminator="\n")
+        w.writerow(header)
+        return w.writerow
+    return lambda row: stream.write(json.dumps(dict(zip(header, row))) + "\n")
 
 
-def _open_out(args):
-    if args.out in (None, "-"):
-        return sys.stdout, False
-    return open(args.out, "w", newline=""), True
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, closed after, or stdout, where a reader that closes
+    the pipe early (``| head``) ends the output quietly."""
+    if args.out not in (None, "-"):
+        with open(args.out, "w", newline="") as stream:
+            yield stream
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:  # the flush at interpreter exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_coefficients(args):
@@ -103,14 +105,13 @@ def cmd_coefficients(args):
         "tau_re", "tau_im", "r_right_re", "r_right_im",
         "r_left_re", "r_left_im",
     ]
-    stream, close = _open_out(args)
-    try:
-        w = _Writer(stream, args.format, header)
+    with _output(args) as stream:
+        write = _row_writer(stream, args.format, header)
         for k in ks:
             sweep = transfer.Sweep(spec, k, args.method, args.step)
             for x1, x2 in intervals:
                 t = sweep.triple(x1, x2)
-                w.row(
+                write(
                     [
                         x1, x2, k.real, k.imag,
                         t.tau.real, t.tau.imag,
@@ -118,9 +119,6 @@ def cmd_coefficients(args):
                         t.r_left.real, t.r_left.imag,
                     ]
                 )
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -156,9 +154,8 @@ def cmd_green(args):
     ]
     if args.check:
         header.append("abs_diff_route_b")
-    stream, close = _open_out(args)
-    try:
-        w = _Writer(stream, args.format, header)
+    with _output(args) as stream:
+        write = _row_writer(stream, args.format, header)
         for k in ks:
             sweep = transfer.Sweep(spec, k, args.method, args.step)
             for x in grid:
@@ -170,7 +167,7 @@ def cmd_green(args):
                         row = [x, y, k.real, k.imag, "", "", "pole", ""]
                         if args.check:
                             row.append("")
-                        w.row(row)
+                        write(row)
                         continue
                     val = 2j * k * gv.value
                     row = [
@@ -183,10 +180,7 @@ def cmd_green(args):
                             row.append(abs(val - 2j * k * gb.value))
                         except DenominatorZero:
                             row.append("")
-                    w.row(row)
-    finally:
-        if close:
-            stream.close()
+                    write(row)
     return 0
 
 
@@ -194,17 +188,10 @@ def cmd_verify(args):
     reports = verify.run_suite(
         seed=args.seed, P=args.P, corrupt=args.inject_corruption
     )
-    stream, close = _open_out(args)
-    try:
-        if args.format == "jsonl":
-            for r in reports:
-                stream.write(json.dumps(r.to_dict()) + "\n")
-        else:
-            for r in reports:
-                stream.write(r.line() + "\n")
-    finally:
-        if close:
-            stream.close()
+    with _output(args) as stream:
+        for r in reports:
+            line = json.dumps(r.to_dict()) if args.format == "jsonl" else r.line()
+            stream.write(line + "\n")
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 

@@ -19,7 +19,7 @@ class IntervalMismatch(Gf1dError):
 
 
 class UnsupportedProfile(Gf1dError):
-    """exact_piecewise propagation requested for a non-constant profile."""
+    """exact_piecewise propagation requested on a stretch where f is not constant."""
 
 
 class StepTooLarge(Gf1dError):
@@ -27,7 +27,8 @@ class StepTooLarge(Gf1dError):
 
 
 class ResonanceDivision(Gf1dError):
-    """|alpha(k)| fell below threshold; transmission zero / numerical resonance."""
+    """|alpha(k)| fell below threshold (transmission zero / numerical
+    resonance), or a value left the float range."""
 
 
 class BranchUndefined(Gf1dError):

@@ -19,13 +19,14 @@ evaluates many points at one k (the CLI grid) calls on one shared sweep.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DenominatorZero
+from .errors import ConfigError, DenominatorZero, ResonanceDivision
 from .polyrep import (
     apply_generator,
     apply_U,
@@ -177,10 +178,20 @@ def polyrep_from(sweep, x, y, P=64, variant="symmetric"):
 
 
 def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
-    """[2ikG]**n = (1/n) <Lambda_l**n, U Lambda_r**n> for integer n >= 1."""
+    """[2ikG]**n = (1/n) <Lambda_l**n, U Lambda_r**n> for integer n >= 1.
+
+    A large n sends the coefficients of Lambda_r**n out of the float range;
+    that raises ``ResonanceDivision``.
+    """
     _check_power(n)
     sweep = _sweep(spec, x, y, k, method, step)
-    val, loss = _chain(sweep, [(x, y)], P, n)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val, loss = _chain(sweep, [(x, y)], P, n)
+    except OverflowError:
+        val = math.inf
+    if not cmath.isfinite(val):
+        raise ResonanceDivision(f"the series of power {n} leaves the float range")
     return GreenValue(val / n, x, y, sweep.k, f"power_{n}", loss)
 
 

@@ -1,9 +1,13 @@
 """Scattering medium described by the function f(x).
 
 The medium is specified piecewise on a finite support, with vacuum or
-constant tails.  The Schrodinger potential V(x) = f(x)**2 + f'(x) is
-derived from f; jumps of f produce delta functions in V with weight equal
-to the jump height.
+constant tails, and every number in it is finite.  f is linear between
+consecutive breakpoints, so the rest of the package reads it in one way:
+``PotentialSpec.knots`` cuts an interval at the breakpoints, and
+``PotentialSpec.ends`` gives f at both ends of each stretch; a stretch is
+constant when the two values are equal.  The Schrodinger potential
+V(x) = f(x)**2 + f'(x) is derived from f; jumps of f produce delta
+functions in V with weight equal to the jump height.
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ def check_wavenumber(k):
 
 
 def check_point(x, field="x"):
-    """Validate that a position is finite; return it unchanged."""
+    """Validate that a position, or any number of the medium, is finite;
+    return it unchanged."""
     if not math.isfinite(x):
-        raise ConfigError(field, f"position must be finite, got {x}")
+        raise ConfigError(field, f"must be finite, got {x}")
     return x
 
 
@@ -55,15 +60,11 @@ def check_point(x, field="x"):
 class ConstantProfile:
     c: float
 
+    def __post_init__(self):
+        check_point(self.c, "c")
+
     def value(self, x, x_start, x_end):
         return self.c
-
-    def derivative(self, x, x_start, x_end):
-        return 0.0
-
-    @property
-    def is_constant(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,12 @@ class LinearProfile:
     c0: float
     c1: float
 
+    def __post_init__(self):
+        check_point(self.c0, "c0")
+        check_point(self.c1, "c1")
+
     def value(self, x, x_start, x_end):
         return self.c0 + self.c1 * (x - x_start)
-
-    def derivative(self, x, x_start, x_end):
-        return self.c1
-
-    @property
-    def is_constant(self):
-        return self.c1 == 0.0
 
 
 @dataclass(frozen=True)
@@ -94,28 +92,17 @@ class SampledProfile:
         xs = [p[0] for p in self.points]
         if len(xs) < 2:
             raise ValueError("sampled profile needs at least two points")
+        for v in (v for point in self.points for v in point):
+            check_point(v, "points")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("sampled profile abscissae must be strictly increasing")
 
-    def _bracket(self, x):
-        xs = [p[0] for p in self.points]
-        i = bisect.bisect_right(xs, x) - 1
-        i = min(max(i, 0), len(xs) - 2)
-        return self.points[i], self.points[i + 1]
-
     def value(self, x, x_start, x_end):
-        (xa, fa), (xb, fb) = self._bracket(x)
+        xs = [p[0] for p in self.points]
+        i = min(max(bisect.bisect_right(xs, x) - 1, 0), len(xs) - 2)
+        (xa, fa), (xb, fb) = self.points[i], self.points[i + 1]
         t = (x - xa) / (xb - xa)
         return fa + t * (fb - fa)
-
-    def derivative(self, x, x_start, x_end):
-        (xa, fa), (xb, fb) = self._bracket(x)
-        return (fb - fa) / (xb - xa)
-
-    @property
-    def is_constant(self):
-        fs = {p[1] for p in self.points}
-        return len(fs) == 1
 
 
 Profile = ConstantProfile | LinearProfile | SampledProfile
@@ -128,6 +115,8 @@ class Segment:
     profile: Profile
 
     def __post_init__(self):
+        check_point(self.x_start, "x_start")
+        check_point(self.x_end, "x_end")
         if not self.x_start < self.x_end:
             raise ValueError(
                 f"segment needs x_start < x_end, got [{self.x_start}, {self.x_end}]"
@@ -139,8 +128,13 @@ class PotentialSpec:
     """Piecewise definition of f(x) plus tail model.
 
     ``left_tail`` / ``right_tail`` are either None (vacuum, f = 0) or a
-    float c (constant tail, f = c).  Immutable; safe to share between
-    threads.
+    finite float c (constant tail, f = c).  The breakpoints are the segment
+    edges, the sample abscissae inside their own segment and, for a medium
+    with no segments whose tails differ, the point 0 where the tails
+    switch.  f is linear between consecutive breakpoints, so ``ends`` of a
+    stretch no breakpoint splits says all there is of f on it; every
+    reader of the medium goes through ``knots`` and ``ends``.  Immutable;
+    safe to share between threads.
     """
 
     segments: tuple = ()
@@ -153,16 +147,19 @@ class PotentialSpec:
         segs = tuple(self.segments)
         for a, b in zip(segs, segs[1:]):
             if abs(a.x_end - b.x_start) > 1e-12 * max(1.0, abs(a.x_end)):
-                raise ValueError(
-                    f"segments must be contiguous: {a.x_end} != {b.x_start}"
-                )
+                msg = f"segments must be contiguous: {a.x_end} != {b.x_start}"
+                raise ConfigError("segments", msg)
+        left = check_point(self.left_tail or 0.0, "left_tail")
+        right = check_point(self.right_tail or 0.0, "right_tail")
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", tuple(s.x_start for s in segs))
         pts = set()
         for s in segs:
             pts.update((s.x_start, s.x_end))
             if isinstance(s.profile, SampledProfile):
-                pts.update(p[0] for p in s.profile.points)
+                pts.update(x for x, _ in s.profile.points if s.x_start < x < s.x_end)
+        if not segs and left != right:
+            pts.add(0.0)
         object.__setattr__(self, "_breakpoints", tuple(sorted(pts)))
 
     @property
@@ -173,18 +170,32 @@ class PotentialSpec:
         return (self.segments[0].x_start, self.segments[-1].x_end)
 
     def segment_at(self, x):
-        if not self.segments:
-            return None
+        """The segment that holds x, the right one at a shared edge; None
+        outside the support."""
         x_l, x_r = self.support
-        if x < x_l or x > x_r:
+        if not self.segments or not x_l <= x <= x_r:
             return None
-        i = bisect.bisect_right(self._starts, x) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return self.segments[i]
+        return self.segments[bisect.bisect_right(self._starts, x) - 1]
 
     def breakpoints(self):
         """Sorted tuple of the positions where f may jump or change slope."""
         return self._breakpoints
+
+    def knots(self, a, b):
+        """[a, the breakpoints strictly between a and b, b]."""
+        bps = self._breakpoints
+        return [a, *bps[bisect.bisect_right(bps, a) : bisect.bisect_left(bps, b)], b]
+
+    def ends(self, a, b):
+        """(f(a), f(b)) on a stretch [a, b] that no breakpoint splits, tails
+        included."""
+        mid = 0.5 * (a + b)
+        seg = self.segment_at(mid)
+        if seg is None:
+            c = self.left_tail if mid < self.support[0] else self.right_tail
+            return float(c or 0.0), float(c or 0.0)
+        p, lo, hi = seg.profile, seg.x_start, seg.x_end
+        return float(p.value(a, lo, hi)), float(p.value(b, lo, hi))
 
     def jump_points(self):
         """List of (position, jump height f(x+) - f(x-))."""
@@ -206,27 +217,24 @@ def slab(c, x_start=0.0, x_end=1.0):
     return PotentialSpec(segments=(Segment(x_start, x_end, ConstantProfile(c)),))
 
 
+def _stretch(spec, x, side):
+    """(a, b): the stretch between consecutive breakpoints that holds x, the
+    tails reaching to -inf and inf.  At a breakpoint side < 0 takes the
+    stretch to its left and side > 0 the one to its right; side 0 takes the
+    right one, but the left one at the last breakpoint, where the segments
+    close."""
+    bps = spec.breakpoints()
+    if side < 0 or (side == 0 and bps and x == bps[-1]):
+        i = bisect.bisect_left(bps, x)
+    else:
+        i = bisect.bisect_right(bps, x)
+    return (bps[i - 1] if i else -math.inf), (bps[i] if i < len(bps) else math.inf)
+
+
 def evaluate_f(spec, x, side=0):
     """Value of f at x; ``side`` -1/+1 picks the one-sided limit at a jump."""
-    x_l, x_r = spec.support
-    if not spec.segments or x < x_l or (x == x_l and side < 0):
-        if x <= x_l:
-            return 0.0 if spec.left_tail is None else float(spec.left_tail)
-    if x > x_r or (x == x_r and side > 0) or not spec.segments:
-        return 0.0 if spec.right_tail is None else float(spec.right_tail)
-    seg = spec.segment_at(x)
-    if side < 0 and x == seg.x_start:
-        idx = spec.segments.index(seg)
-        if idx == 0:
-            return 0.0 if spec.left_tail is None else float(spec.left_tail)
-        seg = spec.segments[idx - 1]
-    if side > 0 and x == seg.x_end:
-        idx = spec.segments.index(seg)
-        if idx + 1 < len(spec.segments):
-            seg = spec.segments[idx + 1]
-        else:
-            return 0.0 if spec.right_tail is None else float(spec.right_tail)
-    return float(seg.profile.value(x, seg.x_start, seg.x_end))
+    a, b = _stretch(spec, x, side)
+    return spec.ends(x, b)[0] if x < b else spec.ends(a, x)[1]
 
 
 def schroedinger_potential(spec, x):
@@ -234,14 +242,12 @@ def schroedinger_potential(spec, x):
 
     Returns ``(smooth, delta_weights)`` where delta_weights lists every
     jump point x_j with weight f(x_j+) - f(x_j-), independently of x.
+    f' is the slope of the stretch that holds x.
     """
+    a, b = _stretch(spec, x, 0)
+    fa, fb = spec.ends(a, b)
     f = evaluate_f(spec, x)
-    seg = spec.segment_at(x)
-    if seg is None:
-        fp = 0.0
-    else:
-        fp = seg.profile.derivative(x, seg.x_start, seg.x_end)
-    return f * f + fp, spec.jump_points()
+    return f * f + (fb - fa) / (b - a), spec.jump_points()
 
 
 def truncate(spec, x1, x2):
@@ -310,6 +316,8 @@ def _parse_tail(node, where):
             return float(node["c"])
         except KeyError as exc:
             raise ConfigError(f"{where}.c", "missing required key") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.c", str(exc)) from exc
     raise ConfigError(where, f"invalid tail {node!r}")
 
 
@@ -343,10 +351,6 @@ def load_potential(path_or_stream):
             segs.append(Segment(float(node["x_start"]), float(node["x_end"]), prof))
         except (TypeError, ValueError) as exc:
             raise ConfigError(where, str(exc)) from exc
-    # tails first: their ConfigError must keep its field name
     left_tail = _parse_tail(doc.get("left_tail"), "left_tail")
     right_tail = _parse_tail(doc.get("right_tail"), "right_tail")
-    try:
-        return PotentialSpec(tuple(segs), left_tail, right_tail)
-    except ValueError as exc:
-        raise ConfigError("segments", str(exc)) from exc
+    return PotentialSpec(tuple(segs), left_tail, right_tail)

@@ -17,6 +17,11 @@ of [y, x] at every query point come from shared work.  A reversed interval
 is the inverse of its forward span, read from the same memoized triple.
 ``propagate``, ``invert``, ``compose`` and the matrix algebra are not on the
 value path: they stay as the independent checks that ``verify`` runs.
+
+A piece is a stretch between consecutive knots of the medium; f is linear
+on it and read from its two end values (``PotentialSpec.ends``).  A piece
+with equal end values is constant and takes the closed form; any other
+needs ``method="rk4"``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .errors import (
     StepTooLarge,
     UnsupportedProfile,
 )
-from .potential import evaluate_f
 
 __all__ = [
     "TransferMatrix",
@@ -134,14 +138,6 @@ def constant_step_matrix(c, dx, k):
     )
 
 
-def _piecewise_nodes(spec, x1, x2):
-    pts = [x1, x2]
-    for b in spec.breakpoints():
-        if x1 < b < x2:
-            pts.append(b)
-    return sorted(set(pts))
-
-
 def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     """U(x2, x1) for the given medium.
 
@@ -158,14 +154,17 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
         return TransferMatrix.identity(x1, k)
     _check_method(method, step)
     u, err = np.eye(2, dtype=complex), 0.0
-    nodes = _piecewise_nodes(spec, x1, x2)
+    nodes = spec.knots(x1, x2)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in zip(nodes, nodes[1:]):
+                fa, fb = spec.ends(a, b)
                 if method == "rk4":
-                    m, e = _magnus_panel(spec, a, b, k, step)
+                    m, e = _magnus_panel(fa, fb, b - a, k, step)
+                elif fa == fb:
+                    m, e = constant_step_matrix(fa, b - a, k), 0.0
                 else:
-                    m, e = _exact_piece_matrix(spec, a, b, k), 0.0
+                    raise _unsupported(a, b)
                 u, err = m @ u, err + e
     except OverflowError:
         u = None
@@ -179,31 +178,8 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     return TransferMatrix.from_matrix(u, (x1, x2), k)
 
 
-def _exact_piece_matrix(spec, a, b, k):
-    """Closed-form U(b, a) of a constant piece no breakpoint splits."""
-    mid = 0.5 * (a + b)
-    seg = spec.segment_at(mid)
-    if seg is not None and not seg.profile.is_constant:
-        raise UnsupportedProfile(
-            f"segment [{seg.x_start}, {seg.x_end}] is not constant; use rk4"
-        )
-    return constant_step_matrix(evaluate_f(spec, mid), b - a, k)
-
-
-def _panel_ends(spec, a, b):
-    """f at the edges of the panel [a, b], which no breakpoint splits.
-
-    Every profile is linear between breakpoints, so f on the panel is the
-    linear interpolant of these two values.  The segment is found at the
-    panel midpoint, so edge values never come from a neighbouring segment.
-    """
-    mid = 0.5 * (a + b)
-    seg = spec.segment_at(mid)
-    if seg is None or seg.profile.is_constant:
-        c = evaluate_f(spec, mid)
-        return c, c
-    p, lo, hi = seg.profile, seg.x_start, seg.x_end
-    return float(p.value(a, lo, hi)), float(p.value(b, lo, hi))
+def _unsupported(a, b):
+    return UnsupportedProfile(f"f is not constant on [{a}, {b}]; use rk4")
 
 
 def _check_step(step):
@@ -219,8 +195,8 @@ def _check_method(method, step):
         _check_step(step)
 
 
-def _step_count(a, b, step):
-    return max(1, math.ceil((b - a) / step))
+def _step_count(width, step):
+    return max(1, math.ceil(width / step))
 
 
 def _magnus(fa, fb, dx, n, k):
@@ -256,16 +232,16 @@ def _magnus(fa, fb, dx, n, k):
     return m[0]
 
 
-def _magnus_panel(spec, a, b, k, step):
-    """U(b, a) over a panel no breakpoint splits, with its step-doubling error.
+def _magnus_panel(fa, fb, width, k, step):
+    """U over a panel on which f runs linearly from fa to fb, with its
+    step-doubling error.
 
     The error estimate is |U_h - U_2h| / 15 for an even step count, relative
     to max(1, max |U_h|).
     """
-    n = 2 * _step_count(a, b, 2.0 * step)
-    fa, fb = _panel_ends(spec, a, b)
-    u = _magnus(fa, fb, b - a, n, k)
-    coarse = _magnus(fa, fb, b - a, n // 2, k)
+    n = 2 * _step_count(width, 2.0 * step)
+    u = _magnus(fa, fb, width, n, k)
+    coarse = _magnus(fa, fb, width, n // 2, k)
     scale = max(1.0, float(np.max(np.abs(u))))
     return u, float(np.max(np.abs(u - coarse))) / (15.0 * scale)
 
@@ -329,10 +305,10 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
         return ik2 * rr + f * (1.0 - rr * rr), (ik - f * rr) * tau, -f * tau * tau
 
     rr, tau, rl = 0j, 1.0 + 0j, 0j
-    nodes = _piecewise_nodes(spec, x1, x2)
+    nodes = spec.knots(x1, x2)
     for a, b in zip(nodes, nodes[1:]):
-        n = _step_count(a, b, step)
-        fa, fb = _panel_ends(spec, a, b)
+        n = _step_count(b - a, step)
+        fa, fb = spec.ends(a, b)
         h, df = (b - a) / n, (fb - fa) / n
         for i in range(n):
             f0 = fa + i * df
@@ -365,12 +341,13 @@ def tail_reflection(c, k, side):
     """Limit reflection of a constant-f half line.
 
     ``side`` is "left" for R_r(edge, -inf) and "right" for R_l(+inf, edge).
+    The seed (ik + kappa) / c is written as c / (kappa - ik), its equal since
+    kappa**2 + k**2 = c**2: for |c| << |k| the first form cancels.
     """
     k = complex(k)
     if c == 0 or c is None:
         return 0j
-    kap = _kappa(c, k)
-    seed = (1j * k + kap) / c
+    seed = c / (_kappa(c, k) - 1j * k)
     return seed if side == "left" else -seed
 
 
@@ -487,32 +464,29 @@ class Sweep:
         """Triple of [a, b], which no breakpoint splits."""
         t = self._pieces.get((a, b))
         if t is None:
-            mid = 0.5 * (a + b)
-            seg = self.spec.segment_at(mid)
-            if seg is None or seg.profile.is_constant:
-                t = _constant_piece(evaluate_f(self.spec, mid), b - a, self.k) + (0.0,)
+            fa, fb = self.spec.ends(a, b)
+            if fa == fb:
+                t = _constant_piece(fa, b - a, self.k) + (0.0,)
             elif self.method == "rk4":
-                t = self._stepped(a, b)
+                t = self._stepped(a, b, fa, fb)
             else:
-                raise UnsupportedProfile(
-                    f"segment [{seg.x_start}, {seg.x_end}] is not constant; use rk4"
-                )
+                raise _unsupported(a, b)
             self._pieces[(a, b)] = t
         return t
 
-    def _stepped(self, a, b):
+    def _stepped(self, a, b, fa, fb):
         """Triple of a non-constant piece by Magnus steps, in equal chunks.
 
         Each chunk keeps (Im k + max |f|) * width within CHUNK_GROWTH, so its
         matrix stays finite; the chunks' triples are composed by ``_star``.
         """
-        fa, fb = _panel_ends(self.spec, a, b)
         growth = (abs(self.k.imag) + max(abs(fa), abs(fb))) * (b - a)
         n = max(1, math.ceil(growth / CHUNK_GROWTH))
         edges = [a + (b - a) * i / n for i in range(n)] + [b]
         t = None
         for lo, hi in zip(edges, edges[1:]):
-            u, err = _magnus_panel(self.spec, lo, hi, self.k, self.step)
+            fl, fh = self.spec.ends(lo, hi)
+            u, err = _magnus_panel(fl, fh, hi - lo, self.k, self.step)
             s = scattering_coefficients(TransferMatrix.from_matrix(u, (lo, hi), self.k))
             chunk = (s.tau, s.r_right, s.r_left, err)
             t = chunk if t is None else _star(chunk, t)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,81 @@ def test_reversed_interval_at_large_im_k_exits_3(capsys):
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ResonanceDivision: ")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (
+            "segments:\n"
+            "  - {x_start: 0, x_end: 1, profile: {type: constant, c: .nan}}\n",
+            "segments[0].profile",
+        ),
+        ("left_tail: {type: constant, c: .inf}\n", "left_tail"),
+        (
+            "segments:\n"
+            "  - {x_start: 0, x_end: .inf, profile: {type: constant, c: 0.5}}\n",
+            "segments[0]",
+        ),
+    ],
+    ids=["nan-profile", "inf-tail", "inf-edge"],
+)
+def test_non_finite_medium_exits_2(doc, field, tmp_path, capsys):
+    # each used to write four nan rows and exit 0
+    p = tmp_path / "bad.yaml"
+    p.write_text(doc)
+    code = main(["green", "--potential", str(p), "--k", "1,0.2", "--grid=0:1:2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}: ") and "finite" in err
+
+
+TAIL_ONLY = "left_tail: {type: constant, c: 0.3}\n"
+
+
+def test_tail_only_medium_switches_tails_at_zero(tmp_path, capsys):
+    # the tails meet at 0, as in the same medium written with a zero segment
+    # on [0, 1]; the sweep used to miss that jump while evaluate_f kept it
+    explicit = (
+        TAIL_ONLY + "segments:\n"
+        "  - {x_start: 0, x_end: 1, profile: {type: constant, c: 0.0}}\n"
+    )
+    values = {}
+    for name, doc in (("tail", TAIL_ONLY), ("explicit", explicit)):
+        p = tmp_path / f"{name}.yaml"
+        p.write_text(doc)
+        for route in ("A", "B", "C"):
+            argv = [
+                "green", "--potential", str(p), "--k", "1.1,0.3",
+                "--grid=-0.8:-0.5:2", "--route", route,
+            ]
+            assert main(argv) == 0
+            rows = _rows(capsys.readouterr().out)
+            values[name, route] = [
+                complex(float(r["two_ik_g_re"]), float(r["two_ik_g_im"])) for r in rows
+            ]
+    want = values["explicit", "B"]
+    assert abs(want[1] - (0.8010 + 0.2997j)) < 1e-4  # the (-0.8, -0.5) row
+    for got in values.values():
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w)
+
+
+def test_closed_pipe_exits_quietly():
+    # a reader that stops early (| head -1) used to leave a BrokenPipeError
+    # traceback and exit 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["-m", "gf1d.cli", "green", "--grid=-1:1:201", "--k", "1,0.2"]
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith(b"x,y,") and err == b""

@@ -351,3 +351,18 @@ def test_value_path_never_propagates(monkeypatch, tmp_path, capsys):
     argv = ["coefficients", "--potential", str(p), "--k", "1.1,0.3"]
     assert main(argv + ["--interval=0.4:-0.8"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("n", [1500, 2000, 3000, 4000, 10**6])
+def test_large_power_is_finite_or_named(n):
+    # the coefficients of Lambda_r**n leave the float range near n = 2000:
+    # they gave nan, a RuntimeWarning or a bare OverflowError
+    spec, k = slab(0.8, -0.5, 0.5), 1.2 + 0.2j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if n > 1500:
+            with pytest.raises(ResonanceDivision):
+                green_power(spec, 0.3, -0.2, k, n)
+            return
+        gv = green_power(spec, 0.3, -0.2, k, n)
+    assert cmath.isfinite(gv.value) and gv.truncation_loss == math.inf

@@ -1,9 +1,14 @@
 import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf1d.errors import ConfigError
+from gf1d.green import green_closed_form
 from gf1d.potential import (
     ConstantProfile,
     LinearProfile,
@@ -18,6 +23,7 @@ from gf1d.potential import (
     truncate,
     vacuum_spec,
 )
+from gf1d.sl3 import green_wronskian
 
 
 def test_wavenumber_validation():
@@ -81,7 +87,10 @@ def test_sampled_profile_interpolates():
     spec = PotentialSpec(segments=(Segment(0.0, 1.0, prof),))
     assert abs(evaluate_f(spec, 0.25) - 0.5) < 1e-14
     assert abs(evaluate_f(spec, 0.75) - 0.5) < 1e-14
-    assert not prof.is_constant
+    # neither stretch is constant: its two end values differ
+    assert spec.knots(0.0, 1.0) == [0.0, 0.5, 1.0]
+    assert spec.ends(0.0, 0.5) == (0.0, 1.0)
+    assert spec.ends(0.5, 1.0) == (1.0, 0.0)
 
 
 def test_segments_must_be_contiguous():
@@ -176,3 +185,89 @@ def test_bad_tail_keeps_its_field_name():
     with pytest.raises(ConfigError) as err:
         load_potential(io.StringIO("left_tail: {type: linear}\n"))
     assert err.value.field == "left_tail.type"
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ConstantProfile(math.nan), "c"),
+        (lambda: LinearProfile(0.1, math.inf), "c1"),
+        (lambda: SampledProfile(((0.0, 0.1), (math.nan, 0.2))), "points"),
+        (lambda: SampledProfile(((0.0, 0.1), (1.0, -math.inf))), "points"),
+        (lambda: Segment(0.0, math.inf, ConstantProfile(0.1)), "x_end"),
+        (lambda: Segment(-math.inf, 0.0, ConstantProfile(0.1)), "x_start"),
+        (lambda: PotentialSpec(left_tail=math.inf), "left_tail"),
+        (lambda: PotentialSpec(right_tail=math.nan), "right_tail"),
+    ],
+)
+def test_medium_rejects_non_finite_numbers(build, field):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert err.value.field == field
+
+
+def test_knots_of_tails_and_samples():
+    # a vacuum medium has no knot, so the default CLI medium is unchanged
+    assert PotentialSpec().breakpoints() == ()
+    assert PotentialSpec(left_tail=0.0).breakpoints() == ()
+    # tails that differ switch at 0, where evaluate_f puts the jump
+    tails = PotentialSpec(left_tail=0.3)
+    assert tails.breakpoints() == (0.0,)
+    assert tails.jump_points() == [(0.0, -0.3)]
+    assert evaluate_f(tails, 0.0) == 0.3 and evaluate_f(tails, 0.0, side=+1) == 0.0
+    assert tails.ends(-2.0, 0.0) == (0.3, 0.3) and tails.ends(0.0, 2.0) == (0.0, 0.0)
+    # a sample abscissa outside its own segment is no knot
+    prof = SampledProfile(((-0.5, 0.1), (0.3, -0.1), (0.8, 0.12)))
+    spec = PotentialSpec((Segment(0.0, 1.0, prof),))
+    assert spec.breakpoints() == (0.0, 0.3, 0.8, 1.0)
+    assert spec.knots(-1.0, 0.5) == [-1.0, 0.0, 0.3, 0.5]
+
+
+_AMP = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def _media(draw):
+    """(spec, piecewise constant): 0-3 segments of constant, linear or
+    sampled profiles, with vacuum or constant tails."""
+    constant = draw(st.booleans())
+    kinds = ["constant"] if constant else ["constant", "linear", "sampled"]
+    x, segs = draw(st.floats(-2.0, 0.5)), []
+    for _ in range(draw(st.integers(0, 3))):
+        w, kind = draw(st.floats(0.1, 1.5)), draw(st.sampled_from(kinds))
+        if kind == "constant":
+            prof = ConstantProfile(draw(_AMP))
+        elif kind == "linear":
+            prof = LinearProfile(draw(_AMP), draw(st.floats(-2.0, 2.0)))
+        else:
+            fs = draw(st.lists(_AMP, min_size=2, max_size=4))
+            xs = np.linspace(x, x + w, len(fs)).tolist()
+            prof = SampledProfile(tuple(zip(xs, fs)))
+        segs.append(Segment(x, x + w, prof))
+        x += w
+    tail = st.one_of(st.none(), _AMP)
+    return PotentialSpec(tuple(segs), draw(tail), draw(tail)), constant
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    medium=_media(),
+    points=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    k_re=st.floats(0.3, 2.0),
+    k_im=st.floats(0.05, 1.0),
+)
+def test_ends_agree_with_point_reads_and_routes_agree(medium, points, k_re, k_im):
+    spec, constant = medium
+    bps = spec.breakpoints()
+    edges = [bps[0] - 1.0, *bps, bps[-1] + 1.0] if bps else [-1.0, 1.0]
+    for a, b in zip(edges, edges[1:]):
+        want = (evaluate_f(spec, a, side=+1), evaluate_f(spec, b, side=-1))
+        assert spec.ends(a, b) == want
+        assert spec.knots(a, b) == [a, b]
+    if not constant:
+        return
+    # Re k > 0 keeps k off the bound-state poles on the imaginary axis
+    k = complex(k_re, k_im)
+    want = green_closed_form(spec, *points, k).value
+    got = green_wronskian(spec, *points, k).value
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))

@@ -1,5 +1,6 @@
 """The benchmark's tracer binds gf1d functions by name; a rename or a changed
-signature in the library must fail here rather than break ``--trace 1``."""
+signature in the library must fail here rather than break ``--trace 1``, and
+a value path that leaves a counted method must fail here rather than read 0."""
 
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sys
 sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
 import tracing
 from gf1d import born, green, sl3, slab
+from gf1d.potential import LinearProfile, PotentialSpec, Segment
 
 t = tracing.Tracer()
 tracing.install(t)
@@ -28,6 +30,11 @@ want = {{
 }}
 missing = want - set(t.names)
 assert not missing, missing
+# the medium counter: rk4 on a linear medium reads f through the spec
+t.counts.clear()
+linear = PotentialSpec((Segment(-0.5, 0.5, LinearProfile(0.2, 0.6)),))
+green.green_closed_form(linear, 0.3, -0.2, k, method="rk4")
+assert t.counts["potential.segment_at"] >= 1, dict(t.counts)
 """
 
 

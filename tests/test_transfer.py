@@ -289,6 +289,16 @@ def test_tail_reflection_branch():
     assert tail_reflection(None, 1.0, "right") == 0
 
 
+def test_weak_tail_reflection_keeps_its_digits():
+    # (ik + kappa) / c cancels for |c| << |k|: it was 100 % off for a tail of
+    # -1e-8 and near 1e26 for one of 7e-44; to first order in c the seed is
+    # c / (-2ik)
+    for c in (1e-4, -1e-8, 7e-44):
+        for k in (1.5 + 0.05j, 0.7 + 0j, 0.3 + 2.0j):
+            want = c / (-2j * k)
+            assert abs(tail_reflection(c, k, "left") - want) <= 1e-8 * abs(want)
+
+
 def test_semi_infinite_with_vacuum_tails_matches_support_edges():
     spec = slab(0.9, -0.5, 0.5)
     k = 1.1 + 0.3j
