@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -142,6 +143,25 @@ _ROUTES = {
 }
 
 
+def _green_row(sweep, x, y, args):
+    """The columns after x and y of one green row: the route's 2ikG, or a
+    pole row where k sits on a bound-state pole."""
+    k = sweep.k
+    try:
+        gv = _ROUTES[args.route](sweep, x, y, args)
+    except (DenominatorZero, WronskianZero):
+        return [k.real, k.imag, "", "", "pole", ""] + ([""] if args.check else [])
+    val = 2j * k * gv.value
+    row = [k.real, k.imag, val.real, val.imag, gv.route, gv.truncation_loss]
+    if args.check:
+        try:
+            gb = green_mod.closed_form_from(sweep, x, y)
+            row.append(abs(val - 2j * k * gb.value))
+        except DenominatorZero:
+            row.append("")
+    return row
+
+
 def cmd_green(args):
     if args.route not in _ROUTES:
         raise ConfigError("--route", f"must be one of {sorted(_ROUTES)}")
@@ -158,29 +178,19 @@ def cmd_green(args):
         write = _row_writer(stream, args.format, header)
         for k in ks:
             sweep = transfer.Sweep(spec, k, args.method, args.step)
-            for x in grid:
-                for y in grid:
-                    try:
-                        gv = _ROUTES[args.route](sweep, x, y, args)
-                    except (DenominatorZero, WronskianZero):
-                        # k sits on a bound-state pole
-                        row = [x, y, k.real, k.imag, "", "", "pole", ""]
-                        if args.check:
-                            row.append("")
-                        write(row)
-                        continue
-                    val = 2j * k * gv.value
-                    row = [
-                        x, y, k.real, k.imag,
-                        val.real, val.imag, gv.route, gv.truncation_loss,
-                    ]
-                    if args.check:
-                        try:
-                            gb = green_mod.closed_form_from(sweep, x, y)
-                            row.append(abs(val - 2j * k * gb.value))
-                        except DenominatorZero:
-                            row.append("")
-                    write(row)
+            # every route orders (x, y) before it computes, so G(x, y) and
+            # G(y, x) are the same bits: a row below the diagonal reuses
+            # the one above it, each computed when grid order first meets it
+            mirrored = {}
+            for i, x in enumerate(grid):
+                for j, y in enumerate(grid):
+                    if j < i:
+                        row = mirrored.pop((j, i))
+                    else:
+                        row = _green_row(sweep, x, y, args)
+                        if j > i:
+                            mirrored[i, j] = row
+                    write([x, y, *row])
     return 0
 
 
@@ -195,7 +205,9 @@ def cmd_verify(args):
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gf1d",
         description="Green functions of the 1D stationary Schrodinger equation",

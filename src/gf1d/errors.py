@@ -57,3 +57,7 @@ class DomainViolation(Gf1dError):
 
 class QuadratureBudget(Gf1dError):
     """Nested quadrature would exceed the configured panel budget."""
+
+
+class CutoffBudget(Gf1dError):
+    """A series cutoff P would exceed the fixed work budget of the series."""

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, GammaPole
+from .errors import ConfigError, CutoffBudget, DomainViolation, GammaPole
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -48,6 +48,12 @@ __all__ = [
 ]
 
 GENERATORS = ("J+", "J-", "J3", "K+", "K-", "K3", "L+", "L-", "L3")
+
+# a truncated product at cutoff P costs (P + 1)**2 coefficient products, and
+# apply_U keeps about sqrt(P) series of P + 2 coefficients; this budget
+# admits P up to 4095, a few seconds and some 40 MB per value
+CUTOFF_BUDGET = 2**24
+
 
 class PolyVec:
     """Vector stored as mu-degree rows.
@@ -120,8 +126,15 @@ class PolyVec:
 
 
 def _check_cutoff(P):
+    """P is an integer >= 1 whose series work fits CUTOFF_BUDGET; checked
+    before any array of P + 1 coefficients is built."""
     if not isinstance(P, numbers.Integral) or P < 1:
         raise ConfigError("P", f"series cutoff must be an integer >= 1, got {P!r}")
+    if (P + 1) ** 2 > CUTOFF_BUDGET:
+        raise CutoffBudget(
+            f"series cutoff {P} costs {(P + 1) ** 2:.3g} coefficient products "
+            f"per truncated product, over the budget of {CUTOFF_BUDGET}"
+        )
 
 
 # generator -> (xi-degree shift, mu-degree shift, coefficient(p, q))

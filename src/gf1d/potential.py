@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -91,11 +92,12 @@ class SampledProfile:
     def __post_init__(self):
         xs = [p[0] for p in self.points]
         if len(xs) < 2:
-            raise ValueError("sampled profile needs at least two points")
+            raise ConfigError("points", "sampled profile needs at least two points")
         for v in (v for point in self.points for v in point):
             check_point(v, "points")
         if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("sampled profile abscissae must be strictly increasing")
+            msg = "sampled profile abscissae must be strictly increasing"
+            raise ConfigError("points", msg)
 
     def value(self, x, x_start, x_end):
         xs = [p[0] for p in self.points]
@@ -118,9 +120,8 @@ class Segment:
         check_point(self.x_start, "x_start")
         check_point(self.x_end, "x_end")
         if not self.x_start < self.x_end:
-            raise ValueError(
-                f"segment needs x_start < x_end, got [{self.x_start}, {self.x_end}]"
-            )
+            msg = f"segment needs x_start < x_end, got [{self.x_start}, {self.x_end}]"
+            raise ConfigError("x_start", msg)
 
 
 @dataclass(frozen=True)
@@ -285,6 +286,9 @@ def truncate(spec, x1, x2):
 # config-file loading
 
 _PROFILE_TYPES = {"constant", "linear", "sampled"}
+# libyaml's parser where PyYAML was built with it: it accepts the same
+# documents and builds them with the same constructor, several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _parse_profile(node, where):
@@ -325,10 +329,11 @@ def load_potential(path_or_stream):
     """Parse a YAML/JSON potential document into a PotentialSpec."""
     try:
         if hasattr(path_or_stream, "read"):
-            doc = yaml.safe_load(path_or_stream)
+            source = contextlib.nullcontext(path_or_stream)
         else:
-            with open(path_or_stream) as fh:
-                doc = yaml.safe_load(fh)
+            source = open(path_or_stream)
+        with source as fh:
+            doc = yaml.load(fh, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError("<document>", f"not valid YAML/JSON: {exc}") from exc
     except OSError as exc:

@@ -108,6 +108,11 @@ class ScatteringTriple:
 def _kappa(c, k):
     """sqrt(c**2 - k**2) on the branch Re > 0 for Im k > 0, continued to real k."""
     w = c * c - k * k
+    if not cmath.isfinite(w):
+        # |c| or |k| past about 1e154: c**2 - k**2 = s**2 ((c/s)**2 - (k/s)**2)
+        # with s > 0 keeps the argument of w, and so the branch taken below
+        s = max(abs(c), abs(k.real), abs(k.imag))
+        return s * _kappa(c / s, k / s)
     if w == 0:
         raise BranchUndefined(f"branch point k**2 == c**2 at k={k}, c={c}")
     if k.imag == 0 and w.real < 0 and w.imag == 0:
@@ -118,13 +123,22 @@ def _kappa(c, k):
     return -root if root.real < 0 else root
 
 
+def _sqrt_radicand(c, k):
+    """Principal sqrt(c**2 - k**2), scaled as in ``_kappa`` where the
+    difference overflows."""
+    w = c * c - k * k
+    if cmath.isfinite(w):
+        return cmath.sqrt(w)
+    s = max(abs(c), abs(k.real), abs(k.imag))
+    return s * _sqrt_radicand(c / s, k / s)
+
+
 def constant_step_matrix(c, dx, k):
     """exp(dx * [[-ik, c], [c, ik]]) in closed form."""
     if c == 0:
         e = cmath.exp(-1j * k * dx)
         return np.array([[e, 0.0], [0.0, 1.0 / e]], dtype=complex)
-    w = c * c - k * k
-    kap = cmath.sqrt(w)
+    kap = _sqrt_radicand(c, k)
     z = kap * dx
     if abs(z) < KAPPA_SERIES_SWITCH:
         z2 = z * z
@@ -367,7 +381,7 @@ def _constant_piece(c, dx, k):
     """
     if c == 0:
         return cmath.exp(1j * k * dx), 0j, 0j
-    z = cmath.sqrt(c * c - k * k) * dx
+    z = _sqrt_radicand(c, k) * dx
     e = cmath.exp(-z)
     if abs(z) < KAPPA_SERIES_SWITCH:
         z2 = z * z

@@ -1,0 +1,97 @@
+"""The potential documents the test suite writes, kept in one place so that
+the loader parity test (``test_potential.py``) reads every one of them."""
+
+import json
+
+POT = """
+segments:
+  - x_start: -0.5
+    x_end: 0.5
+    profile: {type: constant, c: 0.8}
+"""
+POT_LEFT_TAIL = POT + "left_tail: {type: constant, c: 0.05}\n"
+POT_RIGHT_TAIL = POT + "right_tail: {type: constant, c: 0.25}\n"
+
+# f = 1 in both tails and 0 on [-1, 1]: a bound state at the real k below
+# the tail threshold, where the closed-form denominator vanishes
+POLE_POT = """
+left_tail: {type: constant, c: 1.0}
+right_tail: {type: constant, c: 1.0}
+segments:
+  - x_start: -1.0
+    x_end: 1.0
+    profile: {type: constant, c: 0.0}
+"""
+
+RAMP = (
+    "segments:\n"
+    "  - x_start: 0\n"
+    "    x_end: 1\n"
+    "    profile: {type: linear, c0: 0.0, c1: 1.0}\n"
+)
+LINEAR = (
+    "segments:\n"
+    "  - x_start: 0\n"
+    "    x_end: 1\n"
+    "    profile: {type: linear, c0: 0.2, c1: 0.6}\n"
+)
+LINEAR_JSON = json.dumps(
+    {
+        "segments": [
+            {
+                "x_start": 0,
+                "x_end": 1,
+                "profile": {"type": "linear", "c0": 0.1, "c1": -0.2},
+            }
+        ]
+    }
+)
+
+TAIL_ONLY = "left_tail: {type: constant, c: 0.3}\n"
+# the same medium with the zero segment on [0, 1] written out
+TAIL_ONLY_EXPLICIT = (
+    TAIL_ONLY + "segments:\n"
+    "  - {x_start: 0, x_end: 1, profile: {type: constant, c: 0.0}}\n"
+)
+TAILED_SLAB = (
+    "left_tail: {type: constant, c: 0.6}\n"
+    "segments:\n"
+    "  - {x_start: -0.5, x_end: 0.1, profile: {type: constant, c: 1.1}}\n"
+)
+
+# documents the loader rejects, each with the field its ConfigError names
+MALFORMED = {
+    "missing-x-end": ("segments:\n  - x_start: 0\n", "segments[0].x_end"),
+    "unknown-profile": (
+        "segments:\n  - {x_start: 0, x_end: 1, profile: {type: nope}}\n",
+        "segments[0].profile.type",
+    ),
+    "list-root": ("- just\n- a list\n", "<root>"),
+    "unclosed-mapping": ("bad: [", "<document>"),
+    "unclosed-segments": ("segments: [", "<document>"),
+    "linear-tail": ("left_tail: {type: linear}\n", "left_tail.type"),
+    "nan-profile": (
+        "segments:\n"
+        "  - {x_start: 0, x_end: 1, profile: {type: constant, c: .nan}}\n",
+        "segments[0].profile",
+    ),
+    "inf-tail": ("left_tail: {type: constant, c: .inf}\n", "left_tail"),
+    "inf-edge": (
+        "segments:\n"
+        "  - {x_start: 0, x_end: .inf, profile: {type: constant, c: 0.5}}\n",
+        "segments[0]",
+    ),
+}
+
+VALID = {
+    "pot": POT,
+    "pot-left-tail": POT_LEFT_TAIL,
+    "pot-right-tail": POT_RIGHT_TAIL,
+    "pole": POLE_POT,
+    "ramp": RAMP,
+    "linear": LINEAR,
+    "linear-json": LINEAR_JSON,
+    "tail-only": TAIL_ONLY,
+    "tail-only-explicit": TAIL_ONLY_EXPLICIT,
+    "tailed-slab": TAILED_SLAB,
+}

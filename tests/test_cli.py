@@ -8,14 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from documents import (
+    LINEAR,
+    MALFORMED,
+    POLE_POT,
+    POT,
+    POT_LEFT_TAIL,
+    RAMP,
+    TAIL_ONLY,
+    TAIL_ONLY_EXPLICIT,
+)
 from gf1d.cli import main
-
-POT = """
-segments:
-  - x_start: -0.5
-    x_end: 0.5
-    profile: {type: constant, c: 0.8}
-"""
 
 
 @pytest.fixture
@@ -93,7 +96,7 @@ def test_green_born_route(pot_file, capsys):
 
 def test_born_route_rejects_constant_tail(tmp_path, capsys):
     p = tmp_path / "tail.yaml"
-    p.write_text(POT + "left_tail: {type: constant, c: 0.05}\n")
+    p.write_text(POT_LEFT_TAIL)
     code = main(["green", "--potential", str(p), "--route", "born"])
     assert code == 2
     assert "left_tail" in capsys.readouterr().err
@@ -128,7 +131,7 @@ def test_output_is_byte_stable(pot_file, tmp_path):
 
 def test_malformed_potential_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
-    p.write_text("segments:\n  - x_start: 0\n")
+    p.write_text(MALFORMED["missing-x-end"][0])
     code = main(["coefficients", "--potential", str(p)])
     assert code == 2
     assert "x_end" in capsys.readouterr().err
@@ -145,12 +148,7 @@ def test_bad_flags_exit_2(capsys):
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
     p = tmp_path / "lin.yaml"
-    p.write_text(
-        "segments:\n"
-        "  - x_start: 0\n"
-        "    x_end: 1\n"
-        "    profile: {type: linear, c0: 0.0, c1: 1.0}\n"
-    )
+    p.write_text(RAMP)
     # exact piecewise propagation cannot handle a varying profile
     code = main(["coefficients", "--potential", str(p), "--k", "1.0"])
     assert code == 3
@@ -199,12 +197,7 @@ def test_green_rk4_on_linear_medium(tmp_path, capsys):
     from gf1d.potential import load_potential
 
     p = tmp_path / "lin.yaml"
-    p.write_text(
-        "segments:\n"
-        "  - x_start: 0\n"
-        "    x_end: 1\n"
-        "    profile: {type: linear, c0: 0.2, c1: 0.6}\n"
-    )
+    p.write_text(LINEAR)
     code = main(
         [
             "green", "--potential", str(p), "--k", "1.2,0.3", "--grid=0.1:0.9:3",
@@ -241,16 +234,7 @@ def test_large_im_k_grid_is_finite(capsys):
         assert np.isfinite(float(row["two_ik_g_im"]))
 
 
-# f = 1 in both tails and 0 on [-1, 1]: a bound state at the real k below
-# the tail threshold, where the closed-form denominator vanishes
-POLE_POT = """
-left_tail: {type: constant, c: 1.0}
-right_tail: {type: constant, c: 1.0}
-segments:
-  - x_start: -1.0
-    x_end: 1.0
-    profile: {type: constant, c: 0.0}
-"""
+# the bound state of POLE_POT, where the closed-form denominator vanishes
 POLE_K = 0.5149332646611294
 
 
@@ -264,50 +248,62 @@ def _close(a, b):
     return abs(a - b) <= 1e-13 * max(abs(a), abs(b))
 
 
-@pytest.mark.parametrize("route", ["A", "B", "C"])
+@pytest.mark.parametrize("route", ["A", "B", "C", "C-asym", "born"])
 def test_grid_rows_equal_per_pair_library_calls(route, tmp_path, capsys):
-    from gf1d import green, sl3
+    # the grid computes each unordered pair once and writes it for (x, y)
+    # and (y, x): every row must still be the library value at its own pair
+    from gf1d import born, green, sl3
     from gf1d.errors import DenominatorZero, WronskianZero
     from gf1d.potential import load_potential
 
-    p = tmp_path / "pole.yaml"
-    p.write_text(POLE_POT)
-    code = main(
-        [
-            "green", "--potential", str(p), "--grid=-1.6:1.6:7", "--route", route,
-            "--k", "0.8,0.3", "--k", f"{POLE_K!r}", "--P", "24", "--check",
-        ]
-    )
-    assert code == 0
+    p = tmp_path / "medium.yaml"
+    p.write_text(POT if route == "born" else POLE_POT)  # born needs vacuum tails
     spec = load_potential(str(p))
     library = {
         "A": lambda x, y, k: sl3.green_wronskian(spec, x, y, k),
         "B": lambda x, y, k: green.green_closed_form(spec, x, y, k),
         "C": lambda x, y, k: green.green_polyrep(spec, x, y, k, P=24),
+        "C-asym": lambda x, y, k: green.green_polyrep(
+            spec, x, y, k, P=24, variant="asymmetric"
+        ),
+        "born": lambda x, y, k: born.born_series(spec, x, y, k, max_order=2)[0],
     }[route]
-    rows = _rows(capsys.readouterr().out)
-    assert len(rows) == 2 * 49
-    poles = blank_checks = 0
-    for row in rows:
-        x, y = float(row["x"]), float(row["y"])
-        k = complex(float(row["k_re"]), float(row["k_im"]))
-        try:
-            want = 2j * k * library(x, y, k).value
-        except (DenominatorZero, WronskianZero):
-            assert row["route"] == "pole"
-            poles += 1
-            continue
-        got = complex(float(row["two_ik_g_re"]), float(row["two_ik_g_im"]))
-        assert _close(got, want)
-        try:
-            check = abs(want - 2j * k * green.green_closed_form(spec, x, y, k).value)
-        except DenominatorZero:
-            assert row["abs_diff_route_b"] == ""
-            blank_checks += 1
-            continue
-        assert _close(float(row["abs_diff_route_b"]), check)
-    # route C has no pole guard: at the pole only its check column is blank
-    assert (blank_checks if route == "C" else poles) > 0
+    for check in ([], ["--check"]):
+        argv = [
+            "green", "--potential", str(p), "--grid=-1.6:1.6:7", "--route", route,
+            "--k", "0.8,0.3", "--k", f"{POLE_K!r}", "--P", "24", *check,
+        ]
+        assert main(argv) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert len(rows) == 2 * 49
+        poles = blank_checks = 0
+        for row in rows:
+            x, y = float(row["x"]), float(row["y"])
+            k = complex(float(row["k_re"]), float(row["k_im"]))
+            try:
+                want = 2j * k * library(x, y, k).value
+            except (DenominatorZero, WronskianZero):
+                assert row["route"] == "pole"
+                poles += 1
+                continue
+            got = complex(float(row["two_ik_g_re"]), float(row["two_ik_g_im"]))
+            assert got == want
+            if not check:
+                assert "abs_diff_route_b" not in row
+                continue
+            try:
+                b = green.green_closed_form(spec, x, y, k).value
+            except DenominatorZero:
+                assert row["abs_diff_route_b"] == ""
+                blank_checks += 1
+                continue
+            assert float(row["abs_diff_route_b"]) == abs(want - 2j * k * b)
+        # the series routes have no pole guard: at the pole only their check
+        # column is blank; the Born medium has no pole
+        if route in ("A", "B"):
+            assert poles > 0
+        elif route != "born":
+            assert poles == 0 and (blank_checks > 0) == bool(check)
 
 
 def test_coefficients_grid_matches_propagation(pot_file, capsys):
@@ -347,19 +343,7 @@ def test_reversed_interval_at_large_im_k_exits_3(capsys):
 
 @pytest.mark.parametrize(
     "doc, field",
-    [
-        (
-            "segments:\n"
-            "  - {x_start: 0, x_end: 1, profile: {type: constant, c: .nan}}\n",
-            "segments[0].profile",
-        ),
-        ("left_tail: {type: constant, c: .inf}\n", "left_tail"),
-        (
-            "segments:\n"
-            "  - {x_start: 0, x_end: .inf, profile: {type: constant, c: 0.5}}\n",
-            "segments[0]",
-        ),
-    ],
+    [MALFORMED[name] for name in ("nan-profile", "inf-tail", "inf-edge")],
     ids=["nan-profile", "inf-tail", "inf-edge"],
 )
 def test_non_finite_medium_exits_2(doc, field, tmp_path, capsys):
@@ -372,18 +356,11 @@ def test_non_finite_medium_exits_2(doc, field, tmp_path, capsys):
     assert err.startswith(f"error: {field}: ") and "finite" in err
 
 
-TAIL_ONLY = "left_tail: {type: constant, c: 0.3}\n"
-
-
 def test_tail_only_medium_switches_tails_at_zero(tmp_path, capsys):
     # the tails meet at 0, as in the same medium written with a zero segment
     # on [0, 1]; the sweep used to miss that jump while evaluate_f kept it
-    explicit = (
-        TAIL_ONLY + "segments:\n"
-        "  - {x_start: 0, x_end: 1, profile: {type: constant, c: 0.0}}\n"
-    )
     values = {}
-    for name, doc in (("tail", TAIL_ONLY), ("explicit", explicit)):
+    for name, doc in (("tail", TAIL_ONLY), ("explicit", TAIL_ONLY_EXPLICIT)):
         p = tmp_path / f"{name}.yaml"
         p.write_text(doc)
         for route in ("A", "B", "C"):
@@ -403,17 +380,22 @@ def test_tail_only_medium_switches_tails_at_zero(tmp_path, capsys):
             assert abs(g - w) <= 1e-13 * abs(w)
 
 
+def _env():
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_closed_pipe_exits_quietly():
     # a reader that stops early (| head -1) used to leave a BrokenPipeError
     # traceback and exit 1
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = ["-m", "gf1d.cli", "green", "--grid=-1:1:201", "--k", "1,0.2"]
     proc = subprocess.Popen(
         [sys.executable, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -421,3 +403,70 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert first.startswith(b"x,y,") and err == b""
+
+
+def test_cached_parser_keeps_no_state(pot_file, capsys):
+    # the parser is built once per process: no call may leave a --k, a
+    # route or a --check behind for the next
+    from gf1d.cli import build_parser
+
+    grid = ["--potential", pot_file, "--grid=-1:1:3"]
+    calls = [
+        ["green", *grid, "--k", "1.3,0.2", "--k", "0.7", "--route", "C", "--check"],
+        ["green", *grid],
+        ["green", *grid, "--k", "0.9,0.1", "--route", "A"],
+        ["coefficients", "--potential", pot_file, "--k", "1.1"],
+        ["coefficients", "--potential", pot_file],
+    ]
+    first = []
+    for argv in calls:
+        assert main(argv) == 0
+        first.append(capsys.readouterr().out)
+    for i in [4, 2, 0, 3, 1, 0, 1]:
+        assert main(calls[i]) == 0
+        assert capsys.readouterr().out == first[i]
+    assert build_parser() is build_parser()
+
+
+def test_huge_real_k_grid_is_finite(pot_file, capsys):
+    # c**2 - k**2 overflowed: four nan rows and exit 0
+    code = main(["green", "--potential", pot_file, "--grid=0.2:0.5:2", "--k", "1e300,0"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "" and "nan" not in out
+    for row in _rows(out):
+        value = complex(float(row["two_ik_g_re"]), float(row["two_ik_g_im"]))
+        assert abs(abs(value) - 1.0) < 1e-9
+
+
+def test_oversized_cutoff_exits_3():
+    # P = 1e7 ended in a numpy MemoryError traceback and exit 1
+    run = subprocess.run(
+        [sys.executable, "-m", "gf1d.cli", "green", "--route", "C", "--P", "10000000"],
+        capture_output=True, text=True, timeout=60, env=_env(),
+    )
+    assert run.returncode == 3
+    assert run.stderr.startswith("error: CutoffBudget: ")
+    assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
+
+
+LAZY = """
+import sys
+import gf1d
+spec = gf1d.load_potential(sys.argv[1])
+assert spec.support == (-0.5, 0.5)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("gf1d", "numpy"))
+assert loaded == ["gf1d", "gf1d.errors", "gf1d.potential"], loaded
+names = {}
+exec("from gf1d import *", names)
+assert set(gf1d.__all__) <= set(names) and set(gf1d.__all__) <= set(dir(gf1d))
+assert names["green_closed_form"] is sys.modules["gf1d.green"].green_closed_form
+"""
+
+
+def test_package_import_is_lazy(pot_file):
+    # loading a medium needs neither numpy nor the routes
+    run = subprocess.run(
+        [sys.executable, "-c", LAZY, pot_file],
+        capture_output=True, text=True, timeout=60, env=_env(),
+    )
+    assert run.returncode == 0, run.stderr

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from documents import TAILED_SLAB
 from gf1d import transfer
 from gf1d.born import born_series
 from gf1d.cli import main
@@ -343,11 +344,7 @@ def test_value_path_never_propagates(monkeypatch, tmp_path, capsys):
     ):
         assert cmath.isfinite(green_product(spec, pairs, k, P=48).value)
     p = tmp_path / "pot.yaml"
-    p.write_text(
-        "left_tail: {type: constant, c: 0.6}\n"
-        "segments:\n"
-        "  - {x_start: -0.5, x_end: 0.1, profile: {type: constant, c: 1.1}}\n"
-    )
+    p.write_text(TAILED_SLAB)
     argv = ["coefficients", "--potential", str(p), "--k", "1.1,0.3"]
     assert main(argv + ["--interval=0.4:-0.8"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
@@ -366,3 +363,15 @@ def test_large_power_is_finite_or_named(n):
             return
         gv = green_power(spec, 0.3, -0.2, k, n)
     assert cmath.isfinite(gv.value) and gv.truncation_loss == math.inf
+
+
+@pytest.mark.parametrize("k", [1e300, -1e300, 1e155 + 1.0j])
+def test_huge_wavenumber_is_transparent(k):
+    # at |k| >> |c| the medium lets the wave through: |2ikG| = e^{-Im k |x - y|};
+    # past |k| = 1.3e154 it used to be nan + nanj
+    tails = PotentialSpec(slab(0.5).segments, left_tail=0.3, right_tail=-0.2)
+    for spec in (slab(0.5), tails):
+        for route in (green_closed_form, green_wronskian):
+            value = 2j * k * route(spec, 0.5, 0.2, k).value
+            assert cmath.isfinite(value)
+            assert abs(abs(value) - math.exp(-0.3 * k.imag if k.imag else 0.0)) < 1e-9

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf1d.errors import ConfigError, DomainViolation, GammaPole
+from gf1d.errors import ConfigError, CutoffBudget, DomainViolation, GammaPole
+from gf1d.green import green_polyrep
 from gf1d.polyrep import (
+    CUTOFF_BUDGET,
     GENERATORS,
     PolyVec,
     _weight_row,
@@ -321,6 +323,19 @@ def test_cutoff_below_one_is_a_config_error():
             PolyVec({}, P)
         with pytest.raises(ConfigError):
             lambda_r(0.3, P)
+
+
+def test_oversized_cutoff_is_named_before_any_allocation():
+    # P = 1e7 used to end in a numpy MemoryError asking for 471 GiB
+    P = math.isqrt(CUTOFF_BUDGET) - 1  # the largest cutoff the budget admits
+    assert lambda_r(0.3, P).P == P
+    for build in (
+        lambda: lambda_r(0.3, P + 1),
+        lambda: PolyVec({}, 10**7),
+        lambda: green_polyrep(slab(0.8), 0.3, -0.2, 1.2, P=10**7),
+    ):
+        with pytest.raises(CutoffBudget):
+            build()
 
 
 def test_generator_tallies_overflow_as_loss():

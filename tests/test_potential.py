@@ -1,12 +1,15 @@
 import io
-import json
 import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from documents import LINEAR_JSON, MALFORMED, POT_RIGHT_TAIL, VALID
+from gf1d import potential
+from gf1d.cli import main
 from gf1d.errors import ConfigError
 from gf1d.green import green_closed_form
 from gf1d.potential import (
@@ -126,14 +129,7 @@ def test_truncate_materializes_constant_tails():
 
 
 def test_load_potential_yaml():
-    doc = """
-segments:
-  - x_start: -0.5
-    x_end: 0.5
-    profile: {type: constant, c: 0.8}
-right_tail: {type: constant, c: 0.25}
-"""
-    spec = load_potential(io.StringIO(doc))
+    spec = load_potential(io.StringIO(POT_RIGHT_TAIL))
     assert spec.support == (-0.5, 0.5)
     assert evaluate_f(spec, 0.0) == 0.8
     assert spec.right_tail == 0.25
@@ -141,36 +137,21 @@ right_tail: {type: constant, c: 0.25}
 
 
 def test_load_potential_json_subset():
-    doc = json.dumps(
-        {
-            "segments": [
-                {
-                    "x_start": 0,
-                    "x_end": 1,
-                    "profile": {"type": "linear", "c0": 0.1, "c1": -0.2},
-                }
-            ]
-        }
-    )
-    spec = load_potential(io.StringIO(doc))
+    spec = load_potential(io.StringIO(LINEAR_JSON))
     assert abs(evaluate_f(spec, 0.5) - 0.0) < 1e-15
 
 
 def test_load_potential_errors_name_the_field():
     with pytest.raises(ConfigError) as err:
-        load_potential(io.StringIO("segments:\n  - x_start: 0\n"))
+        load_potential(io.StringIO(MALFORMED["missing-x-end"][0]))
     assert "x_end" in str(err.value)
     with pytest.raises(ConfigError) as err:
-        load_potential(
-            io.StringIO(
-                "segments:\n  - {x_start: 0, x_end: 1, profile: {type: nope}}\n"
-            )
-        )
+        load_potential(io.StringIO(MALFORMED["unknown-profile"][0]))
     assert "profile.type" in str(err.value)
     with pytest.raises(ConfigError):
-        load_potential(io.StringIO("- just\n- a list\n"))
+        load_potential(io.StringIO(MALFORMED["list-root"][0]))
     with pytest.raises(ConfigError):
-        load_potential(io.StringIO("bad: ["))
+        load_potential(io.StringIO(MALFORMED["unclosed-mapping"][0]))
 
 
 @pytest.mark.parametrize(
@@ -183,7 +164,7 @@ def test_check_wavenumber_rejects_outside_domain(k):
 
 def test_bad_tail_keeps_its_field_name():
     with pytest.raises(ConfigError) as err:
-        load_potential(io.StringIO("left_tail: {type: linear}\n"))
+        load_potential(io.StringIO(MALFORMED["linear-tail"][0]))
     assert err.value.field == "left_tail.type"
 
 
@@ -204,6 +185,56 @@ def test_medium_rejects_non_finite_numbers(build, field):
     with pytest.raises(ConfigError) as err:
         build()
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Segment(1.0, 0.0, ConstantProfile(0.1)), "x_start"),
+        (lambda: SampledProfile(((0.0, 0.1),)), "points"),
+        (lambda: SampledProfile(((0.0, 0.1), (0.5, 0.2), (0.5, 0.3))), "points"),
+    ],
+    ids=["reversed-segment", "one-sample", "repeated-abscissa"],
+)
+def test_medium_shape_errors_name_the_field(build, field):
+    # these were plain ValueErrors, outside the package's error types
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert err.value.field == field
+
+
+# PyYAML's pure-Python parser and libyaml's, which load_potential prefers
+LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", None)]
+needs_libyaml = pytest.mark.skipif(
+    LOADERS[1] is None, reason="PyYAML is built without libyaml"
+)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_loaders_build_equal_media(name, tmp_path, monkeypatch):
+    path = tmp_path / "medium.yaml"
+    path.write_text(VALID[name])
+    specs = []
+    for loader in LOADERS:
+        monkeypatch.setattr(potential, "_LOADER", loader)
+        specs.append(load_potential(str(path)))
+    assert specs[0] == specs[1]
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_loaders_name_the_same_field(name, tmp_path, monkeypatch, capsys):
+    text, field = MALFORMED[name]
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    for loader in LOADERS:
+        monkeypatch.setattr(potential, "_LOADER", loader)
+        with pytest.raises(ConfigError) as err:
+            load_potential(str(path))
+        assert err.value.field == field
+        assert main(["green", "--potential", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_knots_of_tails_and_samples():

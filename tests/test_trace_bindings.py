@@ -38,9 +38,43 @@ assert t.counts["potential.segment_at"] >= 1, dict(t.counts)
 """
 
 
-def test_tracer_installs_and_sees_every_route():
+# the benchmark worker calls routes as gf1d.<name> after a bare import of the
+# lazy package: a name resolved before the tracer is installed, and one
+# resolved only after, must both reach the wrapper
+BARE = f"""
+import sys
+sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
+import gf1d
+import tracing
+
+spec, k = gf1d.slab(0.8, -0.5, 0.5), 1.2 + 0.2j
+gf1d.green_closed_form(spec, 0.3, -0.2, k)
+t = tracing.Tracer()
+tracing.install(t)
+gf1d.green_closed_form(spec, 0.3, -0.2, k)
+gf1d.green_wronskian(spec, 0.3, -0.2, k)
+gf1d.green_polyrep(spec, 0.3, -0.2, k, P=16)
+gf1d.born_series(spec, 0.3, -0.2, k, max_order=2)
+want = {{
+    "green.green_closed_form", "sl3.green_wronskian", "green.green_polyrep",
+    "polyrep.apply_U.P16", "born.order2",
+}}
+missing = want - set(t.names)
+assert not missing, missing
+"""
+
+
+def _run(script):
     # a subprocess, so the patched namespaces do not leak into other tests
     run = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_tracer_installs_and_sees_every_route():
+    _run(SCRIPT)
+
+
+def test_tracer_sees_routes_called_through_the_bare_package():
+    _run(BARE)

@@ -603,3 +603,19 @@ def test_propagate_names_an_overflowing_matrix(spec, x1, x2, method, step):
         warnings.simplefilter("error")
         with pytest.raises(ResonanceDivision):
             propagate(spec, x1, x2, 1 + 20j, method=method, step=step)
+
+
+@pytest.mark.parametrize("k", [1e300, -1e300, 1e200 + 1e200j, 2e154 + 0.5j])
+def test_huge_wavenumber_keeps_the_branch(k):
+    # c**2 - k**2 overflows past |k| = 1.3e154; it used to give nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seed = tail_reflection(0.5, k, "left")
+        tau, rr, rl = _constant_piece(0.5, 0.3, complex(k))
+        if k.imag == 0:  # the matrix itself leaves the float range at Im k > 0
+            assert np.all(np.isfinite(constant_step_matrix(0.5, 0.3, complex(k))))
+    # kappa -> -ik on the branch Re kappa >= 0, so the seed c / (kappa - ik)
+    # tends to c / (-2ik)
+    assert abs(seed - 0.5 / (-2j * k)) <= 1e-12 * abs(seed)
+    assert all(map(cmath.isfinite, (tau, rr, rl)))
+    assert abs(rr) <= 1e-150 and abs(tau) <= 1.0
