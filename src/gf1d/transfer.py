@@ -65,6 +65,9 @@ KAPPA_SERIES_SWITCH = 1e-4
 # largest growth exponent (Im k + max |f|) * width of one Magnus chunk: U
 # grows at most like e^(that exponent), so a chunk's matrix stays finite
 CHUNK_GROWTH = 20.0
+# steps per block of a piece in ``riccati_coefficients``: its stage record
+# (four values per step) stays this long whatever the piece's length
+_RICCATI_BLOCK = 1024
 _EYE = np.eye(2, dtype=complex)[None]
 
 
@@ -254,10 +257,14 @@ def _magnus_panel(fa, fb, width, k, step):
     to max(1, max |U_h|).
     """
     n = 2 * _step_count(width, 2.0 * step)
-    u = _magnus(fa, fb, width, n, k)
-    coarse = _magnus(fa, fb, width, n // 2, k)
-    scale = max(1.0, float(np.max(np.abs(u))))
-    return u, float(np.max(np.abs(u - coarse))) / (15.0 * scale)
+    # at a huge |k| h the exponent's square overflows: U and the error come
+    # out NaN, which the callers' error checks reject without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _magnus(fa, fb, width, n, k)
+        coarse = _magnus(fa, fb, width, n // 2, k)
+        scale = max(1.0, float(np.max(np.abs(u))))
+        err = float(np.max(np.abs(u - coarse))) / (15.0 * scale)
+    return u, err
 
 
 def compose(left, right):
@@ -306,36 +313,88 @@ def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
 def riccati_coefficients(spec, x1, x2, k, step=1e-3):
     """Integrate the first-order equations for (R_r, tau, R_l) from x1 to x2.
 
-    Fixed-step RK4, split at the breakpoints so each run sees a linear f.
-    It shares no code with ``Sweep`` or ``propagate``, so it checks them.
+    Classical RK4 at a fixed step no wider than ``step``, split at the
+    breakpoints so each piece sees a linear f.  Only R_r obeys a nonlinear
+    (Riccati) equation, R_r' = 2ik R_r + f (1 - R_r^2); tau' = (ik - f R_r)
+    tau and R_l' = -f tau^2 read R_r but never feed back into it.  So R_r
+    alone is stepped in scalar Python, recording its four stage values per
+    step.  With them, an RK4 step is linear in tau: it multiplies tau by a
+    factor g_n and adds tau_n^2 w_n to R_l, and g_n, w_n are formed as
+    arrays, tau as their running product.  The iterates are those of the
+    coupled RK4 loop in exact arithmetic.  Long pieces are stepped in blocks
+    of ``_RICCATI_BLOCK`` steps, so memory does not grow with the length.
+
+    It shares no code with ``Sweep``, ``propagate`` or the Magnus stepper,
+    so it checks them.  Before any step, the RK4 error bound
+    sum n z^5 / 120 over the pieces, with z = (2|k| + 2 max|f|) h, is held
+    to ``STEP_ERROR_BOUND``; past it, or where |R_r| leaves the unit disk,
+    ``StepTooLarge`` is raised.  Coefficients that leave the float range
+    raise ``ResonanceDivision``.
     """
     if x2 < x1:
         raise ConfigError("x2", f"needs x1 <= x2, got [{x1}, {x2}]")
     _check_step(step)
     k = complex(k)
-    ik, ik2 = 1j * k, 2j * k
-
-    def rhs(f, rr, tau):
-        return ik2 * rr + f * (1.0 - rr * rr), (ik - f * rr) * tau, -f * tau * tau
-
-    rr, tau, rl = 0j, 1.0 + 0j, 0j
     nodes = spec.knots(x1, x2)
+    pieces = []
+    bound = 0.0
     for a, b in zip(nodes, nodes[1:]):
         n = _step_count(b - a, step)
         fa, fb = spec.ends(a, b)
-        h, df = (b - a) / n, (fb - fa) / n
-        for i in range(n):
-            f0 = fa + i * df
-            fm, f1 = f0 + 0.5 * df, f0 + df
-            r1, t1, l1 = rhs(f0, rr, tau)
-            r2, t2, l2 = rhs(fm, rr + 0.5 * h * r1, tau + 0.5 * h * t1)
-            r3, t3, l3 = rhs(fm, rr + 0.5 * h * r2, tau + 0.5 * h * t2)
-            r4, t4, l4 = rhs(f1, rr + h * r3, tau + h * t3)
-            rr += h / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-            tau += h / 6.0 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
-            rl += h / 6.0 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-    if abs(rr) > 1.0 + 1e-6:
+        h = (b - a) / n
+        pieces.append((n, h, fa, (fb - fa) / n))
+        # z bounds h times the rate of each equation for |R_r| <= 1; the RK4
+        # step of y' = lambda y misses exp(z) by z^5 / 120 at leading order
+        z = (2.0 * abs(k) + 2.0 * max(abs(fa), abs(fb))) * h
+        z2 = z * z  # products overflow to inf where z**5 raises
+        bound += n * (z2 * z2 * z) / 120.0
+    if not bound <= STEP_ERROR_BOUND:
+        raise StepTooLarge(
+            f"rk4 step {step} too large: RK4 error bound {bound:.3e} on [{x1}, {x2}]"
+        )
+    ik, ik2 = 1j * k, 2j * k
+    rr, tau, rl = 0j, 1.0 + 0j, 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, h, fa, df in pieces:
+            hh, h6 = 0.5 * h, h / 6.0
+            for lo in range(0, n, _RICCATI_BLOCK):
+                hi = min(lo + _RICCATI_BLOCK, n)
+                stages = []
+                record = stages.extend
+                for i in range(lo, hi):
+                    f0 = fa + i * df
+                    fm = f0 + 0.5 * df
+                    r1 = ik2 * rr + f0 * (1.0 - rr * rr)
+                    s2 = rr + hh * r1
+                    r2 = ik2 * s2 + fm * (1.0 - s2 * s2)
+                    s3 = rr + hh * r2
+                    r3 = ik2 * s3 + fm * (1.0 - s3 * s3)
+                    s4 = rr + h * r3
+                    record((rr, s2, s3, s4))
+                    r4 = ik2 * s4 + (f0 + df) * (1.0 - s4 * s4)
+                    rr += h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                s = np.array(stages, dtype=complex).reshape(-1, 4).T
+                f0 = fa + np.arange(lo, hi) * df
+                fm, f1 = f0 + 0.5 * df, f0 + df
+                # stage j of tau is tau_n a_j p_j, with a_j = ik - f_j S_j at
+                # the stage value S_j of R_r and p_j its argument over tau_n
+                a1, a2 = ik - f0 * s[0], ik - fm * s[1]
+                a3, a4 = ik - fm * s[2], ik - f1 * s[3]
+                p2 = 1.0 + hh * a1
+                p3 = 1.0 + hh * (a2 * p2)
+                p4 = 1.0 + h * (a3 * p3)
+                g = 1.0 + h6 * (a1 + 2.0 * a2 * p2 + 2.0 * a3 * p3 + a4 * p4)
+                w = -h6 * (f0 + 2.0 * fm * (p2 * p2 + p3 * p3) + f1 * (p4 * p4))
+                # tau before each step of the block, then after it
+                t = np.cumprod(np.concatenate(([tau], g)))
+                rl += complex(np.dot(t[:-1] * t[:-1], w))
+                tau = complex(t[-1])
+    if not abs(rr) <= 1.0 + 1e-6:
         raise StepTooLarge(f"|R_r| = {abs(rr):.6f} escaped the unit disk")
+    if not (cmath.isfinite(tau) and cmath.isfinite(rl)):
+        raise ResonanceDivision(
+            f"tau or R_l leaves the float range on [{x1}, {x2}] at k = {k}"
+        )
     return ScatteringTriple(tau=tau, r_right=rr, r_left=rl, interval=(x1, x2), k=k)
 
 
@@ -501,6 +560,11 @@ class Sweep:
         for lo, hi in zip(edges, edges[1:]):
             fl, fh = self.spec.ends(lo, hi)
             u, err = _magnus_panel(fl, fh, hi - lo, self.k, self.step)
+            if math.isnan(err):
+                raise StepTooLarge(
+                    f"rk4 step {self.step} too large: the Magnus steps on "
+                    f"[{lo}, {hi}] leave the float range at k = {self.k}"
+                )
             s = scattering_coefficients(TransferMatrix.from_matrix(u, (lo, hi), self.k))
             chunk = (s.tau, s.r_right, s.r_left, err)
             t = chunk if t is None else _star(chunk, t)
@@ -533,7 +597,7 @@ class Sweep:
                 if bps[j] < x2:
                     t = _star(self._piece(bps[j], x2), t)
             self._spans[(x1, x2)] = t
-        if t[3] > STEP_ERROR_BOUND:
+        if not t[3] <= STEP_ERROR_BOUND:
             raise StepTooLarge(
                 f"rk4 step {self.step} too large: summed step-doubling error "
                 f"{t[3]:.3e} on [{x1}, {x2}]"

@@ -438,6 +438,17 @@ def test_huge_real_k_grid_is_finite(pot_file, capsys):
         assert abs(abs(value) - 1.0) < 1e-9
 
 
+def test_huge_k_rk4_exits_3(tmp_path, capsys):
+    # the Magnus steps leave the float range: nan rows and exit 0 before
+    p = tmp_path / "lin.yaml"
+    p.write_text(LINEAR)
+    code = main(["green", "--potential", str(p), "--method", "rk4", "--k", "1e300,0"])
+    out, err = capsys.readouterr()
+    assert code == 3 and "nan" not in out + err
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: StepTooLarge: ")
+
+
 def test_oversized_cutoff_exits_3():
     # P = 1e7 ended in a numpy MemoryError traceback and exit 1
     run = subprocess.run(

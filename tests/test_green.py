@@ -9,7 +9,7 @@ from documents import TAILED_SLAB
 from gf1d import transfer
 from gf1d.born import born_series
 from gf1d.cli import main
-from gf1d.errors import ConfigError, ResonanceDivision
+from gf1d.errors import ConfigError, ResonanceDivision, StepTooLarge
 from gf1d.green import (
     green_closed_form,
     green_negative_power,
@@ -315,6 +315,18 @@ def test_rk4_on_a_long_piece_underflows_without_warning():
         warnings.simplefilter("error")
         v = green_closed_form(spec, 50.0, 10.0, k, method="rk4", step=1e-2).value
     assert cmath.isfinite(v) and abs(2j * k * v) <= 1e-200
+
+
+@pytest.mark.parametrize("k", [1e150, 1e300])
+def test_rk4_at_a_huge_wavenumber_is_named(k):
+    # |k| h ~ 1e297 squared overflows in the Magnus exponent: k = 1e300 gave
+    # nan+nanj, since a NaN step-doubling error passed the check, and
+    # k = 1e150 warned of overflow
+    spec = PotentialSpec(segments=(Segment(-0.5, 0.5, LinearProfile(0.2, 0.6)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge):
+            green_closed_form(spec, 0.3, -0.2, k, method="rk4")
 
 
 def test_value_path_never_propagates(monkeypatch, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import cmath
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +28,7 @@ from gf1d.potential import (
     vacuum_spec,
 )
 from gf1d.transfer import (
+    _RICCATI_BLOCK,
     Sweep,
     TransferMatrix,
     _constant_piece,
@@ -135,6 +138,20 @@ def expm_refinement(f, length, k, n):
     return u
 
 
+def linear_or_sampled(fs, sampled, length):
+    """A medium on [0, length]: one linear piece through the first and last
+    of fs, or a sampled profile through all of them at equal spacing; with
+    f on [0, length] for ``expm_refinement``."""
+    xs = np.linspace(0.0, length, len(fs))
+    if sampled:
+        profile = SampledProfile(tuple(zip(xs.tolist(), fs)))
+    else:
+        xs, fs = [0.0, length], [fs[0], fs[-1]]
+        profile = LinearProfile(fs[0], (fs[1] - fs[0]) / length)
+    spec = PotentialSpec(segments=(Segment(0.0, length, profile),))
+    return spec, lambda x: np.interp(x, xs, fs)
+
+
 def test_rk4_linear_profile_against_expm_refinement():
     spec = PotentialSpec(segments=(Segment(0.0, 1.0, LinearProfile(0.5, -1.0)),))
     k = 1.1 + 0.3j
@@ -167,22 +184,15 @@ def test_rk4_is_fourth_order_on_a_linear_profile():
     step=st.floats(1e-3, 0.1),
 )
 def test_rk4_is_accurate_or_raises(fs, sampled, length, k_re, k_im, step):
-    # a linear piece (first and last value) or a sampled one (all values at
-    # equal spacing): the stepped evolution either agrees with the expm
-    # refinement or raises StepTooLarge, never a silent wrong value
-    xs = np.linspace(0.0, length, len(fs))
-    if sampled:
-        profile = SampledProfile(tuple(zip(xs.tolist(), fs)))
-    else:
-        xs, fs = [0.0, length], [fs[0], fs[-1]]
-        profile = LinearProfile(fs[0], (fs[1] - fs[0]) / length)
-    spec = PotentialSpec(segments=(Segment(0.0, length, profile),))
+    # the stepped evolution either agrees with the expm refinement or raises
+    # StepTooLarge, never a silent wrong value
+    spec, f = linear_or_sampled(fs, sampled, length)
     k = complex(k_re, k_im)
     try:
         got = propagate(spec, 0.0, length, k, "rk4", step).as_matrix()
     except StepTooLarge:
         return
-    want = expm_refinement(lambda x: np.interp(x, xs, fs), length, k, 3000)
+    want = expm_refinement(f, length, k, 3000)
     scale = max(1.0, np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) / scale < 1e-5
 
@@ -265,6 +275,126 @@ def test_riccati_matches_matrix_route():
     assert abs(ode.tau - ref.tau) < 1e-9
     assert abs(ode.r_right - ref.r_right) < 1e-9
     assert abs(ode.r_left - ref.r_left) < 1e-9
+
+
+def coupled_riccati(spec, x1, x2, k, step):
+    """(tau, R_r, R_l) by classical RK4 on the three coupled equations, one
+    scalar step at a time: the reference for the split stepper."""
+    k = complex(k)
+    ik, ik2 = 1j * k, 2j * k
+
+    def rhs(f, rr, tau):
+        return ik2 * rr + f * (1.0 - rr * rr), (ik - f * rr) * tau, -f * tau * tau
+
+    rr, tau, rl = 0j, 1.0 + 0j, 0j
+    nodes = spec.knots(x1, x2)
+    for a, b in zip(nodes, nodes[1:]):
+        n = max(1, math.ceil((b - a) / step))
+        fa, fb = spec.ends(a, b)
+        h, df = (b - a) / n, (fb - fa) / n
+        for i in range(n):
+            f0 = fa + i * df
+            fm, f1 = f0 + 0.5 * df, f0 + df
+            r1, t1, l1 = rhs(f0, rr, tau)
+            r2, t2, l2 = rhs(fm, rr + 0.5 * h * r1, tau + 0.5 * h * t1)
+            r3, t3, l3 = rhs(fm, rr + 0.5 * h * r2, tau + 0.5 * h * t2)
+            r4, t4, l4 = rhs(f1, rr + h * r3, tau + h * t3)
+            rr += h / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+            tau += h / 6.0 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+            rl += h / 6.0 * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    return tau, rr, rl
+
+
+_LINEAR = PotentialSpec(segments=(Segment(0.0, 1.5, LinearProfile(0.3, -0.8)),))
+# pieces of widths 0.3, 0.4 and 0.5: each has its own step
+_SAMPLED = PotentialSpec(
+    segments=(
+        Segment(
+            0.0, 1.2, SampledProfile(((0.0, 0.4), (0.3, -0.9), (0.7, 0.2), (1.2, 1.0)))
+        ),
+    )
+)
+_MIXED = PotentialSpec(
+    segments=(
+        Segment(-0.4, 0.1, ConstantProfile(1.0)),
+        Segment(0.1, 0.7, ConstantProfile(-1.3)),
+        Segment(0.7, 1.0, LinearProfile(-1.3, 2.0)),
+    ),
+    left_tail=0.3,
+)
+
+
+@pytest.mark.parametrize("k", [1.3, 1.3 + 0.7j, 0.6 + 2.0j])
+@pytest.mark.parametrize(
+    "spec, x1, x2, step",
+    [
+        (_LINEAR, 0.0, 1.5, 1e-3),
+        (_SAMPLED, 0.1, 1.2, 7e-3),
+        (slab(0.9, -0.3, 0.8), -0.3, 0.8, 1e-3),
+        (_MIXED, -0.6, 0.9, 2e-3),
+        (_MIXED, 0.3, 0.3, 1e-3),
+        (_LINEAR, 0.0, 1.5, 1.5 / (_RICCATI_BLOCK + 1000)),
+    ],
+    ids=["linear", "sampled", "constant", "several_pieces", "empty", "over_a_block"],
+)
+def test_riccati_matches_the_coupled_loop(spec, x1, x2, step, k):
+    got = riccati_coefficients(spec, x1, x2, k, step=step)
+    want = coupled_riccati(spec, x1, x2, k, step)
+    for g, w in zip((got.tau, got.r_right, got.r_left), want):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("k, step", [(30.0, 0.1), (1000.0, 1e-3), (1e300, 1e-3)])
+def test_riccati_names_a_step_too_large(k, step):
+    # explicit RK4 is unstable past |k| h ~ 2.8: the first two returned
+    # tau = nan and |tau| = 0.0022 on a medium nearly transparent at k = 1000
+    spec = PotentialSpec(segments=(Segment(-0.5, 0.5, LinearProfile(0.2, 0.6)),))
+    with pytest.raises(StepTooLarge):
+        riccati_coefficients(spec, -0.5, 0.5, k, step=step)
+
+
+def test_riccati_names_coefficients_that_leave_the_float_range():
+    # tau = e^{ikx} grows to e^720 at Im k = -10 over a width of 72
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResonanceDivision):
+            riccati_coefficients(PotentialSpec(), 0.0, 72.0, -10j, step=8e-4)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    fs=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
+    sampled=st.booleans(),
+    length=st.floats(0.2, 1.5),
+    k_re=st.floats(0.2, 3.0),
+    k_im=st.floats(0.0, 2.0),
+    step=st.floats(1e-3, 0.02),
+)
+def test_riccati_is_accurate_or_raises(fs, sampled, length, k_re, k_im, step):
+    spec, f = linear_or_sampled(fs, sampled, length)
+    k = complex(k_re, k_im)
+    try:
+        got = riccati_coefficients(spec, 0.0, length, k, step)
+    except StepTooLarge:
+        return
+    u = expm_refinement(f, length, k, 3000)
+    want = scattering_coefficients(TransferMatrix.from_matrix(u, (0.0, length), k))
+    for name in ("tau", "r_right", "r_left"):
+        assert abs(getattr(got, name) - getattr(want, name)) < 1e-5
+
+
+def test_riccati_memory_does_not_grow_with_the_step_count():
+    # the stage record is kept per block of steps, not per piece
+    spec = PotentialSpec(segments=(Segment(0.0, 1.0, LinearProfile(0.3, -0.5)),))
+    peaks = []
+    for n in (_RICCATI_BLOCK, 8 * _RICCATI_BLOCK):
+        tracemalloc.start()
+        try:
+            riccati_coefficients(spec, 0.0, 1.0, 1.1 + 0.2j, step=1.0 / n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_tail_reflection_is_moebius_fixed_point():
