@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _SOURCES = {
-    "born": ("born_series", "path_term_count"),
+    "born": ("born_series",),
     "green": (
         "GreenValue",
         "green_closed_form",
@@ -37,7 +37,6 @@ _SOURCES = {
         "check_wavenumber",
         "load_potential",
         "slab",
-        "vacuum_spec",
     ),
     "sl3": ("GeneratorSet3", "green_wronskian"),
     "transfer": (

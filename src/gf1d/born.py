@@ -26,7 +26,7 @@ from .green import GreenValue
 from .potential import check_point, check_wavenumber
 from .quadrature import gauss_legendre
 
-__all__ = ["SeriesTerm", "born_series", "path_term_count"]
+__all__ = ["SeriesTerm", "born_series"]
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,6 @@ class SeriesTerm:
     region: str
     sign: int
     value: complex
-
-
-def path_term_count(order):
-    """Number of region integrals contributing at the given order."""
-    if order < 0:
-        raise ConfigError("order", f"order must be >= 0, got {order}")
-    return 1 if order == 0 else 2
 
 
 def _split(knots, parts):

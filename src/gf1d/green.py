@@ -121,25 +121,35 @@ def _chain(sweep, pairs, P, n=1):
     y_2 .. y_m then x_1 .. x_m: the evolution between consecutive endpoints
     (reversed ones from the forward span), with L- + K+ inserted at each
     later y and L+ - K- at each x but the last.  One pair gives n [2ikG]**n.
+    A large n or many pairs send the series out of the float range; that
+    raises ``ResonanceDivision``.
     """
     pairs = [(max(p), min(p)) for p in pairs]
     pos = pairs[0][1]
     rr1, rl_end = sweep.r_right(pos), sweep.r_left(pairs[-1][0])
-    if n == 1:  # lambda_r's own recurrence: route C's values keep their rounding
-        v, left = lambda_r(rr1, P), lambda_l(rl_end, P)
-    else:
-        v, left = lambda_r_power(rr1, n, P), lambda_l_power(rl_end, n, P)
-    for _, yj in pairs[1:]:
-        v = apply_U(sweep.triple(pos, yj), v)
-        v = apply_generator("L-", v) + apply_generator("K+", v)
-        pos = yj
-    for i, (xj, _) in enumerate(pairs):
-        v = apply_U(sweep.triple(pos, xj), v)
-        if i < len(pairs) - 1:
-            v = apply_generator("L+", v) - apply_generator("K-", v)
-        pos = xj
-    amp = abs(1.0 + rl_end) ** n / (1.0 - min(abs(rl_end), 0.99))
-    return inner_product(left, v), v.loss * amp
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n == 1:  # lambda_r's own recurrence: route C keeps its rounding
+                v, left = lambda_r(rr1, P), lambda_l(rl_end, P)
+            else:
+                v, left = lambda_r_power(rr1, n, P), lambda_l_power(rl_end, n, P)
+            for _, yj in pairs[1:]:
+                v = apply_U(sweep.triple(pos, yj), v)
+                v = apply_generator("L-", v) + apply_generator("K+", v)
+                pos = yj
+            for i, (xj, _) in enumerate(pairs):
+                v = apply_U(sweep.triple(pos, xj), v)
+                if i < len(pairs) - 1:
+                    v = apply_generator("L+", v) - apply_generator("K-", v)
+                pos = xj
+            amp = abs(1.0 + rl_end) ** n / (1.0 - min(abs(rl_end), 0.99))
+            val, loss = inner_product(left, v), v.loss * amp
+    except OverflowError:
+        val = math.inf
+    if not cmath.isfinite(val):
+        msg = f"the chain of {len(pairs)} pairs at power {n} leaves the float range"
+        raise ResonanceDivision(msg)
+    return val, loss
 
 
 def green_polyrep(
@@ -185,13 +195,7 @@ def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
     """
     _check_power(n)
     sweep = _sweep(spec, x, y, k, method, step)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val, loss = _chain(sweep, [(x, y)], P, n)
-    except OverflowError:
-        val = math.inf
-    if not cmath.isfinite(val):
-        raise ResonanceDivision(f"the series of power {n} leaves the float range")
+    val, loss = _chain(sweep, [(x, y)], P, n)
     return GreenValue(val / n, x, y, sweep.k, f"power_{n}", loss)
 
 
@@ -233,22 +237,21 @@ def green_negative_power(
     return GreenValue(numerator / denominator, x, y, k, f"negative_power_{n}", v.loss)
 
 
-_PRODUCT_PREFACTOR = {2: -0.5, 3: 1.0 / 12.0}
-
-
 def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
-    """Product of two or three Green values, prod_i 2ikG(x_i, y_i): a
-    prefactor times route C's operator chain over the pairs (``_chain``).
-    The returned x and y are x_m and y_1, each pair ordered x_i >= y_i.
+    """Product of m >= 1 Green values, prod_i 2ikG(x_i, y_i), as
+    (-1)**(m-1) / (m! (m-1)!) times route C's operator chain over the pairs
+    (``_chain``); one pair is route C's 2ikG.  The returned x and y are x_m
+    and y_1, each pair ordered x_i >= y_i.
     """
     k = check_wavenumber(k)
     pairs = [(check_point(x, "x"), check_point(y, "y")) for x, y in pairs]
     m = len(pairs)
-    if m not in _PRODUCT_PREFACTOR:
-        raise ConfigError("pairs", f"products of 2 or 3 factors are implemented, got {m}")
+    if m < 1:
+        raise ConfigError("pairs", "a product needs at least one pair")
     val, loss = _chain(Sweep(spec, k, method, step), pairs, P)
+    prefactor = (-1) ** (m - 1) / (math.factorial(m) * math.factorial(m - 1))
     x, y = max(pairs[-1]), min(pairs[0])
-    return GreenValue(_PRODUCT_PREFACTOR[m] * val, x, y, k, f"product_{m}", loss)
+    return GreenValue(prefactor * val, x, y, k, f"product_{m}", loss)
 
 
 def jump_condition_check(spec, y, k, h=1e-5, route=green_closed_form, **kw):

@@ -28,11 +28,8 @@ __all__ = [
     "LinearProfile",
     "SampledProfile",
     "PotentialSpec",
-    "vacuum_spec",
     "slab",
     "evaluate_f",
-    "schroedinger_potential",
-    "truncate",
     "load_potential",
     "check_wavenumber",
     "check_point",
@@ -198,20 +195,6 @@ class PotentialSpec:
         p, lo, hi = seg.profile, seg.x_start, seg.x_end
         return float(p.value(a, lo, hi)), float(p.value(b, lo, hi))
 
-    def jump_points(self):
-        """List of (position, jump height f(x+) - f(x-))."""
-        out = []
-        for x in self.breakpoints():
-            lo = evaluate_f(self, x, side=-1)
-            hi = evaluate_f(self, x, side=+1)
-            if lo != hi:
-                out.append((x, hi - lo))
-        return out
-
-
-def vacuum_spec():
-    return PotentialSpec()
-
 
 def slab(c, x_start=0.0, x_end=1.0):
     """Single constant-f segment with vacuum tails."""
@@ -236,50 +219,6 @@ def evaluate_f(spec, x, side=0):
     """Value of f at x; ``side`` -1/+1 picks the one-sided limit at a jump."""
     a, b = _stretch(spec, x, side)
     return spec.ends(x, b)[0] if x < b else spec.ends(a, x)[1]
-
-
-def schroedinger_potential(spec, x):
-    """Smooth part f**2 + f' at x, plus the list of delta weights.
-
-    Returns ``(smooth, delta_weights)`` where delta_weights lists every
-    jump point x_j with weight f(x_j+) - f(x_j-), independently of x.
-    f' is the slope of the stretch that holds x.
-    """
-    a, b = _stretch(spec, x, 0)
-    fa, fb = spec.ends(a, b)
-    f = evaluate_f(spec, x)
-    return f * f + (fb - fa) / (b - a), spec.jump_points()
-
-
-def truncate(spec, x1, x2):
-    """Restriction chi_[x1,x2] * f with vacuum tails."""
-    if not x1 < x2:
-        raise ConfigError("x2", f"truncate needs x1 < x2, got [{x1}, {x2}]")
-    segs = []
-    # tails become segments where they overlap the window
-    x_l, x_r = spec.support
-    if not spec.segments:
-        x_l = x_r = None
-    if spec.left_tail not in (None, 0.0) and x_l is not None and x1 < x_l:
-        hi = min(x2, x_l)
-        if x1 < hi:
-            segs.append(Segment(x1, hi, ConstantProfile(float(spec.left_tail))))
-    for s in spec.segments:
-        lo, hi = max(s.x_start, x1), min(s.x_end, x2)
-        if lo >= hi:
-            continue
-        if isinstance(s.profile, LinearProfile) and lo != s.x_start:
-            prof = LinearProfile(
-                s.profile.value(lo, s.x_start, s.x_end), s.profile.c1
-            )
-        else:
-            prof = s.profile
-        segs.append(Segment(lo, hi, prof))
-    if spec.right_tail not in (None, 0.0) and x_r is not None and x2 > x_r:
-        lo = max(x1, x_r)
-        if lo < x2:
-            segs.append(Segment(lo, x2, ConstantProfile(float(spec.right_tail))))
-    return PotentialSpec(segments=tuple(segs))
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
             for a, b in zip(nodes, nodes[1:]):
                 fa, fb = spec.ends(a, b)
                 if method == "rk4":
-                    m, e = _magnus_panel(fa, fb, b - a, k, step)
+                    m, e = _magnus_panel(fa, fb, a, b, k, step)
                 elif fa == fb:
                     m, e = constant_step_matrix(fa, b - a, k), 0.0
                 else:
@@ -225,7 +225,8 @@ def _magnus(fa, fb, dx, n, k):
     b = sqrt(3) h^2 k (f1 - f2) / 6 and c = -ikh, so that
     exp(Omega) = cosh(q) I + sinh(q) / q Omega with q^2 = a^2 + b^2 + c^2.
     On a linear f, (f1 + f2) / 2 is f at the step midpoint and
-    f1 - f2 = -(fb - fa) / (n sqrt(3)) is the same for every step.
+    f1 - f2 = -(fb - fa) / (n sqrt(3)) is the same for every step.  None
+    where a step's matrix leaves the float range.
     """
     h = dx / n
     a = h * (fa + (fb - fa) * ((np.arange(n) + 0.5) / n))
@@ -241,6 +242,8 @@ def _magnus(fa, fb, dx, n, k):
     m[:, 0, 1] = shc * (a - 1j * b)
     m[:, 1, 0] = shc * (a + 1j * b)
     m[:, 1, 1] = ch - shc * c
+    if not np.isfinite(m).all():
+        return None
     # pairwise products keep the step order: U = M_{n-1} ... M_1 M_0
     while len(m) > 1:
         if len(m) % 2:
@@ -249,19 +252,24 @@ def _magnus(fa, fb, dx, n, k):
     return m[0]
 
 
-def _magnus_panel(fa, fb, width, k, step):
-    """U over a panel on which f runs linearly from fa to fb, with its
+def _magnus_panel(fa, fb, a, b, k, step):
+    """U over a panel [a, b] on which f runs linearly from fa to fb, with its
     step-doubling error.
 
     The error estimate is |U_h - U_2h| / 15 for an even step count, relative
-    to max(1, max |U_h|).
+    to max(1, max |U_h|).  Steps whose matrices leave the float range (the
+    exponent's square overflows at a huge |k| h) raise ``StepTooLarge``; a
+    product of finite steps that overflows comes out NaN, for the caller.
     """
-    n = 2 * _step_count(width, 2.0 * step)
-    # at a huge |k| h the exponent's square overflows: U and the error come
-    # out NaN, which the callers' error checks reject without a warning
+    n = 2 * _step_count(b - a, 2.0 * step)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _magnus(fa, fb, width, n, k)
-        coarse = _magnus(fa, fb, width, n // 2, k)
+        u = _magnus(fa, fb, b - a, n, k)
+        coarse = _magnus(fa, fb, b - a, n // 2, k)
+        if u is None or coarse is None:
+            raise StepTooLarge(
+                f"rk4 step {step} too large: the Magnus steps on "
+                f"[{a}, {b}] leave the float range at k = {k}"
+            )
         scale = max(1.0, float(np.max(np.abs(u))))
         err = float(np.max(np.abs(u - coarse))) / (15.0 * scale)
     return u, err
@@ -559,12 +567,7 @@ class Sweep:
         t = None
         for lo, hi in zip(edges, edges[1:]):
             fl, fh = self.spec.ends(lo, hi)
-            u, err = _magnus_panel(fl, fh, hi - lo, self.k, self.step)
-            if math.isnan(err):
-                raise StepTooLarge(
-                    f"rk4 step {self.step} too large: the Magnus steps on "
-                    f"[{lo}, {hi}] leave the float range at k = {self.k}"
-                )
+            u, err = _magnus_panel(fl, fh, lo, hi, self.k, self.step)
             s = scattering_coefficients(TransferMatrix.from_matrix(u, (lo, hi), self.k))
             chunk = (s.tau, s.r_right, s.r_left, err)
             t = chunk if t is None else _star(chunk, t)

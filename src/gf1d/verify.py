@@ -284,20 +284,14 @@ def run_suite(seed=0, P=48, n_potentials=8, n_wavenumbers=4, corrupt=False):
     _report("power-identity", "n-th power matrix element", r_pow, results)
     for spec in specs[:2]:
         k = ks[0]
-        pts = sorted(_interior_points(spec, rng, 6))
-        pairs2 = [(pts[5], pts[0]), (pts[4], pts[1])]
-        pairs3 = pairs2 + [(pts[3], pts[2])]
-        want = 1.0
-        for x, y in pairs2:
-            want *= 2j * k * green_mod.green_closed_form(spec, x, y, k).value
-        got = green_mod.green_product(spec, pairs2, k, P=2 * P)
-        r_prod = max(r_prod, abs(got.value - want) - got.truncation_loss)
-        want3 = want
-        x, y = pairs3[2]
-        want3 *= 2j * k * green_mod.green_closed_form(spec, x, y, k).value
-        got = green_mod.green_product(spec, pairs3, k, P=2 * P)
-        r_prod = max(r_prod, abs(got.value - want3) - got.truncation_loss)
-    _report("product-identity", "chained two/three-point products", r_prod, results)
+        pts = sorted(_interior_points(spec, rng, 10))
+        pairs = [(pts[-1 - i], pts[i]) for i in range(5)]  # nested: x_i > x_i+1
+        want = 2j * k * green_mod.green_closed_form(spec, *pairs[0], k).value
+        for m in range(2, 6):
+            want *= 2j * k * green_mod.green_closed_form(spec, *pairs[m - 1], k).value
+            got = green_mod.green_product(spec, pairs[:m], k, P=2 * P)
+            r_prod = max(r_prod, abs(got.value - want) - got.truncation_loss)
+    _report("product-identity", "chained two- to five-point products", r_prod, results)
     _report("negative-power-identity", "reciprocal via inverse ladders", r_neg, results)
 
     # jump of the first derivative across the diagonal

@@ -12,7 +12,7 @@ import pytest
 
 from gf1d import born, green, polyrep, sl3, transfer, verify
 from gf1d.cli import main
-from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab, vacuum_spec
+from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab
 
 RNG_SEED = 12345
 
@@ -49,7 +49,7 @@ def test_criterion_2_gauss_factorization():
 
 
 def test_criterion_3_free_space():
-    vac = vacuum_spec()
+    vac = PotentialSpec()
     worst = 0.0
     for k in (1.0, 0.8 + 0.6j):
         for x in np.linspace(-2.0, 2.0, 21):

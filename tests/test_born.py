@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gf1d.born import born_series, path_term_count
+from gf1d.born import born_series
 from gf1d.errors import ConfigError, QuadratureBudget
 from gf1d.green import green_closed_form
 from gf1d.potential import (
@@ -14,7 +14,6 @@ from gf1d.potential import (
     SampledProfile,
     Segment,
     slab,
-    vacuum_spec,
 )
 
 
@@ -74,16 +73,8 @@ def order_sums(pieces, x, y, k, max_order, **kw):
 KINK = [(-1.0, 0.5, 0.7), (0.5, 1.0, -0.4)]
 
 
-def test_path_term_count():
-    assert path_term_count(0) == 1
-    assert path_term_count(1) == 2
-    assert path_term_count(3) == 2
-    with pytest.raises(ValueError):
-        path_term_count(-1)
-
-
 def test_order_zero_is_free_kernel():
-    gv, terms = born_series(vacuum_spec(), 0.9, -0.4, 1.2 + 0.3j, max_order=3)
+    gv, terms = born_series(PotentialSpec(), 0.9, -0.4, 1.2 + 0.3j, max_order=3)
     assert len(terms) == 1 + 2 * 3
     k = 1.2 + 0.3j
     assert abs(2j * k * gv.value - np.exp(1j * k * 1.3)) < 1e-14
@@ -101,8 +92,6 @@ def test_term_regions_and_counts():
     assert by_order[1] == ["A1", "B1"]
     assert by_order[2] == ["A2", "B2"]
     assert by_order[3] == ["A3", "B3"]
-    for m in (1, 2, 3):
-        assert len(by_order[m]) == path_term_count(m)
 
 
 def test_first_order_term_against_analytic_integral():
@@ -190,7 +179,7 @@ def test_domain_errors_are_config_errors():
 
 def test_negative_order_is_a_config_error():
     with pytest.raises(ConfigError) as err:
-        path_term_count(-1)
+        born_series(slab(0.2), 0.3, 0.8, 1.0, max_order=-1)
     assert err.value.field == "order"
 
 

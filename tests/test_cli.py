@@ -471,6 +471,10 @@ names = {}
 exec("from gf1d import *", names)
 assert set(gf1d.__all__) <= set(names) and set(gf1d.__all__) <= set(dir(gf1d))
 assert names["green_closed_form"] is sys.modules["gf1d.green"].green_closed_form
+# a stale __all__ entry in any submodule fails here, not at a user's import
+import pkgutil
+for mod in pkgutil.iter_modules(gf1d.__path__):
+    exec(f"from gf1d.{mod.name} import *", {})
 """
 
 

@@ -21,10 +21,7 @@ from gf1d.potential import (
     check_wavenumber,
     evaluate_f,
     load_potential,
-    schroedinger_potential,
     slab,
-    truncate,
-    vacuum_spec,
 )
 from gf1d.sl3 import green_wronskian
 
@@ -37,12 +34,10 @@ def test_wavenumber_validation():
 
 
 def test_vacuum_is_zero_everywhere():
-    spec = vacuum_spec()
+    spec = PotentialSpec()
     for x in (-5.0, 0.0, 2.3):
         assert evaluate_f(spec, x) == 0.0
-    smooth, deltas = schroedinger_potential(spec, 1.0)
-    assert smooth == 0.0
-    assert deltas == []
+    assert spec.breakpoints() == ()
 
 
 def test_slab_values_and_support():
@@ -68,21 +63,21 @@ def test_jump_points_and_delta_weights():
             Segment(1.0, 2.0, ConstantProfile(-0.25)),
         )
     )
-    jumps = dict(spec.jump_points())
-    assert jumps[0.0] == 0.5
-    assert jumps[1.0] == -0.75
-    assert jumps[2.0] == 0.25
-    smooth, deltas = schroedinger_potential(spec, 0.5)
-    assert smooth == 0.25
-    assert len(deltas) == 3
+    # the delta weight of V at each breakpoint is the jump f(x+) - f(x-)
+    bps = spec.breakpoints()
+    assert bps == (0.0, 1.0, 2.0)
+    jumps = [evaluate_f(spec, x, side=+1) - evaluate_f(spec, x, side=-1) for x in bps]
+    assert jumps == [0.5, -0.75, 0.25]
+    # the smooth part f**2 + f' is 0.25 on the first, constant stretch
+    assert evaluate_f(spec, 0.5) == 0.5 and spec.ends(0.0, 1.0) == (0.5, 0.5)
 
 
 def test_linear_profile_potential():
-    # f = 1 + 2(x - 0), so V = f^2 + 2 away from the edges
+    # f = 1 + 2(x - 0), so V = f^2 + 2 away from the edges: f' = 2 is the
+    # change of f across the unit stretch
     spec = PotentialSpec(segments=(Segment(0.0, 1.0, LinearProfile(1.0, 2.0)),))
-    smooth, _ = schroedinger_potential(spec, 0.25)
-    f = 1.0 + 2.0 * 0.25
-    assert abs(smooth - (f * f + 2.0)) < 1e-14
+    assert abs(evaluate_f(spec, 0.25) - 1.5) < 1e-14
+    assert spec.ends(0.0, 1.0) == (1.0, 3.0)
 
 
 def test_sampled_profile_interpolates():
@@ -104,28 +99,6 @@ def test_segments_must_be_contiguous():
                 Segment(1.5, 2.0, ConstantProfile(1.0)),
             )
         )
-
-
-def test_truncate_restricts_support():
-    spec = slab(0.7, 0.0, 2.0)
-    cut = truncate(spec, 0.5, 1.5)
-    assert cut.support == (0.5, 1.5)
-    assert evaluate_f(cut, 1.0) == 0.7
-    assert evaluate_f(cut, 0.25) == 0.0
-    assert evaluate_f(cut, 1.75) == 0.0
-
-
-def test_truncate_materializes_constant_tails():
-    spec = PotentialSpec(
-        segments=(Segment(0.0, 1.0, ConstantProfile(0.5)),),
-        left_tail=0.3,
-        right_tail=-0.2,
-    )
-    cut = truncate(spec, -1.0, 2.0)
-    assert cut.left_tail is None and cut.right_tail is None
-    assert evaluate_f(cut, -0.5) == 0.3
-    assert evaluate_f(cut, 1.5) == -0.2
-    assert evaluate_f(cut, -2.0) == 0.0
 
 
 def test_load_potential_yaml():
@@ -244,7 +217,6 @@ def test_knots_of_tails_and_samples():
     # tails that differ switch at 0, where evaluate_f puts the jump
     tails = PotentialSpec(left_tail=0.3)
     assert tails.breakpoints() == (0.0,)
-    assert tails.jump_points() == [(0.0, -0.3)]
     assert evaluate_f(tails, 0.0) == 0.3 and evaluate_f(tails, 0.0, side=+1) == 0.0
     assert tails.ends(-2.0, 0.0) == (0.3, 0.3) and tails.ends(0.0, 2.0) == (0.0, 0.0)
     # a sample abscissa outside its own segment is no knot

@@ -25,7 +25,6 @@ from gf1d.potential import (
     SampledProfile,
     Segment,
     slab,
-    vacuum_spec,
 )
 from gf1d.transfer import (
     _RICCATI_BLOCK,
@@ -51,7 +50,7 @@ def expm_oracle(c, dx, k):
 
 
 def test_vacuum_is_pure_phase():
-    m = propagate(vacuum_spec(), 0.0, 1.0, 1.0)
+    m = propagate(PotentialSpec(), 0.0, 1.0, 1.0)
     assert abs(m.alpha_plus - cmath.exp(-1j)) < 1e-15
     assert abs(m.alpha_minus - cmath.exp(1j)) < 1e-15
     assert m.beta_plus == 0 and m.beta_minus == 0
@@ -733,6 +732,17 @@ def test_propagate_names_an_overflowing_matrix(spec, x1, x2, method, step):
         warnings.simplefilter("error")
         with pytest.raises(ResonanceDivision):
             propagate(spec, x1, x2, 1 + 20j, method=method, step=step)
+
+
+@pytest.mark.parametrize("k", [1e150, 1e300])
+def test_propagate_names_a_step_too_large_at_a_huge_wavenumber(k):
+    # the Magnus exponent's square overflows at k = 1e300: propagate named
+    # the NaN matrix a ResonanceDivision, where the sweep names the step
+    spec = PotentialSpec(segments=(Segment(-0.5, 0.5, LinearProfile(0.2, 0.6)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge):
+            propagate(spec, -0.5, 0.5, k, method="rk4")
 
 
 @pytest.mark.parametrize("k", [1e300, -1e300, 1e200 + 1e200j, 2e154 + 0.5j])
