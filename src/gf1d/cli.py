@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -55,19 +54,46 @@ def _parse_grid(text):
     return [start + i * step for i in range(n)]
 
 
+def _parse_interval(text):
+    a, _, b = text.partition(":")
+    try:
+        x1, x2 = float(a), float(b)
+    except ValueError as exc:
+        raise ConfigError("--interval", str(exc)) from exc
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ConfigError("--interval", f"endpoints must be finite, got {text!r}")
+    return x1, x2
+
+
 def _load_spec(path):
     if path is None:
         return PotentialSpec()
     return load_potential(path)
 
 
-def _row_writer(stream, fmt, header):
-    """A function that writes one row, as CSV after a header or as a JSON line."""
-    if fmt == "csv":
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(header)
-        return w.writerow
-    return lambda row: stream.write(json.dumps(dict(zip(header, row))) + "\n")
+class _Rows:
+    """The text of output rows: CSV after a header, or JSON lines.
+
+    A row is ``start`` + its cells joined by ``sep`` + ``end``.  ``cells``
+    formats values as consecutive columns once, so a caller that repeats a
+    value across rows (a grid point, a k, a mirrored pair) reuses the text.
+    The bytes are those of ``csv.writer(lineterminator="\\n").writerow``,
+    which writes ``str`` of each value (no cell here holds a comma, quote or
+    newline), and of ``json.dumps`` of the row as a dict.
+    """
+
+    def __init__(self, fmt, header):
+        csv = fmt == "csv"
+        self.header = ",".join(header) + "\n" if csv else ""
+        self.start, self.sep, self.end = ("", ",", "\n") if csv else ("{", ", ", "}\n")
+        self._keys = None if csv else [json.dumps(h) + ": " for h in header]
+
+    def cells(self, col, values):
+        """The values as the columns from ``col`` on, joined by ``sep``."""
+        if self._keys is None:
+            return ",".join(map(str, values))
+        keys = self._keys[col:]
+        return ", ".join(key + json.dumps(v) for key, v in zip(keys, values))
 
 
 @contextlib.contextmanager
@@ -75,7 +101,12 @@ def _output(args):
     """The --out file, closed after, or stdout, where a reader that closes
     the pipe early (``| head``) ends the output quietly."""
     if args.out not in (None, "-"):
-        with open(args.out, "w", newline="") as stream:
+        try:
+            stream = open(args.out, "w", newline="")
+        except OSError as exc:
+            msg = f"cannot write {args.out!r}: {exc.strerror}"
+            raise ConfigError("--out", msg) from exc
+        with stream:
             yield stream
         return
     try:
@@ -89,13 +120,7 @@ def cmd_coefficients(args):
     spec = _load_spec(args.potential)
     ks = [_parse_k(t) for t in args.k] or [1.0 + 0j]
     grid = _parse_grid(args.grid) if args.grid else None
-    intervals = []
-    for t in args.interval:
-        a, _, b = t.partition(":")
-        try:
-            intervals.append((float(a), float(b)))
-        except ValueError as exc:
-            raise ConfigError("--interval", str(exc)) from exc
+    intervals = [_parse_interval(t) for t in args.interval]
     if grid:
         intervals.extend((grid[0], x) for x in grid[1:])
     if not intervals:
@@ -106,32 +131,31 @@ def cmd_coefficients(args):
         "tau_re", "tau_im", "r_right_re", "r_right_im",
         "r_left_re", "r_left_im",
     ]
+    rows = _Rows(args.format, header)
     with _output(args) as stream:
-        write = _row_writer(stream, args.format, header)
+        stream.write(rows.header)
+        # each interval's cells, and each k's below, are formatted once
+        heads = [rows.start + rows.cells(0, span) + rows.sep for span in intervals]
         for k in ks:
             sweep = transfer.Sweep(spec, k, args.method, args.step)
-            for x1, x2 in intervals:
-                t = sweep.triple(x1, x2)
-                write(
-                    [
-                        x1, x2, k.real, k.imag,
-                        t.tau.real, t.tau.imag,
-                        t.r_right.real, t.r_right.imag,
-                        t.r_left.real, t.r_left.imag,
-                    ]
-                )
+            k_cells = rows.cells(2, [k.real, k.imag]) + rows.sep
+            for (x1, x2), head in zip(intervals, heads):
+                tau, rr, rl = sweep.coefficients(x1, x2)
+                coefficients = [tau.real, tau.imag, rr.real, rr.imag, rl.real, rl.imag]
+                stream.write(head + k_cells + rows.cells(4, coefficients) + rows.end)
     return 0
 
 
 def _born(sweep, x, y, args):
     if args.method != "exact_piecewise":
         raise ConfigError("--method", "route born samples f directly; it has no rk4")
-    return born_mod.born_series(sweep.spec, x, y, sweep.k, max_order=args.order)[0]
+    gv = born_mod.born_series(sweep.spec, x, y, sweep.k, max_order=args.order)[0]
+    return gv.value, gv.truncation_loss
 
 
-# route name -> (sweep, x, y, args) -> GreenValue; every pair at one k reads
-# the same sweep.  Functions are looked up at call time so that rebinding a
-# module attribute reaches the CLI.
+# route name -> (sweep, x, y, args) -> (G, truncation loss); every pair at
+# one k reads the same sweep.  Functions are looked up at call time so that
+# rebinding a module attribute reaches the CLI.
 _ROUTES = {
     "A": lambda sweep, x, y, args: sl3.wronskian_from(sweep, x, y),
     "B": lambda sweep, x, y, args: green_mod.closed_form_from(sweep, x, y),
@@ -141,22 +165,26 @@ _ROUTES = {
     ),
     "born": _born,
 }
+# the route column: the route of the library's GreenValue, with the Born order
+_LABELS = {
+    "A": "wronskian", "B": "closed_form", "C": "polyrep_symmetric",
+    "C-asym": "polyrep_asymmetric", "born": "born_{order}",
+}
 
 
-def _green_row(sweep, x, y, args):
-    """The columns after x and y of one green row: the route's 2ikG, or a
-    pole row where k sits on a bound-state pole."""
+def _green_row(sweep, x, y, route, label, args):
+    """The columns after k of one green row: the route's 2ikG, or a pole row
+    where k sits on a bound-state pole."""
     k = sweep.k
     try:
-        gv = _ROUTES[args.route](sweep, x, y, args)
+        value, loss = route(sweep, x, y, args)
     except (DenominatorZero, WronskianZero):
-        return [k.real, k.imag, "", "", "pole", ""] + ([""] if args.check else [])
-    val = 2j * k * gv.value
-    row = [k.real, k.imag, val.real, val.imag, gv.route, gv.truncation_loss]
+        return ["", "", "pole", ""] + ([""] if args.check else [])
+    val = 2j * k * value
+    row = [val.real, val.imag, label, loss]
     if args.check:
         try:
-            gb = green_mod.closed_form_from(sweep, x, y)
-            row.append(abs(val - 2j * k * gb.value))
+            row.append(abs(val - 2j * k * green_mod.closed_form_from(sweep, x, y)[0]))
         except DenominatorZero:
             row.append("")
     return row
@@ -174,23 +202,31 @@ def cmd_green(args):
     ]
     if args.check:
         header.append("abs_diff_route_b")
+    route, label = _ROUTES[args.route], _LABELS[args.route].format(order=args.order)
+    rows = _Rows(args.format, header)
     with _output(args) as stream:
-        write = _row_writer(stream, args.format, header)
+        stream.write(rows.header)
+        # each grid point's cells as x and as y, and each k's, formatted once
+        xs = [rows.start + rows.cells(0, [x]) + rows.sep for x in grid]
+        ys = [rows.cells(1, [y]) + rows.sep for y in grid]
         for k in ks:
             sweep = transfer.Sweep(spec, k, args.method, args.step)
+            k_cells = rows.cells(2, [k.real, k.imag]) + rows.sep
             # every route orders (x, y) before it computes, so G(x, y) and
-            # G(y, x) are the same bits: a row below the diagonal reuses
-            # the one above it, each computed when grid order first meets it
+            # G(y, x) are the same bits: a row below the diagonal reuses the
+            # text after y of the one above it, each formatted when grid
+            # order first meets it
             mirrored = {}
             for i, x in enumerate(grid):
                 for j, y in enumerate(grid):
                     if j < i:
-                        row = mirrored.pop((j, i))
+                        tail = mirrored.pop((j, i))
                     else:
-                        row = _green_row(sweep, x, y, args)
+                        row = _green_row(sweep, x, y, route, label, args)
+                        tail = k_cells + rows.cells(4, row) + rows.end
                         if j > i:
-                            mirrored[i, j] = row
-                    write([x, y, *row])
+                            mirrored[i, j] = tail
+                    stream.write(xs[i] + ys[j] + tail)
     return 0
 
 

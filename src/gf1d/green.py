@@ -15,6 +15,8 @@ reflection coefficient.
 Every route reads its endpoint data from a ``transfer.Sweep``; the
 ``*_from(sweep, ...)`` functions are the value halves, which a caller that
 evaluates many points at one k (the CLI grid) calls on one shared sweep.
+A value half returns plain numbers, (G, truncation loss); only the public
+routes wrap them in a ``GreenValue``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .polyrep import (
     lambda_r_power,
     mu_over_one_minus_c_xi,
 )
-from .potential import check_point, check_wavenumber
+from .potential import check_point
 from .transfer import Sweep
 
 __all__ = [
@@ -71,23 +73,25 @@ class GreenValue:
 
 
 def _sweep(spec, x, y, k, method, step):
-    """Checked wavenumber and points, and the sweep a single-point route reads."""
-    k = check_wavenumber(k)
+    """The sweep a single-point route reads, after checking k and the points."""
+    sweep = Sweep(spec, k, method, step)
     check_point(x, "x")
     check_point(y, "y")
-    return Sweep(spec, k, method, step)
+    return sweep
 
 
 def _endpoint_data(sweep, x, y):
-    """(rl3, triple(y, x), rr1) with x >= y enforced by symmetry."""
+    """(rl3, (tau, R_r, R_l) of [y, x], rr1) with x >= y enforced by symmetry."""
     if x < y:
         x, y = y, x
-    return sweep.r_left(x), sweep.triple(y, x), sweep.r_right(y)
+    return sweep.r_left(x), sweep.coefficients(y, x), sweep.r_right(y)
 
 
 def _denominator(k, rl3, t, rr1):
-    """D of the closed form, guarded against a bound-state pole."""
-    d = (1.0 - rl3 * t.r_right) * (1.0 - t.r_left * rr1) - rl3 * t.tau**2 * rr1
+    """D of the closed form from (tau, R_r, R_l) of [y, x], guarded against a
+    bound-state pole."""
+    tau, rr, rl = t
+    d = (1.0 - rl3 * rr) * (1.0 - rl * rr1) - rl3 * tau**2 * rr1
     if abs(d) < DENOMINATOR_THRESHOLD:
         raise DenominatorZero(f"|D| = {abs(d):.3e} below threshold at k = {k}")
     return d
@@ -103,15 +107,17 @@ def _check_power(n, integral=False):
 
 def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
     """Closed form in the interval coefficients (route B)."""
-    return closed_form_from(_sweep(spec, x, y, k, method, step), x, y)
+    sweep = _sweep(spec, x, y, k, method, step)
+    value, loss = closed_form_from(sweep, x, y)
+    return GreenValue(value, x, y, sweep.k, "closed_form", loss)
 
 
 def closed_form_from(sweep, x, y):
-    """Route B at (x, y) from a sweep of the medium at its k."""
+    """(G, truncation loss) of route B at (x, y) from a sweep of the medium at its k."""
     k = sweep.k
     rl3, t, rr1 = _endpoint_data(sweep, x, y)
-    two_ik_g = (1.0 + rl3) * t.tau * (1.0 + rr1) / _denominator(k, rl3, t, rr1)
-    return GreenValue(two_ik_g / (2j * k), x, y, k, "closed_form")
+    two_ik_g = (1.0 + rl3) * t[0] * (1.0 + rr1) / _denominator(k, rl3, t, rr1)
+    return two_ik_g / (2j * k), 0.0
 
 
 def _chain(sweep, pairs, P, n=1):
@@ -162,17 +168,19 @@ def green_polyrep(
     where B is the mu-independent series obtained by applying L+ - K- to
     U(x,y) Lambda_r(y).
     """
-    return polyrep_from(_sweep(spec, x, y, k, method, step), x, y, P, variant)
+    sweep = _sweep(spec, x, y, k, method, step)
+    value, loss = polyrep_from(sweep, x, y, P, variant)
+    return GreenValue(value, x, y, sweep.k, f"polyrep_{variant}", loss)
 
 
 def polyrep_from(sweep, x, y, P=64, variant="symmetric"):
-    """Route C at (x, y) from a sweep of the medium at its k."""
-    k = sweep.k
+    """(G, truncation loss) of route C at (x, y) from a sweep of the medium at its k."""
     if variant == "symmetric":
         two_ik_g, loss = _chain(sweep, [(x, y)], P)
     elif variant == "asymmetric":
-        rl3, t, rr1 = _endpoint_data(sweep, x, y)
-        v = apply_U(t, lambda_r(rr1, P))
+        hi, lo = (x, y) if x >= y else (y, x)
+        rl3 = sweep.r_left(hi)
+        v = apply_U(sweep.triple(lo, hi), lambda_r(sweep.r_right(lo), P))
         # L+ - K- multiplies the mu-degree-one component by -(1+xi); done on
         # a padded array so the top coefficient survives the cutoff
         comp = v.component(1)
@@ -184,7 +192,7 @@ def polyrep_from(sweep, x, y, P=64, variant="symmetric"):
         raise ConfigError(
             "variant", f"must be 'symmetric' or 'asymmetric', got {variant!r}"
         )
-    return GreenValue(two_ik_g / (2j * k), x, y, k, f"polyrep_{variant}", loss)
+    return two_ik_g / (2j * sweep.k), loss
 
 
 def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
@@ -220,7 +228,7 @@ def green_negative_power(
     v = mu_over_one_minus_c_xi(q, rr1, P)
     for _ in range(n):
         v = inverse_operator("(L-+K+)inv", v)
-    v = apply_U(t, v)
+    v = apply_U(sweep.triple(min(x, y), max(x, y)), v)
     for _ in range(n):
         v = inverse_operator("(L+-K-)inv", v)
     b = v.component(min(v.rows))
@@ -233,7 +241,7 @@ def green_negative_power(
         * math.factorial(q - n - 1)
         / (math.factorial(q) * math.factorial(q - 1))
     )
-    denominator = const * (t.tau / d) ** q
+    denominator = const * (t[0] / d) ** q
     return GreenValue(numerator / denominator, x, y, k, f"negative_power_{n}", v.loss)
 
 
@@ -243,15 +251,15 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
     (``_chain``); one pair is route C's 2ikG.  The returned x and y are x_m
     and y_1, each pair ordered x_i >= y_i.
     """
-    k = check_wavenumber(k)
+    sweep = Sweep(spec, k, method, step)
     pairs = [(check_point(x, "x"), check_point(y, "y")) for x, y in pairs]
     m = len(pairs)
     if m < 1:
         raise ConfigError("pairs", "a product needs at least one pair")
-    val, loss = _chain(Sweep(spec, k, method, step), pairs, P)
+    val, loss = _chain(sweep, pairs, P)
     prefactor = (-1) ** (m - 1) / (math.factorial(m) * math.factorial(m - 1))
     x, y = max(pairs[-1]), min(pairs[0])
-    return GreenValue(prefactor * val, x, y, k, f"product_{m}", loss)
+    return GreenValue(prefactor * val, x, y, sweep.k, f"product_{m}", loss)
 
 
 def jump_condition_check(spec, y, k, h=1e-5, route=green_closed_form, **kw):

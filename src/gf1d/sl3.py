@@ -20,7 +20,7 @@ import numpy as np
 from .errors import LogBranch, ResonanceDivision, WronskianZero
 from .green import GreenValue
 from .polyrep import RELATIONS
-from .potential import check_point, check_wavenumber
+from .potential import check_point
 from .transfer import Sweep
 
 __all__ = [
@@ -154,11 +154,12 @@ def intertwiner_check(m, triple, gens=None):
     return [(cid, float(np.max(np.abs(r)))) for cid, r in checks]
 
 
-def _across(num, t):
-    """num / tau(t): a decaying solution read on the far side of x0, where it grows."""
-    if t.tau == 0 or not cmath.isfinite(phi := num / t.tau):
+def _across(num, tau, interval):
+    """num / tau of [x1, x2]: a decaying solution read on the far side of x0,
+    where it grows."""
+    if tau == 0 or not cmath.isfinite(phi := num / tau):
         raise ResonanceDivision(
-            f"|tau| = {abs(t.tau):.3e} on {t.interval}: the decaying solution overflows"
+            f"|tau| = {abs(tau):.3e} on {interval}: the decaying solution overflows"
         )
     return phi
 
@@ -167,22 +168,22 @@ def _phi_plus(sweep, x, x0):
     # solution decaying to the right, normalized at x0
     rl = sweep.r_left(x)
     if x >= x0:
-        t = sweep.triple(x0, x)  # coefficients of U(x, x0)
-        return (1.0 + rl) * t.tau / (1.0 - rl * t.r_right)
+        tau, rr_t, _ = sweep.coefficients(x0, x)  # coefficients of U(x, x0)
+        return (1.0 + rl) * tau / (1.0 - rl * rr_t)
     # U(x, x0) is the inverse of U(x0, x); written in the forward triple and
     # R_l(+inf, x0) it has no cancellation
-    t = sweep.triple(x, x0)
-    return _across((1.0 + rl) * (1.0 - t.r_right * sweep.r_left(x0)), t)
+    tau, rr_t, _ = sweep.coefficients(x, x0)
+    return _across((1.0 + rl) * (1.0 - rr_t * sweep.r_left(x0)), tau, (x, x0))
 
 
 def _phi_minus(sweep, x, x0):
     # solution decaying to the left, normalized at x0
     rr = sweep.r_right(x)
     if x <= x0:
-        t = sweep.triple(x, x0)  # coefficients of U(x0, x)
-        return (1.0 + rr) * t.tau / (1.0 - t.r_left * rr)
-    t = sweep.triple(x0, x)
-    return _across((1.0 + rr) * (1.0 - t.r_left * sweep.r_right(x0)), t)
+        tau, _, rl_t = sweep.coefficients(x, x0)  # coefficients of U(x0, x)
+        return (1.0 + rr) * tau / (1.0 - rl_t * rr)
+    tau, _, rl_t = sweep.coefficients(x0, x)
+    return _across((1.0 + rr) * (1.0 - rl_t * sweep.r_right(x0)), tau, (x0, x))
 
 
 def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
@@ -192,14 +193,13 @@ def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
     Wronskian evaluated at the support midpoint x0, where it reduces to
     W = -2ik (1 - R_l(+inf, x0) R_r(x0, -inf)).
     """
-    k = check_wavenumber(k)
-    check_point(x, "x")
-    check_point(y, "y")
-    return wronskian_from(Sweep(spec, k, method, step), x, y)
+    sweep = Sweep(spec, k, method, step)
+    value, loss = wronskian_from(sweep, check_point(x, "x"), check_point(y, "y"))
+    return GreenValue(value, x, y, sweep.k, "wronskian", loss)
 
 
 def wronskian_from(sweep, x, y):
-    """Route A at (x, y) from a sweep of the medium at its k."""
+    """(G, truncation loss) of route A at (x, y) from a sweep of the medium at its k."""
     k = sweep.k
     x_l, x_r = sweep.spec.support
     x0 = 0.5 * (x_l + x_r)
@@ -210,7 +210,4 @@ def wronskian_from(sweep, x, y):
             f"|W| / |2ik| = {abs(denom):.3e} below threshold at k = {k}"
         )
     two_ik_g = _phi_plus(sweep, hi, x0) * _phi_minus(sweep, lo, x0) / denom
-    return GreenValue(
-        value=two_ik_g / (2j * k), x=x, y=y, k=k, route="wronskian",
-        truncation_loss=0.0,
-    )
+    return two_ik_g / (2j * k), 0.0

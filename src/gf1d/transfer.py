@@ -41,6 +41,7 @@ from .errors import (
     StepTooLarge,
     UnsupportedProfile,
 )
+from .potential import check_point, check_wavenumber
 
 __all__ = [
     "TransferMatrix",
@@ -164,9 +165,9 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     step-doubling error.  A U that leaves the float range raises
     ``ResonanceDivision``.
     """
+    k, x1, x2 = check_wavenumber(k), check_point(x1, "x1"), check_point(x2, "x2")
     if x2 < x1:
         raise ConfigError("x2", f"propagate needs x1 <= x2, got [{x1}, {x2}]")
-    k = complex(k)
     if x2 == x1:
         return TransferMatrix.identity(x1, k)
     _check_method(method, step)
@@ -315,7 +316,8 @@ def scattering_coefficients(m):
 
 def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     """Scattering coefficients of [x1, x2]; x1 > x2 inverts the span of [x2, x1]."""
-    return Sweep(spec, k, method, step).triple(x1, x2)
+    sweep = Sweep(spec, k, method, step)
+    return sweep.triple(check_point(x1, "x1"), check_point(x2, "x2"))
 
 
 def riccati_coefficients(spec, x1, x2, k, step=1e-3):
@@ -339,10 +341,10 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
     ``StepTooLarge`` is raised.  Coefficients that leave the float range
     raise ``ResonanceDivision``.
     """
+    k, x1, x2 = check_wavenumber(k), check_point(x1, "x1"), check_point(x2, "x2")
     if x2 < x1:
         raise ConfigError("x2", f"needs x1 <= x2, got [{x1}, {x2}]")
     _check_step(step)
-    k = complex(k)
     nodes = spec.knots(x1, x2)
     pieces = []
     bound = 0.0
@@ -435,6 +437,7 @@ def tail_reflection(c, k, side):
 def semi_infinite_coefficients(spec, x, k, method="exact_piecewise", step=1e-3):
     """(R_r(x, -inf), R_l(+inf, x)) for vacuum or constant tails."""
     sweep = Sweep(spec, k, method, step)
+    check_point(x, "x")
     return sweep.r_right(x), sweep.r_left(x)
 
 
@@ -529,9 +532,9 @@ class Sweep:
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
+        self.k = check_wavenumber(k)
         _check_method(method, step)
         self.spec = spec
-        self.k = complex(k)
         self.method = method
         self.step = step
         self._bps = spec.breakpoints()
@@ -607,10 +610,15 @@ class Sweep:
             )
         return t
 
-    def triple(self, x1, x2):
-        """Scattering coefficients of [x1, x2]; x1 > x2 inverts the span of [x2, x1]."""
+    def coefficients(self, x1, x2):
+        """(tau, R_r, R_l) of [x1, x2] as plain numbers; x1 > x2 inverts the
+        span of [x2, x1]."""
         t = self._span(x1, x2) if x1 <= x2 else _reverse(self._span(x2, x1))
-        return ScatteringTriple(t[0], t[1], t[2], (x1, x2), self.k)
+        return t[:3]
+
+    def triple(self, x1, x2):
+        """The coefficients of [x1, x2] as a ``ScatteringTriple``."""
+        return ScatteringTriple(*self.coefficients(x1, x2), (x1, x2), self.k)
 
     def r_right(self, x):
         """R_r(x, -inf): reflection seen from x looking left."""

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -179,6 +182,8 @@ def test_verify_jsonl(capsys):
         ["green", "--grid=0:1e400:2"],
         ["green", "--grid=nan:1:2"],
         ["green", "--route", "born", "--method", "rk4"],
+        ["coefficients", "--interval", "0:1e400"],
+        ["coefficients", "--interval", "0:nan"],
     ],
 )
 def test_out_of_domain_input_exits_2(argv, capsys):
@@ -304,6 +309,184 @@ def test_grid_rows_equal_per_pair_library_calls(route, tmp_path, capsys):
             assert poles > 0
         elif route != "born":
             assert poles == 0 and (blank_checks > 0) == bool(check)
+
+
+SAMPLED = (
+    "segments:\n"
+    "  - x_start: 0\n"
+    "    x_end: 1.2\n"
+    "    profile:\n"
+    "      type: sampled\n"
+    "      points: [[0, 0.3], [0.4, -0.5], [0.8, 0.9], [1.2, 0.1]]\n"
+)
+
+
+def _reference_text(fmt, header, rows):
+    """Rows as the csv module and json.dumps write them."""
+    buf = io.StringIO()
+    if fmt == "csv":
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+    else:
+        for row in rows:
+            buf.write(json.dumps(dict(zip(header, row))) + "\n")
+    return buf.getvalue()
+
+
+def _grid(start, stop, n):
+    step = (stop - start) / (n - 1)
+    return [start + i * step for i in range(n)]
+
+
+def _library_green_rows(spec, grid, ks, route, check, **kw):
+    """The rows of `gf1d green` from one public library call per (x, y, k)."""
+    from gf1d import born, green, sl3
+    from gf1d.errors import DenominatorZero, WronskianZero
+
+    library = {
+        "A": lambda x, y, k: sl3.green_wronskian(spec, x, y, k, **kw),
+        "B": lambda x, y, k: green.green_closed_form(spec, x, y, k, **kw),
+        "C": lambda x, y, k: green.green_polyrep(spec, x, y, k, P=CUTOFF, **kw),
+        "C-asym": lambda x, y, k: green.green_polyrep(
+            spec, x, y, k, P=CUTOFF, variant="asymmetric", **kw
+        ),
+        "born": lambda x, y, k: born.born_series(spec, x, y, k, max_order=2)[0],
+    }[route]
+    rows = []
+    for k in ks:
+        for x in grid:
+            for y in grid:
+                row = [x, y, k.real, k.imag]
+                try:
+                    gv = library(x, y, k)
+                except (DenominatorZero, WronskianZero):
+                    rows.append(row + ["", "", "pole", ""] + ([""] if check else []))
+                    continue
+                val = 2j * k * gv.value
+                row += [val.real, val.imag, gv.route, gv.truncation_loss]
+                if check:
+                    try:
+                        b = green.green_closed_form(spec, x, y, k, **kw).value
+                        row.append(abs(val - 2j * k * b))
+                    except DenominatorZero:
+                        row.append("")
+                rows.append(row)
+    return rows
+
+
+CUTOFF = 5
+GREEN_HEADER = [
+    "x", "y", "k_re", "k_im", "two_ik_g_re", "two_ik_g_im", "route", "truncation_loss",
+]
+RK4 = {"method": "rk4", "step": 0.01}
+# (document, route, grid, ks as the --k text, propagation keywords)
+GREEN_CASES = {
+    **{
+        f"pole-{route}": (
+            POLE_POT, route, (-1.6, 1.6, 5), ["0.8,0.3", repr(POLE_K)], {}
+        )
+        for route in ("A", "B", "C", "C-asym")
+    },
+    "born": (POT, "born", (-1.2, 0.9, 4), ["0.8,0.3", "2.5"], {}),
+    **{
+        f"rk4-{name}-{route}": (doc, route, (0.1, 1.1, 4), ["1.2,0.3"], RK4)
+        for name, doc in (("linear", LINEAR), ("sampled", SAMPLED))
+        for route in ("A", "B", "C", "C-asym")
+    },
+    # a negative zero k_im, and exponents down to 1e-301 and up to 1e+300
+    "exponents": ("", "B", (-1e300, 1e300, 3), ["1e-300,0", "1,-0"], {}),
+    # an infinite truncation loss off the diagonal: at P = 5 the tail of the
+    # evolved series no longer shrinks, and its estimate has no bound
+    "infinite-loss": (
+        "segments:\n  - {x_start: -1, x_end: 1, profile: {type: constant, c: 5.0}}\n",
+        "C", (-0.4, 0.4, 2), ["0.05,0.01"], {},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+@pytest.mark.parametrize("case", sorted(GREEN_CASES))
+def test_green_rows_equal_a_reference_writer(case, check, fmt, tmp_path, capsys):
+    # every cell is formatted once and a mirrored row reuses its twin's text:
+    # the bytes must stay those of csv.writer and json.dumps over the values
+    # of the public library routes
+    from gf1d.potential import PotentialSpec, load_potential
+
+    doc, route, (start, stop, n), ks, kw = GREEN_CASES[case]
+    flags = [f"--{key}={val}" for key, val in kw.items()]
+    argv = ["green", "--route", route, f"--grid={start!r}:{stop!r}:{n}",
+            f"--P={CUTOFF}", "--format", fmt, *flags]
+    for k in ks:
+        argv += ["--k", k]
+    spec = PotentialSpec()
+    if doc:
+        path = tmp_path / "medium.yaml"
+        path.write_text(doc)
+        argv += ["--potential", str(path)]
+        spec = load_potential(str(path))
+    if check:
+        argv.append("--check")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    ks = [complex(*map(float, k.split(","))) for k in ks]
+    rows = _library_green_rows(spec, _grid(start, stop, n), ks, route, check, **kw)
+    header = GREEN_HEADER + (["abs_diff_route_b"] if check else [])
+    assert out == _reference_text(fmt, header, rows)
+    if case == "infinite-loss":
+        assert any(row[7] == math.inf for row in rows)
+    # the text after y of each row is that of its mirrored twin at the same k
+    sep = "," if fmt == "csv" else ", "
+    lines = out.splitlines()[1:] if fmt == "csv" else out.splitlines()
+    tails = {}
+    for i, line in enumerate(lines):
+        x, y, tail = line.split(sep, 2)
+        tails[i // n**2, x.split(": ")[-1], y.split(": ")[-1]] = tail
+    assert len(tails) == len(lines)
+    for (block, x, y), tail in tails.items():
+        assert tails[block, y, x] == tail
+
+
+def test_coefficients_rows_equal_a_reference_writer(tmp_path, capsys):
+    from gf1d.potential import load_potential
+    from gf1d.transfer import interval_triple
+
+    header = [
+        "x1", "x2", "k_re", "k_im", "tau_re", "tau_im", "r_right_re", "r_right_im",
+        "r_left_re", "r_left_im",
+    ]
+    for doc, kw in ((POT_LEFT_TAIL, {}), (SAMPLED, RK4)):
+        path = tmp_path / "medium.yaml"
+        path.write_text(doc)
+        spec = load_potential(str(path))
+        for fmt in ("csv", "jsonl"):
+            argv = ["coefficients", "--potential", str(path), "--format", fmt,
+                    *(f"--{key}={val}" for key, val in kw.items()), "--k", "1.3,0.2",
+                    "--k", "0.6", "--grid=-1:1.5:6", "--interval=0.7:-0.3"]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            spans = [(0.7, -0.3)] + [(-1.0, x) for x in _grid(-1.0, 1.5, 6)[1:]]
+            rows = []
+            for k in (1.3 + 0.2j, 0.6 + 0j):
+                for x1, x2 in spans:
+                    t = interval_triple(spec, x1, x2, k, **kw)
+                    rows.append([x1, x2, k.real, k.imag, t.tau.real, t.tau.imag,
+                                 t.r_right.real, t.r_right.imag,
+                                 t.r_left.real, t.r_left.imag])
+            assert out == _reference_text(fmt, header, rows)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_2(where, tmp_path, capsys):
+    # it used to end in an IsADirectoryError or FileNotFoundError traceback
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "rows.csv"
+    code = main(["green", "--grid=0:1:2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out: ")
 
 
 def test_coefficients_grid_matches_propagation(pot_file, capsys):

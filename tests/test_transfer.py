@@ -352,12 +352,43 @@ def test_riccati_names_a_step_too_large(k, step):
         riccati_coefficients(spec, -0.5, 0.5, k, step=step)
 
 
-def test_riccati_names_coefficients_that_leave_the_float_range():
-    # tau = e^{ikx} grows to e^720 at Im k = -10 over a width of 72
+_S = slab(0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        # _kappa and _sqrt_radicand recursed on a NaN k until RecursionError
+        (lambda: interval_triple(_S, 0.0, 0.5, math.nan), "k"),
+        (lambda: propagate(_S, 0.0, 0.5, math.nan), "k"),
+        # a NaN triple
+        (lambda: interval_triple(_S, 0.0, math.inf, 1.0), "x2"),
+        # a finite wrong pair, and NaN at either infinity
+        (lambda: semi_infinite_coefficients(_S, math.nan, 1.0), "x"),
+        (lambda: semi_infinite_coefficients(_S, math.inf, 1.0), "x"),
+        (lambda: semi_infinite_coefficients(_S, -math.inf, 1.0), "x"),
+        # a plain OverflowError, and a plain ValueError
+        (lambda: riccati_coefficients(_S, 0.0, math.inf, 1.0), "x2"),
+        (lambda: riccati_coefficients(_S, math.nan, 0.0, 1.0), "x1"),
+        # Im k < 0, where tau = e^{ikx} grows to e^720 over a width of 72
+        (lambda: interval_triple(_S, 0.0, 0.5, 1.0 - 0.1j), "k"),
+        (lambda: semi_infinite_coefficients(_S, 0.0, 1.0 - 0.1j), "k"),
+        (lambda: riccati_coefficients(PotentialSpec(), 0.0, 72.0, -10j, 8e-4), "k"),
+        (lambda: Sweep(_S, math.nan), "k"),
+    ],
+    ids=[
+        "interval-nan-k", "propagate-nan-k", "interval-inf-x", "semi-infinite-nan-x",
+        "semi-infinite-inf-x", "semi-infinite-minus-inf-x", "riccati-inf-x",
+        "riccati-nan-x", "interval-decaying-k", "semi-infinite-decaying-k",
+        "riccati-decaying-k", "sweep-nan-k",
+    ],
+)
+def test_entry_points_check_their_domain(call, field):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ResonanceDivision):
-            riccati_coefficients(PotentialSpec(), 0.0, 72.0, -10j, step=8e-4)
+        with pytest.raises(ConfigError) as err:
+            call()
+    assert err.value.field == field
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
