@@ -17,6 +17,7 @@ phase factor is referred to a point upstream of it on the same panel.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from .potential import check_point, check_wavenumber
 from .quadrature import gauss_legendre
 
 __all__ = ["SeriesTerm", "born_series"]
+
+NODE_BUDGET = 2_000_000  # quadrature nodes one call may spend
 
 
 @dataclass(frozen=True)
@@ -87,18 +90,18 @@ class _Panels:
         return (near_edge * self.e_half)[:, None] * outward + inner, at_edges
 
 
-def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
+def born_series(spec, x, y, k, max_order=3, n_nodes=32):
     """Terms of the expansion of 2ikG(x, y) up to max_order.
 
     Returns (GreenValue, [SeriesTerm]); the value is the partial sum over
     all returned terms divided by 2ik.  Each order costs two cumulative
     passes of n_nodes nodes per panel, and the rule's n_nodes x n_nodes
-    integration matrix costs n_nodes**2, all counted against node_budget.
+    integration matrix costs n_nodes**2, all counted against NODE_BUDGET.
     """
-    if max_order < 0:
-        raise ConfigError("order", f"order must be >= 0, got {max_order}")
-    if n_nodes < 1:
-        raise ConfigError("n_nodes", f"must be >= 1, got {n_nodes}")
+    if not isinstance(max_order, numbers.Integral) or max_order < 0:
+        raise ConfigError("order", f"order must be an integer >= 0, got {max_order!r}")
+    if not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
+        raise ConfigError("n_nodes", f"must be an integer >= 1, got {n_nodes!r}")
     k = check_wavenumber(k)
     x_in, y_in = check_point(x, "x"), check_point(y, "y")
     for name in ("left_tail", "right_tail"):
@@ -114,8 +117,8 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32, node_budget=2_000_000):
     knots = sorted({*spec.knots(x_l, x_r), x_c, y_c})
     parts = np.ceil(0.5 * abs(k) * np.diff(knots))
     spent = 2 * max_order * n_nodes * parts.sum() + (n_nodes**2 if max_order else 0)
-    if spent > node_budget:
-        raise QuadratureBudget(f"node budget {node_budget} exceeded ({spent:g})")
+    if spent > NODE_BUDGET:
+        raise QuadratureBudget(f"node budget {NODE_BUDGET} exceeded ({spent:g})")
     if max_order:
         edges = _split(knots, parts)
         grid = _Panels(spec, edges, k, n_nodes)

@@ -26,6 +26,10 @@ class StepTooLarge(Gf1dError):
     """Fixed-step integration failed a local error heuristic."""
 
 
+class StepBudget(Gf1dError):
+    """A piece would take more fixed steps than the fixed step budget."""
+
+
 class ResonanceDivision(Gf1dError):
     """|alpha(k)| fell below threshold (transmission zero / numerical
     resonance), or a value left the float range."""

@@ -196,8 +196,10 @@ def polyrep_from(sweep, x, y, P=64, variant="symmetric"):
 
 
 def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
-    """[2ikG]**n = (1/n) <Lambda_l**n, U Lambda_r**n> for integer n >= 1.
+    """[2ikG]**n = (1/n) <Lambda_l**n, U Lambda_r**n> for any finite n >= 1.
 
+    A non-integer n gives the principal power: the chain's row then has the
+    fractional weight n, and tau is raised to it by its principal logarithm.
     A large n sends the coefficients of Lambda_r**n out of the float range;
     that raises ``ResonanceDivision``.
     """
@@ -262,12 +264,12 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
     return GreenValue(prefactor * val, x, y, sweep.k, f"product_{m}", loss)
 
 
-def jump_condition_check(spec, y, k, h=1e-5, route=green_closed_form, **kw):
-    """|d_x G(y+, y) - d_x G(y-, y) - 1|, via one-sided second-order stencils."""
+def jump_condition_check(spec, y, k, h=1e-5):
+    """Route B's |d_x G(y+, y) - d_x G(y-, y) - 1|, by one-sided 2nd-order stencils."""
     k = complex(k)
 
     def g(x):
-        return route(spec, x, y, k, **kw).value
+        return green_closed_form(spec, x, y, k).value
 
     right = (-3.0 * g(y) + 4.0 * g(y + h) - g(y + 2 * h)) / (2.0 * h)
     left = (3.0 * g(y) - 4.0 * g(y - h) + g(y - 2 * h)) / (2.0 * h)

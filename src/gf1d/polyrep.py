@@ -1,7 +1,7 @@
 """Representation of the scattering algebra on polynomials in two variables.
 
-Vectors live in the span of xi**p * mu**q with integer p in [0, P] and q
-running over q0 + integers (q0 = 0 for the default space).  The nine
+Vectors live in the span of xi**p * mu**q with integer p in [0, P] and a
+weight q, an integer for every vector but the fractional powers.  The nine
 generators act as first-order differential operators; the evolution
 operator acts by the substitution xi -> Lhat(xi), mu -> That(xi, mu) with
 
@@ -58,68 +58,66 @@ CUTOFF_BUDGET = 2**24
 class PolyVec:
     """Vector stored as mu-degree rows.
 
-    ``rows[n]`` is the coefficient array c[0..P] of xi**p mu**(q0+n).  The
-    constructor takes {n: array} and cuts or zero-pads each array to P+1;
-    rows that are all zero are dropped and no row is modified in place.
+    ``rows[q]`` is the coefficient array c[0..P] of xi**p mu**q: a row's key
+    is its weight q.  The constructor takes {q: array} and cuts or
+    zero-pads each array to P+1; rows that are all zero are dropped and no
+    row is modified in place.
     """
 
-    def __init__(self, rows, P, q0=0.0, loss=0.0):
+    def __init__(self, rows, P, loss=0.0):
         _check_cutoff(P)
         padded = {}
-        for n, arr in rows.items():
+        for q, arr in rows.items():
             arr = np.asarray(arr)[: P + 1]
-            padded[n] = np.zeros(P + 1, dtype=complex)
-            padded[n][: arr.size] = arr
-        self._set(padded, P, q0, loss)
+            padded[q] = np.zeros(P + 1, dtype=complex)
+            padded[q][: arr.size] = arr
+        self._set(padded, P, loss)
 
-    def _set(self, rows, P, q0, loss):
-        self.P, self.q0, self.loss = P, q0, loss
-        self.rows = {n: rows[n] for n in sorted(rows) if np.count_nonzero(rows[n])}
+    def _set(self, rows, P, loss):
+        self.P, self.loss = P, loss
+        self.rows = {q: rows[q] for q in sorted(rows) if np.count_nonzero(rows[q])}
 
     @classmethod
-    def _of_rows(cls, rows, P, q0, loss):
+    def _of_rows(cls, rows, P, loss):
         """Vector owning ``rows``, each already of length P+1."""
         v = cls.__new__(cls)
-        v._set(rows, P, q0, loss)
+        v._set(rows, P, loss)
         return v
 
     @classmethod
-    def basis(cls, p, n, P, q0=0.0):
+    def basis(cls, p, q, P):
         _check_cutoff(P)
         if not 0 <= p <= P:
             raise ValueError(f"xi-degree {p} outside [0, {P}]")
-        return cls._of_rows({n: np.eye(1, P + 1, p, dtype=complex)[0]}, P, q0, 0.0)
+        return cls._of_rows({q: np.eye(1, P + 1, p, dtype=complex)[0]}, P, 0.0)
 
-    def q_of(self, n):
-        return self.q0 + n
-
-    def component(self, n):
-        """Coefficient array c[p] of the mu-degree-(q0+n) part, length P+1."""
-        row = self.rows.get(n)
+    def component(self, q):
+        """Coefficient array c[p] of the mu-degree-q part, length P+1."""
+        row = self.rows.get(q)
         return np.zeros(self.P + 1, dtype=complex) if row is None else row.copy()
 
     def __add__(self, other):
-        if self.P != other.P or self.q0 != other.q0:
+        if self.P != other.P:
             raise ValueError("incompatible vectors")
         rows = dict(self.rows)
-        for n, row in other.rows.items():
-            rows[n] = rows[n] + row if n in rows else row
-        return PolyVec._of_rows(rows, self.P, self.q0, self.loss + other.loss)
+        for q, row in other.rows.items():
+            rows[q] = rows[q] + row if q in rows else row
+        return PolyVec._of_rows(rows, self.P, self.loss + other.loss)
 
     def __sub__(self, other):
         return self + (other * -1.0)
 
     def __mul__(self, scalar):
-        rows = {n: row * scalar for n, row in self.rows.items()}
-        return PolyVec._of_rows(rows, self.P, self.q0, self.loss * abs(scalar))
+        rows = {q: row * scalar for q, row in self.rows.items()}
+        return PolyVec._of_rows(rows, self.P, self.loss * abs(scalar))
 
     __rmul__ = __mul__
 
     def max_abs_diff(self, other):
         return max(
             (
-                float(np.max(np.abs(self.component(n) - other.component(n))))
-                for n in self.rows.keys() | other.rows.keys()
+                float(np.max(np.abs(self.component(q) - other.component(q))))
+                for q in self.rows.keys() | other.rows.keys()
             ),
             default=0.0,
         )
@@ -159,14 +157,14 @@ def apply_generator(name, v):
     p = np.arange(v.P + 1)
     rows = {}
     lost = 0.0
-    for n, row in v.rows.items():
+    for q, row in v.rows.items():
         # padded[j] holds xi-degree j-1; slot 0 receives only the p = 0
         # term of a lowering, which has coefficient p = 0
         padded = np.zeros(v.P + 3, dtype=complex)
-        padded[1 + dp : v.P + 2 + dp] = coefficient(p, v.q_of(n)) * row
+        padded[1 + dp : v.P + 2 + dp] = coefficient(p, q) * row
         lost += abs(padded[-1])
-        rows[n + dn] = padded[1:-1]
-    return PolyVec._of_rows(rows, v.P, v.q0, v.loss + lost)
+        rows[q + dn] = padded[1:-1]
+    return PolyVec._of_rows(rows, v.P, v.loss + lost)
 
 
 def basis_weight(p, q):
@@ -210,14 +208,11 @@ def _weight_row(P, q):
 
 def inner_product(left, right):
     """Conjugate-linear in left, linear in right."""
-    if left.q0 != right.q0:
-        raise ValueError("inner product needs matching q-offsets")
     total = 0j
-    for n, lrow in left.rows.items():
-        rrow = right.rows.get(n)
+    for q, lrow in left.rows.items():
+        rrow = right.rows.get(q)
         if rrow is None:
             continue
-        q = left.q_of(n)
         w, poles = _weight_row(left.P, q)
         if np.any((lrow[poles] != 0) & (rrow[poles] != 0)):
             raise GammaPole(f"weight undefined at q = {q} on a nonzero term")
@@ -273,8 +268,7 @@ def apply_U(t, v):
     rows = {}
     tail = 0.0
     emp_ratio = 0.0
-    for k, g in v.rows.items():
-        q = v.q_of(k)
+    for q, g in v.rows.items():
         blocks = np.zeros((n_blocks, B), dtype=complex)
         blocks.flat[: P + 1] = g
         sums = blocks @ baby
@@ -293,12 +287,12 @@ def apply_U(t, v):
         # a ratio of two coefficients at rounding level says nothing of the tail
         if abs(res[P]) > _EPS * np.max(np.abs(res)):
             emp_ratio = max(emp_ratio, abs(res[n]) / abs(res[P]))
-        rows[k] = res[: P + 1]
+        rows[q] = res[: P + 1]
     # geometric extrapolation of the dropped tail; no bound when the
     # coefficient ratio reaches 1
     rho = max(abs(rr), emp_ratio)
     loss = math.inf if rho >= 1.0 else (v.loss + tail) / (1.0 - rho)
-    return PolyVec._of_rows(rows, P, v.q0, loss)
+    return PolyVec._of_rows(rows, P, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -368,23 +362,21 @@ def inverse_operator(name, v):
     """
     if name in ("L+inv", "(L+-K-)inv"):
         rows = {}
-        for n, row in v.rows.items():
-            q = v.q_of(n)
-            if q.real < 1:
+        for q, row in v.rows.items():
+            if q < 1:
                 raise DomainViolation(
                     f"{name} needs input vanishing at mu=0; found mu-degree {q}"
                 )
             g = -row / (q + 1)
             if name == "(L+-K-)inv":  # times 1 / (1 + xi)
                 g = _series_mul(g, (-1.0) ** np.arange(v.P + 1), v.P)
-            rows[n + 1] = g
-        return PolyVec._of_rows(rows, v.P, v.q0, v.loss)
+            rows[q + 1] = g
+        return PolyVec._of_rows(rows, v.P, v.loss)
     if name in ("L-inv", "(L-+K+)inv"):
         if len(v.rows) != 1:
             raise DomainViolation(f"{name} needs a mu-homogeneous input")
-        (n, g), = v.rows.items()
-        m = v.q_of(n)
-        if not m.real > 1:
+        (m, g), = v.rows.items()
+        if not m > 1:
             raise DomainViolation(f"{name} needs mu-degree m > 1, got {m}")
         if name == "L-inv":
             out = g / np.array([m + j - 1 for j in range(v.P + 1)])
@@ -395,7 +387,7 @@ def inverse_operator(name, v):
             out[v.P] = g[v.P] / (m + v.P - 1)
             for p in range(v.P - 1, -1, -1):
                 out[p] = (g[p] - (p + 1) * out[p + 1]) / (m + p - 1)
-        return PolyVec._of_rows({n - 1: out}, v.P, v.q0, v.loss)
+        return PolyVec._of_rows({m - 1: out}, v.P, v.loss)
     raise ConfigError("name", f"unknown inverse operator {name!r}")
 
 
@@ -415,19 +407,19 @@ _ADJOINT = {
 }
 
 
-def adjoint_check(P, q_values=(0, 1, 2, 3), q0=0.0):
-    """Verify <Psi', A Psi> = <A^dag Psi', Psi> on all basis pairs up to P."""
+def adjoint_check(P):
+    """Verify <Psi', A Psi> = <A^dag Psi', Psi> on basis pairs p < P, q <= 3."""
     report = []
     for name in GENERATORS:
         dag, sign = _ADJOINT[name]
         worst = 0.0
-        for n in q_values:
+        for q in range(4):
             for p in range(P):
-                psi = PolyVec.basis(p, n, P, q0)
+                psi = PolyVec.basis(p, q, P)
                 a_psi = apply_generator(name, psi)
                 for m, row in a_psi.rows.items():
                     for p2 in np.flatnonzero(row):
-                        psi2 = PolyVec.basis(p2, m, P, q0)
+                        psi2 = PolyVec.basis(p2, m, P)
                         lhs = inner_product(psi2, a_psi)
                         rhs = sign * inner_product(apply_generator(dag, psi2), psi)
                         worst = max(worst, abs(lhs - rhs))
@@ -435,11 +427,11 @@ def adjoint_check(P, q_values=(0, 1, 2, 3), q0=0.0):
     return report
 
 
-def inner_product_integral_check(p, q, n_nodes=80):
-    """Radial quadrature of the diagonal weight vs the factorial formula."""
+def inner_product_integral_check(p, q):
+    """80-node radial quadrature of the diagonal weight vs the factorial formula."""
     if p + q < 1:
         raise ValueError("needs p + q >= 1")
-    nodes, weights, _ = gauss_legendre(n_nodes)
+    nodes, weights, _ = gauss_legendre(80)
     r = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     integral = float(np.sum(w * r ** (2 * p + 1) * (1.0 - r**2) ** q))
@@ -474,18 +466,18 @@ def _build_relations():
 RELATIONS = _build_relations()
 
 
-def commutation_action_check(P, q_values=(0, 1, 2, 3), q0=0.0):
-    """Residual of every bracket relation acting on basis vectors p <= P-2."""
+def commutation_action_check(P):
+    """Residual of every bracket relation on basis vectors p <= P-2, q <= 3."""
     report = []
     for rel_id, a, b, rhs in RELATIONS:
         worst = 0.0
-        for n in q_values:
+        for q in range(4):
             for p in range(P - 1):
-                psi = PolyVec.basis(p, n, P, q0)
+                psi = PolyVec.basis(p, q, P)
                 lhs = apply_generator(a, apply_generator(b, psi)) - apply_generator(
                     b, apply_generator(a, psi)
                 )
-                want = PolyVec({}, P, q0)
+                want = PolyVec({}, P)
                 for gname, coeff in rhs.items():
                     want = want + coeff * apply_generator(gname, psi)
                 worst = max(worst, lhs.max_abs_diff(want))

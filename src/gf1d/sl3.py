@@ -43,29 +43,28 @@ def _m(rows):
 class GeneratorSet3:
     """The nine generators as 3x3 matrices, keyed by name."""
 
-    def __init__(self, matrices=None):
-        if matrices is None:
-            matrices = {
-                "J3": _m([[-0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]),
-                "J+": _m([[0, 0, 0], [-1, 0, 0], [0, 0, 0]]),
-                "J-": _m([[0, -1, 0], [0, 0, 0], [0, 0, 0]]),
-                "K3": _m([[0, 0, 0], [0, -0.5, 0], [0, 0, 0.5]]),
-                "K+": _m([[0, 0, 0], [0, 0, 0], [0, -1, 0]]),
-                "K-": _m([[0, 0, 0], [0, 0, -1], [0, 0, 0]]),
-                "L3": _m([[0.5, 0, 0], [0, 0, 0], [0, 0, -0.5]]),
-                "L+": _m([[0, 0, -1], [0, 0, 0], [0, 0, 0]]),
-                "L-": _m([[0, 0, 0], [0, 0, 0], [-1, 0, 0]]),
-            }
-        self.matrices = {k: np.array(v, dtype=complex) for k, v in matrices.items()}
+    def __init__(self):
+        self.matrices = {
+            "J3": _m([[-0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]),
+            "J+": _m([[0, 0, 0], [-1, 0, 0], [0, 0, 0]]),
+            "J-": _m([[0, -1, 0], [0, 0, 0], [0, 0, 0]]),
+            "K3": _m([[0, 0, 0], [0, -0.5, 0], [0, 0, 0.5]]),
+            "K+": _m([[0, 0, 0], [0, 0, 0], [0, -1, 0]]),
+            "K-": _m([[0, 0, 0], [0, 0, -1], [0, 0, 0]]),
+            "L3": _m([[0.5, 0, 0], [0, 0, 0], [0, 0, -0.5]]),
+            "L+": _m([[0, 0, -1], [0, 0, 0], [0, 0, 0]]),
+            "L-": _m([[0, 0, 0], [0, 0, 0], [-1, 0, 0]]),
+        }
 
     def __getitem__(self, name):
         return self.matrices[name]
 
-    def perturbed(self, name, eps, i=0, j=2):
-        """Copy with one entry of one generator shifted (negative control)."""
-        out = {k: v.copy() for k, v in self.matrices.items()}
-        out[name][i, j] += eps
-        return GeneratorSet3(out)
+    def perturbed(self, name, eps):
+        """Copy with entry (0, 2) of one generator shifted (negative control)."""
+        out = GeneratorSet3()
+        out.matrices = {k: v.copy() for k, v in self.matrices.items()}
+        out.matrices[name][0, 2] += eps
+        return out
 
 
 def commutation_table_check(gens=None):

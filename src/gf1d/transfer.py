@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     IntervalMismatch,
     ResonanceDivision,
+    StepBudget,
     StepTooLarge,
     UnsupportedProfile,
 )
@@ -66,6 +67,10 @@ KAPPA_SERIES_SWITCH = 1e-4
 # largest growth exponent (Im k + max |f|) * width of one Magnus chunk: U
 # grows at most like e^(that exponent), so a chunk's matrix stays finite
 CHUNK_GROWTH = 20.0
+# most fixed steps one piece may take, charged before any step is built: at
+# this many, a Magnus piece takes about 0.3 s and 46 MB, a Riccati piece 0.5 s
+# (2-core Xeon, Python 3.11)
+STEP_BUDGET = 2**18
 # steps per block of a piece in ``riccati_coefficients``: its stage record
 # (four values per step) stays this long whatever the piece's length
 _RICCATI_BLOCK = 1024
@@ -111,20 +116,22 @@ class ScatteringTriple:
 
 def _kappa(c, k):
     """sqrt(c**2 - k**2) on the branch Re > 0 for Im k > 0, continued to real k."""
-    w = c * c - k * k
+    w, s = c * c - k * k, None
     if not cmath.isfinite(w):
         # |c| or |k| past about 1e154: c**2 - k**2 = s**2 ((c/s)**2 - (k/s)**2)
         # with s > 0 keeps the argument of w, and so the branch taken below
         s = max(abs(c), abs(k.real), abs(k.imag))
-        return s * _kappa(c / s, k / s)
+        c, k = c / s, k / s
+        w = c * c - k * k
     if w == 0:
         raise BranchUndefined(f"branch point k**2 == c**2 at k={k}, c={c}")
     if k.imag == 0 and w.real < 0 and w.imag == 0:
         # limit from Im k -> 0+
         root = 1j * cmath.sqrt(-w)
-        return -root if k.real > 0 else root
-    root = cmath.sqrt(w)
-    return -root if root.real < 0 else root
+        root = -root if k.real > 0 else root
+    else:
+        root = cmath.sqrt(w)
+    return root if s is None else s * root
 
 
 def _sqrt_radicand(c, k):
@@ -134,11 +141,15 @@ def _sqrt_radicand(c, k):
     if cmath.isfinite(w):
         return cmath.sqrt(w)
     s = max(abs(c), abs(k.real), abs(k.imag))
-    return s * _sqrt_radicand(c / s, k / s)
+    c, k = c / s, k / s
+    return s * cmath.sqrt(c * c - k * k)
 
 
 def constant_step_matrix(c, dx, k):
     """exp(dx * [[-ik, c], [c, ik]]) in closed form."""
+    check_point(c, "c")
+    check_point(dx, "dx")
+    check_wavenumber(k)
     if c == 0:
         e = cmath.exp(-1j * k * dx)
         return np.array([[e, 0.0], [0.0, 1.0 / e]], dtype=complex)
@@ -178,6 +189,7 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
             for a, b in zip(nodes, nodes[1:]):
                 fa, fb = spec.ends(a, b)
                 if method == "rk4":
+                    _charge_steps(b - a, step)
                     m, e = _magnus_panel(fa, fb, a, b, k, step)
                 elif fa == fb:
                     m, e = constant_step_matrix(fa, b - a, k), 0.0
@@ -211,6 +223,15 @@ def _check_method(method, step):
         raise ConfigError("method", msg)
     if method == "rk4":
         _check_step(step)
+
+
+def _charge_steps(width, step):
+    """A piece of this width takes at most STEP_BUDGET steps of ``step``."""
+    if not width / step <= STEP_BUDGET:
+        raise StepBudget(
+            f"rk4 step {step} across a piece of width {width} takes "
+            f"{width / step:.3g} steps, over the budget of {STEP_BUDGET}"
+        )
 
 
 def _step_count(width, step):
@@ -349,6 +370,7 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
     pieces = []
     bound = 0.0
     for a, b in zip(nodes, nodes[1:]):
+        _charge_steps(b - a, step)
         n = _step_count(b - a, step)
         fa, fb = spec.ends(a, b)
         h = (b - a) / n
@@ -427,7 +449,15 @@ def tail_reflection(c, k, side):
     The seed (ik + kappa) / c is written as c / (kappa - ik), its equal since
     kappa**2 + k**2 = c**2: for |c| << |k| the first form cancels.
     """
-    k = complex(k)
+    if side not in ("left", "right"):
+        raise ConfigError("side", f"must be 'left' or 'right', got {side!r}")
+    if c is not None:
+        check_point(c, "c")
+    return _tail_seed(c, check_wavenumber(k), side)
+
+
+def _tail_seed(c, k, side):
+    """``tail_reflection`` of a checked c, complex k and side."""
     if c == 0 or c is None:
         return 0j
     seed = c / (_kappa(c, k) - 1j * k)
@@ -564,6 +594,7 @@ class Sweep:
         Each chunk keeps (Im k + max |f|) * width within CHUNK_GROWTH, so its
         matrix stays finite; the chunks' triples are composed by ``_star``.
         """
+        _charge_steps(b - a, self.step)
         growth = (abs(self.k.imag) + max(abs(fa), abs(fb))) * (b - a)
         n = max(1, math.ceil(growth / CHUNK_GROWTH))
         edges = [a + (b - a) * i / n for i in range(n)] + [b]
@@ -624,7 +655,7 @@ class Sweep:
         """R_r(x, -inf): reflection seen from x looking left."""
         rr = self._rr.get(x)
         if rr is None:
-            seed = tail_reflection(self.spec.left_tail, self.k, "left")
+            seed = _tail_seed(self.spec.left_tail, self.k, "left")
             if not self._bps or x <= self._bps[0]:
                 rr = seed
             else:
@@ -637,7 +668,7 @@ class Sweep:
         """R_l(+inf, x): reflection seen from x looking right."""
         rl = self._rl.get(x)
         if rl is None:
-            seed = tail_reflection(self.spec.right_tail, self.k, "right")
+            seed = _tail_seed(self.spec.right_tail, self.k, "right")
             if not self._bps or x >= self._bps[-1]:
                 rl = seed
             else:

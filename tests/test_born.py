@@ -141,8 +141,10 @@ def test_symmetric_in_arguments():
 
 
 def test_budget_guard():
+    # at k = 1e5 the panels no wider than 2/|k| number 5e4: three orders
+    # charge 9.6e6 nodes, over the budget of 2e6
     with pytest.raises(QuadratureBudget):
-        born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1.0, max_order=3, node_budget=100)
+        born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1e5, max_order=3)
     with pytest.raises(ValueError):
         born_series(slab(0.2, 0.0, 1.0), 0.8, 0.2, 1.0, max_order=-1)
 
@@ -175,6 +177,23 @@ def test_domain_errors_are_config_errors():
     with pytest.raises(ConfigError) as err:
         born_series(slab(0.2), 0.3, 0.8, 1.0, n_nodes=0)
     assert err.value.field == "n_nodes"
+
+
+@pytest.mark.parametrize(
+    "field, kw",
+    [
+        ("order", {"max_order": 2.5}),
+        ("order", {"max_order": float("nan")}),
+        ("order", {"max_order": 2.0}),
+        ("n_nodes", {"n_nodes": 2.5}),
+        ("n_nodes", {"n_nodes": float("nan")}),
+        ("n_nodes", {"n_nodes": 16.0}),
+    ],
+)
+def test_non_integer_order_and_nodes_are_config_errors(field, kw):
+    with pytest.raises(ConfigError) as err:
+        born_series(slab(0.2), 0.3, 0.8, 1.0, **kw)
+    assert err.value.field == field
 
 
 def test_negative_order_is_a_config_error():

@@ -197,6 +197,19 @@ def test_out_of_domain_input_exits_2(argv, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["green", "coefficients"])
+def test_tiny_step_exits_3(command, tmp_path, capsys):
+    # it ended in a numpy _ArrayMemoryError traceback of 7.28 TiB
+    p = tmp_path / "lin.yaml"
+    p.write_text(LINEAR)
+    argv = [command, "--potential", str(p), "--k", "1.3,0.2"]
+    code = main(argv + ["--method", "rk4", "--step", "1e-12"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert len(out.splitlines()) <= 1  # at most the header, no data row
+    assert err.startswith("error: StepBudget: ") and len(err.splitlines()) == 1
+
+
 def test_green_rk4_on_linear_medium(tmp_path, capsys):
     from gf1d.green import green_closed_form
     from gf1d.potential import load_potential

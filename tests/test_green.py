@@ -102,6 +102,28 @@ def test_power_identity():
         green_power(SPEC, 0.5, -0.2, 1.0, 0)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.5])
+def test_fractional_power_is_the_principal_power(n):
+    # the chain's rows carry fractional weights: its seeds are
+    # (1 + R)**n (mu / (1 - R xi))**n, and apply_U raises tau to the weight
+    media = (
+        SPEC,
+        slab(0.8, -0.5, 0.5),
+        PotentialSpec(segments=SPEC.segments, left_tail=0.3),
+        PotentialSpec(
+            tuple(Segment(a, a + 0.4, ConstantProfile(c)) for a, c in
+                  ((-0.6, 0.9), (-0.2, -1.2), (0.2, 0.5)))
+        ),
+    )
+    for spec in media:
+        for k in (*KS, 1.3 + 0.2j, 0.5 + 1.0j):
+            for x, y in ((0.5, -0.2), (0.3, 0.3), (-0.4, 0.7)):
+                ref = (2j * k * green_closed_form(spec, x, y, k).value) ** n
+                gp = green_power(spec, x, y, k, n, P=96)
+                allowed = 1e-8 * max(1.0, abs(ref)) + gp.truncation_loss
+                assert abs(gp.value - ref) <= allowed
+
+
 def test_negative_power_identity():
     for k in KS[:2]:
         b = 2j * k * green_closed_form(SPEC, 0.5, -0.2, k).value

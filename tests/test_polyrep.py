@@ -57,14 +57,13 @@ def _horner_apply_U(t, v):
     lhat = np.concatenate([[rl], tau * tau * rr ** np.arange(n)])
     m = np.arange(n)
     out = {}
-    for k, row in v.rows.items():
-        q = v.q_of(k)
+    for q, row in v.rows.items():
         res = np.zeros(n + 1, dtype=complex)
         for c in row[::-1]:
             res = np.convolve(res, lhat)[: n + 1]
             res[0] += c
         b = np.cumprod(np.concatenate([[1.0], rr * (q + m) / (m + 1)]))
-        out[k] = np.convolve(res, b)[: n + 1] * cmath.exp(q * cmath.log(tau))
+        out[q] = np.convolve(res, b)[: n + 1] * cmath.exp(q * cmath.log(tau))
     return out
 
 
@@ -362,27 +361,29 @@ _polar = st.builds(
     rl=_polar.map(lambda z: 0.949 * z),
     c=_polar.map(lambda z: 0.949 * z),
     n=st.integers(1, 3),
-    q0=st.sampled_from([0.0, 0.5]),
+    half=st.sampled_from([0, 0.5]),
     P=st.sampled_from([1, 2, 12, 64, 128, 400]),
     generating=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_apply_U_matches_horner_oracle(tau, rr, rl, c, n, q0, P, generating, seed):
-    # rows: a generating vector (mu / (1 - c xi))**n, or random coefficients
+def test_apply_U_matches_horner_oracle(tau, rr, rl, c, n, half, P, generating, seed):
+    # rows: a generating vector (mu / (1 - c xi))**n, or random coefficients,
+    # at the integer weight n or the half-integer weight n + 1/2
     if generating:
         row = mu_over_one_minus_c_xi(n, c, P).rows[n]
     else:
         rng = np.random.default_rng(seed)
         row = rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1)
-    v = PolyVec({n: row}, P, q0)
+    q = n + half
+    v = PolyVec({q: row}, P)
     t = _triple(tau, rr, rl)
-    got = apply_U(t, v).rows.get(n, np.zeros(P + 1))
-    want = _horner_apply_U(t, v)[n][: P + 1]
+    got = apply_U(t, v).rows.get(q, np.zeros(P + 1))
+    want = _horner_apply_U(t, v)[q][: P + 1]
     # any summation order meets the forward rounding bound: P eps times the
     # same composition on absolute values; independent draws of (tau, R_r,
     # R_l) include compositions whose condition number alone exceeds 1e4
-    abs_v = PolyVec({n: np.abs(row)}, P, q0)
-    bound = _horner_apply_U(_triple(abs(tau), abs(rr), abs(rl)), abs_v)[n]
+    abs_v = PolyVec({q: np.abs(row)}, P)
+    bound = _horner_apply_U(_triple(abs(tau), abs(rr), abs(rl)), abs_v)[q]
     allowed = 1e-12 * max(1.0, np.max(np.abs(want))) + (
         (P + 1) * np.finfo(float).eps * bound[: P + 1].real
     )
@@ -410,16 +411,17 @@ def test_apply_U_strong_medium_matches_horner_oracle():
 
 
 def test_apply_U_vacuum_is_a_pure_phase_per_coefficient():
-    # R_r = R_l = 0: xi**p mu**q picks up tau**(q + 2p) and nothing else
-    P, q0 = 64, 0.5
+    # R_r = R_l = 0: xi**p mu**q picks up tau**(q + 2p) and nothing else,
+    # here at the half-integer weights 3/2 and 5/2
+    P = 64
     tau = 0.93 * cmath.exp(0.7j)
     rng = np.random.default_rng(3)
-    rows = {n: rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1) for n in (1, 2)}
-    w = apply_U(_triple(tau, 0j, 0j), PolyVec(rows, P, q0))
+    rows = {q: rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1) for q in (1.5, 2.5)}
+    w = apply_U(_triple(tau, 0j, 0j), PolyVec(rows, P))
     p = np.arange(P + 1)
-    for n, row in rows.items():
-        want = row * np.exp((n + q0 + 2 * p) * cmath.log(tau))
-        assert np.all(np.abs(w.rows[n] - want) <= 1e-13 * np.abs(row))
+    for q, row in rows.items():
+        want = row * np.exp((q + 2 * p) * cmath.log(tau))
+        assert np.all(np.abs(w.rows[q] - want) <= 1e-13 * np.abs(row))
     assert w.loss == 0.0
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from gf1d.errors import (
     Gf1dError,
     IntervalMismatch,
     ResonanceDivision,
+    StepBudget,
     StepTooLarge,
     UnsupportedProfile,
 )
@@ -28,8 +30,10 @@ from gf1d.potential import (
 )
 from gf1d.transfer import (
     _RICCATI_BLOCK,
+    STEP_BUDGET,
     Sweep,
     TransferMatrix,
+    _charge_steps,
     _constant_piece,
     _reverse,
     compose,
@@ -389,6 +393,59 @@ def test_entry_points_check_their_domain(call, field):
         with pytest.raises(ConfigError) as err:
             call()
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        # a RecursionError: _kappa and _sqrt_radicand rescaled a NaN radicand
+        (lambda: tail_reflection(0.5, math.nan, "left"), "k"),
+        (lambda: tail_reflection(math.nan, 1.0, "left"), "c"),
+        (lambda: constant_step_matrix(0.5, 1.0, math.nan), "k"),
+        # a NaN matrix, and the right-side seed
+        (lambda: constant_step_matrix(0.5, math.inf, 1.0), "dx"),
+        (lambda: tail_reflection(0.5, 1.0, "up"), "side"),
+    ],
+    ids=["tail-nan-k", "tail-nan-c", "step-matrix-nan-k", "step-matrix-inf-dx",
+         "tail-unknown-side"],
+)
+def test_public_helpers_check_their_input(call, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            call()
+    assert err.value.field == field
+
+
+_LINEAR = PotentialSpec((Segment(0.0, 1.0, LinearProfile(0.2, 0.6)),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a numpy _ArrayMemoryError of 7.28 TiB on the sweep and in
+        # propagate, and about 1e12 scalar Riccati steps
+        lambda: interval_triple(_LINEAR, 0.0, 1.0, 1.3 + 0.2j, "rk4", 1e-12),
+        lambda: propagate(_LINEAR, 0.0, 1.0, 1.3 + 0.2j, "rk4", 1e-12),
+        lambda: riccati_coefficients(_LINEAR, 0.0, 1.0, 1.3 + 0.2j, 1e-12),
+        # width / step overflows to inf
+        lambda: riccati_coefficients(_LINEAR, 0.0, 1.0, 1.3 + 0.2j, 5e-324),
+    ],
+    ids=["sweep", "propagate", "riccati", "riccati-subnormal-step"],
+)
+def test_tiny_step_is_refused_before_any_step(call):
+    start = time.perf_counter()
+    with pytest.raises(StepBudget):
+        call()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_step_budget_admits_a_piece_at_the_budget():
+    # checked without stepping: a full piece takes 0.3 s and 46 MB of Magnus
+    # steps, or 0.5 s of Riccati steps
+    _charge_steps(1.0, 1.0 / STEP_BUDGET)
+    with pytest.raises(StepBudget):
+        _charge_steps(1.0, 1.0 / (STEP_BUDGET + 1))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
