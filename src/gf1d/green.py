@@ -220,12 +220,24 @@ def green_negative_power(
     series whose value at R_l(inf, x), normalized by a closed-form
     constant, is the reciprocal power.  Overall tau-powers of the two
     semi-infinite tails cancel between numerator and normalization and are
-    dropped from both.
+    dropped from both.  A normalization or series that leaves the float
+    range (n near 100, or tau underflowed) raises ``ResonanceDivision``.
     """
     _check_power(n, integral=True)
     sweep = _sweep(spec, x, y, k, method, step)
     k = sweep.k
     q = n + 2
+    out_of_range = f"the negative power {n} leaves the float range"
+    try:  # the factorials pass the float range near n = 97
+        const = (
+            (-1.0) ** n
+            * q
+            * math.factorial(q - n)
+            * math.factorial(q - n - 1)
+            / (math.factorial(q) * math.factorial(q - 1))
+        )
+    except OverflowError:
+        raise ResonanceDivision(out_of_range) from None
     rl3, t, rr1 = _endpoint_data(sweep, x, y)
     v = mu_over_one_minus_c_xi(q, rr1, P)
     for _ in range(n):
@@ -233,16 +245,11 @@ def green_negative_power(
     v = apply_U(sweep.triple(min(x, y), max(x, y)), v)
     for _ in range(n):
         v = inverse_operator("(L+-K-)inv", v)
+    if not v.rows:  # every coefficient underflowed
+        raise ResonanceDivision(out_of_range)
     b = v.component(min(v.rows))
     numerator = q * complex(np.polynomial.polynomial.polyval(rl3, b))
     d = _denominator(k, rl3, t, rr1)
-    const = (
-        (-1.0) ** n
-        * q
-        * math.factorial(q - n)
-        * math.factorial(q - n - 1)
-        / (math.factorial(q) * math.factorial(q - 1))
-    )
     denominator = const * (t[0] / d) ** q
     return GreenValue(numerator / denominator, x, y, k, f"negative_power_{n}", v.loss)
 

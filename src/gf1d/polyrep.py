@@ -10,9 +10,11 @@ operator acts by the substitution xi -> Lhat(xi), mu -> That(xi, mu) with
 
 expanded as truncated power series in xi; (tau, R_r, R_l) are read from
 the interval's scattering triple.  A vector (``PolyVec``) has one form:
-a coefficient array over xi-degrees 0..P per mu-degree.  Coefficients
-dropped beyond the cutoff are tallied into a scalar truncation-loss
-estimate carried on each vector.
+a coefficient array over xi-degrees 0..P per mu-degree, P being the
+largest degree it keeps.  Coefficients dropped beyond P, and those the
+evolution leaves unread or unformed below NEGLIGIBLE = 2**-64 of a row's
+largest, are tallied into a scalar truncation-loss estimate carried on
+each vector.
 """
 
 from __future__ import annotations
@@ -236,24 +238,93 @@ def _series_mul(a, b, n):
 
 _EPS = np.finfo(float).eps
 
+# a coefficient below this fraction of its row's largest cannot change a
+# value; apply_U neither reads nor forms such coefficients
+NEGLIGIBLE = 2.0**-64
+
 
 def apply_U(t, v):
     """Evolution of the interval with scattering triple t, applied to v.
 
-    Expanded to the cutoff of v, each mu-homogeneous component mu**q g(xi) maps to
-    tau**q (1 - xi R_r)**(-q) g(Lhat(xi)).  The composition g(Lhat) is
-    evaluated by baby and giant steps (Paterson and Stockmeyer): in blocks
-    of B coefficients, g(Lhat) = sum_b S_b(Lhat) Lhat**(B b), where every
-    S_b is summed from one table of Lhat**0 .. Lhat**(B-1) and the blocks
-    are combined by Horner in Lhat**B.  With B near sqrt(rows (P+1)) that
-    is about 2 sqrt(P) truncated products per row instead of P.  Every
-    partial sum is a value of the composition; re-expanding g about R_l
-    instead would be cheaper but loses every digit when |R| approaches 1.
+    Expanded to the cutoff P of v, each mu-homogeneous component mu**q g(xi)
+    maps to tau**q (1 - xi R_r)**(-q) g(Lhat(xi)).  The composition g(Lhat)
+    is evaluated by baby and giant steps (Paterson and Stockmeyer): in
+    blocks of B coefficients, g(Lhat) = sum_b S_b(Lhat) Lhat**(B b), where
+    every S_b is summed from one table of Lhat**0 .. Lhat**(B-1) and the
+    blocks are combined by Horner in Lhat**B.  Every partial sum is a value
+    of the composition; re-expanding g about R_l instead would be cheaper
+    but loses every digit when |R| approaches 1.
+
+    The work follows each row's numerical degree s, the last coefficient
+    above NEGLIGIBLE of the row's largest (weighted by the growth of
+    Lhat**p where Lhat leaves the unit disk, as on a reversed interval): a
+    row is read to s only, and with B near sqrt(s + 1) it costs about
+    2 sqrt(s) truncated products.  The output is formed to order
+    L = max(32, 2 s), or further where |R_r|**p alone decays slower, and
+    kept when the geometric tail estimate the loss uses is below
+    NEGLIGIBLE of the row's largest coefficient; otherwise one second pass
+    forms it to the order that estimate asks for, or to P + 1.  P stays the
+    largest degree kept, and a series that does not decay (s = P,
+    L = P + 1) is formed as it would be without the cut.
     """
     tau, rr, rl = t.tau, t.r_right, t.r_left
     P = v.P
-    n = P + 1  # one extra order for the tail estimate
-    B = min(P + 1, math.isqrt(max(1, len(v.rows)) * (P + 1) - 1) + 1)
+    gain = _disk_gain(tau, rr, rl)
+    degrees, carried = {}, v.loss
+    for q, g in v.rows.items():
+        degrees[q], unread = _degree(g, gain)
+        # coefficients left unread enter the loss as a carried-in loss does
+        carried += unread
+    s = max(degrees.values(), default=0)
+    B = min(s + 1, math.isqrt(max(1, len(degrees) + sum(degrees.values())) - 1) + 1)
+    # the output falls no faster than |R_r|**p (Lhat's pole at 1/R_r), so
+    # no order below that rate's own estimate can end the tail
+    L = min(P + 1, max(32, 2 * s, _order_needed(0, 1.0, abs(rr), 1.0)))
+    rows = _compose(tau, rr, rl, v.rows, degrees, B, L)
+    tails = [_tail(res, rr) for res in rows.values()]
+    if L <= P:
+        wanted = max((_order_needed(L, *tail) for tail in tails), default=L)
+        if wanted > L:
+            L = min(P + 1, wanted)
+            rows = _compose(tau, rr, rl, v.rows, degrees, B, L)
+            tails = [_tail(res, rr) for res in rows.values()]
+    # geometric extrapolation of the dropped tail; no bound when the
+    # coefficient ratio reaches 1
+    rho = max((r for _, r, _ in tails), default=abs(rr))
+    lost = carried + sum(last for last, _, _ in tails)
+    loss = math.inf if rho >= 1.0 else lost / (1.0 - rho)
+    return PolyVec(rows, P, loss)
+
+
+def _disk_gain(tau, rr, rl):
+    """max(1, largest |Lhat| on the unit circle), which bounds the growth of
+    the coefficients of Lhat**p.  Lhat maps that circle onto the circle of
+    centre R_l + tau**2 conj(R_r) / (1 - |R_r|**2) and radius
+    |tau|**2 / (1 - |R_r|**2); a passive interval keeps it in the unit disk."""
+    d = 1.0 - abs(rr) ** 2
+    if not d > 0.0:
+        return math.inf
+    return max(1.0, abs(rl + tau * tau * complex(rr).conjugate() / d) + abs(tau) ** 2 / d)
+
+
+def _degree(g, gain):
+    """(s, unread): the last index p of the row g where |g[p]| gain**p is
+    above NEGLIGIBLE of its largest |coefficient|, and the sum of
+    |g[p]| gain**p beyond it; s is the last index if g is not finite."""
+    a = np.abs(g)
+    top = float(a.max())
+    if not math.isfinite(top):
+        return a.size - 1, 0.0
+    shrink = (1.0 / gain) ** np.arange(a.size)  # gain**-p, underflowing to 0
+    s = int(np.flatnonzero(a > NEGLIGIBLE * top * shrink)[-1])
+    rest, shrink = a[s + 1 :], shrink[s + 1 :]
+    kept = rest > 0.0  # shrink is not 0 where rest is not
+    return s, float(np.sum(rest[kept] / shrink[kept]))
+
+
+def _compose(tau, rr, rl, rows, degrees, B, n):
+    """{q: tau**q (1 - xi R_r)**(-q) g(Lhat)} to order n for each row g,
+    read to its degree, by blocks of B coefficients."""
     powers = np.zeros((B + 1, n + 1), dtype=complex)  # Lhat**0 .. Lhat**B
     powers[0, 0] = 1.0
     powers[1, 0] = rl
@@ -263,18 +334,16 @@ def apply_U(t, v):
     for j in range(2, B + 1):
         powers[j] = _series_mul(powers[j - 1], powers[1], n)
     baby, giant = powers[:B], powers[B]
-    n_blocks = -(-(P + 1) // B)
     m = np.arange(n)
-    rows = {}
-    tail = 0.0
-    emp_ratio = 0.0
-    for q, g in v.rows.items():
-        blocks = np.zeros((n_blocks, B), dtype=complex)
-        blocks.flat[: P + 1] = g
+    out = {}
+    for q, g in rows.items():
+        s = degrees[q]
+        blocks = np.zeros((s // B + 1, B), dtype=complex)
+        blocks.flat[: s + 1] = g[: s + 1]
         sums = blocks @ baby
         res = sums[-1]
-        for s in sums[-2::-1]:
-            res = _series_mul(res, giant, n) + s
+        for b in sums[-2::-1]:
+            res = _series_mul(res, giant, n) + b
         # (1 - xi R_r)**(-q): binomial series, valid for any real/complex q
         b = np.cumprod(np.concatenate([[1.0], rr * (q + m) / (m + 1)]))
         res = _series_mul(res, b, n)
@@ -282,17 +351,36 @@ def apply_U(t, v):
             tq = tau ** int(round(q))
         else:
             tq = cmath.exp(q * cmath.log(tau))
-        res *= tq
-        tail += abs(res[n])
-        # a ratio of two coefficients at rounding level says nothing of the tail
-        if abs(res[P]) > _EPS * np.max(np.abs(res)):
-            emp_ratio = max(emp_ratio, abs(res[n]) / abs(res[P]))
-        rows[q] = res[: P + 1]
-    # geometric extrapolation of the dropped tail; no bound when the
-    # coefficient ratio reaches 1
-    rho = max(abs(rr), emp_ratio)
-    loss = math.inf if rho >= 1.0 else (v.loss + tail) / (1.0 - rho)
-    return PolyVec._of_rows(rows, P, loss)
+        out[q] = res * tq
+    return out
+
+
+def _tail(res, rr):
+    """(|last coefficient|, ratio rho, largest |coefficient|) of a formed row.
+
+    rho extrapolates the orders beyond the last geometrically: the larger of
+    |R_r| and the ratio of the last two coefficients, where a ratio of two
+    coefficients at rounding level says nothing of the tail.
+    """
+    a = np.abs(res)
+    top = float(a.max())
+    rho = abs(rr)
+    if a[-2] > _EPS * top:
+        rho = max(rho, a[-1] / a[-2])
+    return float(a[-1]), float(rho), top
+
+
+def _order_needed(L, last, rho, top):
+    """Order at which the geometric tail estimate last / (1 - rho), from a
+    row formed to L, falls to NEGLIGIBLE of its largest coefficient top."""
+    target = NEGLIGIBLE * (1.0 - rho) * top
+    if last <= target:
+        return L
+    if rho == 0.0:
+        return L + 1
+    if not (0.0 < rho < 1.0 and 0.0 < target and math.isfinite(last)):
+        return math.inf
+    return L + math.ceil((math.log(target) - math.log(last)) / math.log(rho))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -557,8 +558,13 @@ class Sweep:
     steps them by Magnus steps in chunks short enough for U to stay finite,
     and a span's value is held to the summed step-doubling error of its
     pieces.  A reversed interval (x1 > x2) is the inverse of the forward
-    span of [x2, x1], so it shares that span and its error check.  Results
-    are memoized, so a grid pays for each piece and each span once.
+    span of [x2, x1], so it shares that span and its error check.  The
+    pieces to breakpoints, the spans between breakpoints, the reflections
+    at each point and the two tail seeds are memoized, so a grid pays for
+    each of them once.  A span between two query points is composed each
+    time it is read, which a grid does once per pair, and a constant piece
+    between them is not kept: the memory grows with the points, not with
+    the pairs.
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
@@ -570,23 +576,24 @@ class Sweep:
         self._bps = spec.breakpoints()
         self._pieces = {}
         self._rows = {}  # breakpoint index i -> [span(b_i, b_j) for j >= i]
-        self._spans = {}
         self._rr = {}
         self._rl = {}
 
     def _piece(self, a, b):
-        """Triple of [a, b], which no breakpoint splits."""
+        """Triple of [a, b], which no breakpoint splits, memoized."""
         t = self._pieces.get((a, b))
         if t is None:
-            fa, fb = self.spec.ends(a, b)
-            if fa == fb:
-                t = _constant_piece(fa, b - a, self.k) + (0.0,)
-            elif self.method == "rk4":
-                t = self._stepped(a, b, fa, fb)
-            else:
-                raise _unsupported(a, b)
-            self._pieces[(a, b)] = t
+            t = self._pieces[(a, b)] = self._unsplit(a, b)
         return t
+
+    def _unsplit(self, a, b):
+        """Triple of [a, b], which no breakpoint splits."""
+        fa, fb = self.spec.ends(a, b)
+        if fa == fb:
+            return _constant_piece(fa, b - a, self.k) + (0.0,)
+        if self.method == "rk4":
+            return self._stepped(a, b, fa, fb)
+        raise _unsupported(a, b)
 
     def _stepped(self, a, b, fa, fb):
         """Triple of a non-constant piece by Magnus steps, in equal chunks.
@@ -618,22 +625,21 @@ class Sweep:
 
     def _span(self, x1, x2):
         """(tau, R_r, R_l, error) of [x1, x2], x1 <= x2, held to the error bound."""
-        t = self._spans.get((x1, x2))
-        if t is None:
-            bps = self._bps
-            i = bisect.bisect_left(bps, x1)
-            j = bisect.bisect_right(bps, x2) - 1
-            if x1 == x2:
-                t = _IDENTITY
-            elif i > j:
-                t = self._piece(x1, x2)
-            else:
-                t = self._row(i, j)
-                if x1 < bps[i]:
-                    t = _star(t, self._piece(x1, bps[i]))
-                if bps[j] < x2:
-                    t = _star(self._piece(bps[j], x2), t)
-            self._spans[(x1, x2)] = t
+        bps = self._bps
+        i = bisect.bisect_left(bps, x1)
+        j = bisect.bisect_right(bps, x2) - 1
+        if x1 == x2:
+            t = _IDENTITY
+        elif i > j:
+            # a grid reads a span between two query points once (twice
+            # with --check): only a stepped one is worth keeping
+            t = self._piece(x1, x2) if self.method == "rk4" else self._unsplit(x1, x2)
+        else:
+            t = self._row(i, j)
+            if x1 < bps[i]:
+                t = _star(t, self._piece(x1, bps[i]))
+            if bps[j] < x2:
+                t = _star(self._piece(bps[j], x2), t)
         if not t[3] <= STEP_ERROR_BOUND:
             raise StepTooLarge(
                 f"rk4 step {self.step} too large: summed step-doubling error "
@@ -651,11 +657,21 @@ class Sweep:
         """The coefficients of [x1, x2] as a ``ScatteringTriple``."""
         return ScatteringTriple(*self.coefficients(x1, x2), (x1, x2), self.k)
 
+    @functools.cached_property
+    def _left_seed(self):
+        """R_r at the left edge of the medium, from its left tail alone."""
+        return _tail_seed(self.spec.left_tail, self.k, "left")
+
+    @functools.cached_property
+    def _right_seed(self):
+        """R_l at the right edge of the medium, from its right tail alone."""
+        return _tail_seed(self.spec.right_tail, self.k, "right")
+
     def r_right(self, x):
         """R_r(x, -inf): reflection seen from x looking left."""
         rr = self._rr.get(x)
         if rr is None:
-            seed = _tail_seed(self.spec.left_tail, self.k, "left")
+            seed = self._left_seed
             if not self._bps or x <= self._bps[0]:
                 rr = seed
             else:
@@ -668,7 +684,7 @@ class Sweep:
         """R_l(+inf, x): reflection seen from x looking right."""
         rl = self._rl.get(x)
         if rl is None:
-            seed = _tail_seed(self.spec.right_tail, self.k, "right")
+            seed = self._right_seed
             if not self._bps or x >= self._bps[-1]:
                 rl = seed
             else:

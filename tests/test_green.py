@@ -394,6 +394,22 @@ def test_large_power_is_finite_or_named(n):
     assert cmath.isfinite(gv.value) and gv.truncation_loss == math.inf
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_large_negative_power_is_named(n):
+    # n = 100 ended in a bare OverflowError from the factorials of the
+    # normalization, and n = 200 in a DomainViolation once the series
+    # underflowed to zero
+    with pytest.raises(ResonanceDivision, match="leaves the float range"):
+        green_negative_power(slab(0.8, -0.5, 0.5), 0.3, -0.2, 1.2 + 0.2j, n)
+
+
+def test_negative_power_of_an_underflowed_evolution_is_named():
+    # tau = e^(-1200) underflows, and with it every coefficient of the
+    # evolved series: that ended in a bare ValueError
+    with pytest.raises(ResonanceDivision, match="leaves the float range"):
+        green_negative_power(PotentialSpec(), 30.0, -30.0, 1.0 + 20j, 1)
+
+
 @pytest.mark.parametrize("m", [100, 170, 200])
 def test_long_product_is_finite_or_named(m):
     # the chain of m pairs grows like m! (m-1)!: without its guard, 100

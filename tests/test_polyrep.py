@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gf1d import polyrep
 from gf1d.errors import ConfigError, CutoffBudget, DomainViolation, GammaPole
-from gf1d.green import green_polyrep
+from gf1d.green import green_polyrep, green_product
 from gf1d.polyrep import (
     CUTOFF_BUDGET,
     GENERATORS,
@@ -443,3 +444,110 @@ def test_gamma_pole_only_where_both_sides_are_nonzero():
     assert inner_product(left, right) == 2.0
     with pytest.raises(GammaPole):
         inner_product(left, PolyVec({-1: [0, 0, 1.0]}, P))
+
+
+def _passive_triple(r, alpha, beta, gamma):
+    """The triple of a lossless interval with |R_r| = r, its transmission
+    damped by gamma <= 1: Lhat maps the unit disk into itself."""
+    rr = r * cmath.exp(1j * alpha)
+    tau = math.sqrt(1.0 - r * r) * cmath.exp(1j * beta)
+    rl = -rr.conjugate() * tau / tau.conjugate()
+    return _triple(gamma * tau, rr, rl)
+
+
+_phase = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    r=st.floats(0.0, 0.95),
+    alpha=_phase,
+    beta=_phase,
+    gamma=st.floats(0.5, 1.0),
+    c=_polar.map(lambda z: 0.95 * z),
+    n=st.integers(1, 3),
+    half=st.sampled_from([0, 0.5]),
+    P=st.sampled_from([12, 64, 128]),
+    decaying=st.booleans(),
+)
+def test_apply_U_at_the_numerical_degree_is_within_its_loss(
+    r, alpha, beta, gamma, c, n, half, P, decaying
+):
+    # apply_U reads rows to their numerical degree and forms the output
+    # only as far as its tail estimate asks; the full-length oracle reads
+    # and forms everything, and the difference is within the reported loss
+    if decaying:
+        row = mu_over_one_minus_c_xi(n, c, P).rows[n]
+    else:
+        row = [1.0, 1j] @ np.random.default_rng(n + P).normal(size=(2, P + 1))
+    q = n + half
+    v = PolyVec({q: row}, P)
+    t = _passive_triple(r, alpha, beta, gamma)
+    w = apply_U(t, v)
+    want = _horner_apply_U(t, v)[q][: P + 1]
+    got = w.rows.get(q, np.zeros(P + 1))
+    assert np.all(np.abs(got - want) <= w.loss + 1e-12 * np.max(np.abs(want)))
+
+
+def test_growing_chain_runs_the_full_length_arithmetic(monkeypatch):
+    # a chain whose series grow reaches the numerical degree P and the
+    # order P + 1 at every step: the value is the one of the uncut series,
+    # bit for bit, and the loss stays unbounded
+    def product():
+        return green_product(slab(0.8, -1, 1), [(1.9, -0.7), (-0.4, -2.0)], 2.36 + 1.54j)
+
+    cut = product()
+    monkeypatch.setattr(polyrep, "NEGLIGIBLE", 0.0)
+    full = product()
+    assert cut.value == full.value
+    assert cut.truncation_loss == full.truncation_loss == math.inf
+
+
+def _products(monkeypatch, t, v):
+    """The number of truncated products apply_U(t, v) forms."""
+    calls = []
+    mul = polyrep._series_mul
+    monkeypatch.setattr(polyrep, "_series_mul", lambda *a: calls.append(1) or mul(*a))
+    apply_U(t, v)
+    return len(calls)
+
+
+@pytest.mark.parametrize("P", [64, 128])
+def test_apply_U_work_follows_the_numerical_degree(monkeypatch, P):
+    # reading every row to P took 16 and 22 truncated products at P = 64
+    # and 128; lambda_r(0.1 + 0.05j) falls below NEGLIGIBLE near degree 20
+    t = interval_triple(slab(0.5, -0.5, 0.5), -0.5, 0.5, 1.3 + 0.2j)
+    assert _products(monkeypatch, t, lambda_r(0.1 + 0.05j, P)) <= 10
+    # at |R_r| = 0.89 the output needs every order to P + 1: still no more
+    # products than a full-length pass
+    t = interval_triple(slab(1.6, 0.0, 1.0), 0.0, 1.0, 0.45 + 0.05j)
+    assert abs(t.r_right) > 0.89
+    full_length = {64: 16, 128: 22}[P]
+    for r in (0.1 + 0.05j, 0.8):
+        assert _products(monkeypatch, t, lambda_r(r, P)) <= full_length
+
+
+def test_apply_U_reads_a_row_to_its_numerical_degree():
+    # 1e-25 at degree 10 is below NEGLIGIBLE of the row's largest
+    # coefficient: it is not read, and its magnitude enters the loss
+    P = 16
+    row = np.zeros(P + 1, dtype=complex)
+    row[0], row[10] = 1.0, 1e-25
+    w = apply_U(_triple(1j, 0j, 0j), PolyVec({1: row}, P))
+    _assert_single(w, 0, 1, 1j)
+    assert w.loss == pytest.approx(1e-25, rel=1e-12, abs=0.0)
+
+
+def test_apply_U_forms_the_orders_its_tail_estimate_asks_for(monkeypatch):
+    # at |R_r| = 0.51 the tail estimate after the first pass is still above
+    # NEGLIGIBLE: one second pass forms the orders it asks for, fewer than P
+    t = interval_triple(slab(0.8, -0.5, 0.5), -0.5, 0.5, 1.0 + 0.2j)
+    v = lambda_r(0.3, 128)
+    orders = []
+    compose = polyrep._compose
+    monkeypatch.setattr(polyrep, "_compose", lambda *a: orders.append(a[-1]) or compose(*a))
+    w = apply_U(t, v)
+    assert len(orders) == 2 and orders[0] < orders[1] < 129
+    want = _horner_apply_U(t, v)[1][:129]
+    assert np.max(np.abs(w.rows[1] - want)) <= 1e-14 * np.max(np.abs(want))
+    assert w.loss < 1e-18

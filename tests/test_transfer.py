@@ -710,6 +710,29 @@ def test_sweep_values_do_not_depend_on_other_points():
         assert fresh.r_left(x) == shared.r_left(x)
 
 
+def test_tail_seeds_are_computed_once_per_sweep(monkeypatch):
+    # the seeds depend on a tail and k alone: route B over a 12-point grid
+    # at one k on a medium with two constant tails computed them 24 times
+    from gf1d import transfer
+    from gf1d.green import closed_form_from, green_closed_form
+
+    spec = PotentialSpec(
+        segments=tuple(Segment(a, b, ConstantProfile(c)) for a, b, c in _ORACLE_PIECES),
+        left_tail=_ORACLE_TAILS[0],
+        right_tail=_ORACLE_TAILS[1],
+    )
+    k = 1.1 + 0.3j
+    grid = np.linspace(-1.0, 1.0, 12)
+    pairs = [(x, y) for i, x in enumerate(grid) for y in grid[: i + 1]]
+    want = [green_closed_form(spec, x, y, k).value for x, y in pairs]
+    calls = []
+    seed = transfer._tail_seed
+    monkeypatch.setattr(transfer, "_tail_seed", lambda *a: calls.append(a) or seed(*a))
+    sweep = Sweep(spec, k)
+    assert [closed_form_from(sweep, x, y)[0] for x, y in pairs] == want
+    assert len(calls) == 2
+
+
 def test_rk4_span_is_held_to_the_summed_step_error():
     # f = 3x - 1.5 in three pieces at a coarse step: each piece's
     # step-doubling error (about 5e-7) is within the bound on its own; the
