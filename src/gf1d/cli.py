@@ -153,22 +153,18 @@ def _born(sweep, x, y, args):
     return gv.value, gv.truncation_loss
 
 
-# route name -> (sweep, x, y, args) -> (G, truncation loss); every pair at
-# one k reads the same sweep.  Functions are looked up at call time so that
-# rebinding a module attribute reaches the CLI.
+# route name -> (the route column, (sweep, x, y, args) -> (G, truncation
+# loss)); the column is the route of the library's GreenValue, with the Born
+# order.  Every pair at one k reads the same sweep.  Functions are looked up
+# at call time so that rebinding a module attribute reaches the CLI.
 _ROUTES = {
-    "A": lambda sweep, x, y, args: sl3.wronskian_from(sweep, x, y),
-    "B": lambda sweep, x, y, args: green_mod.closed_form_from(sweep, x, y),
-    "C": lambda sweep, x, y, args: green_mod.polyrep_from(sweep, x, y, P=args.P),
-    "C-asym": lambda sweep, x, y, args: green_mod.polyrep_from(
-        sweep, x, y, P=args.P, variant="asymmetric"
-    ),
-    "born": _born,
-}
-# the route column: the route of the library's GreenValue, with the Born order
-_LABELS = {
-    "A": "wronskian", "B": "closed_form", "C": "polyrep_symmetric",
-    "C-asym": "polyrep_asymmetric", "born": "born_{order}",
+    "A": ("wronskian", lambda s, x, y, a: sl3.wronskian_from(s, x, y)),
+    "B": ("closed_form", lambda s, x, y, a: green_mod.closed_form_from(s, x, y)),
+    "C": ("polyrep_symmetric", lambda s, x, y, a: green_mod.polyrep_from(s, x, y, a.P)),
+    "C-asym": ("polyrep_asymmetric", lambda s, x, y, a: green_mod.polyrep_from(
+        s, x, y, a.P, "asymmetric"
+    )),
+    "born": ("born_{order}", _born),
 }
 
 
@@ -202,7 +198,8 @@ def cmd_green(args):
     ]
     if args.check:
         header.append("abs_diff_route_b")
-    route, label = _ROUTES[args.route], _LABELS[args.route].format(order=args.order)
+    label, route = _ROUTES[args.route]
+    label = label.format(order=args.order)
     rows = _Rows(args.format, header)
     with _output(args) as stream:
         stream.write(rows.header)

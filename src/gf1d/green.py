@@ -34,7 +34,6 @@ from .polyrep import (
     apply_U,
     inner_product,
     inverse_operator,
-    lambda_l,
     lambda_l_power,
     lambda_r,
     lambda_r_power,
@@ -127,18 +126,22 @@ def _chain(sweep, pairs, P, n=1):
     y_2 .. y_m then x_1 .. x_m: the evolution between consecutive endpoints
     (reversed ones from the forward span), with L- + K+ inserted at each
     later y and L+ - K- at each x but the last.  One pair gives n [2ikG]**n.
+    The value is symmetric in the pairs, so where their order by (y, x) is
+    forward, y_1 <= .. <= y_m <= x_1 <= .. <= x_m, the walk takes it (a
+    reversed link's series grows); ``green_product`` keeps the caller's x, y.
     A large n or many pairs send the series out of the float range; that
     raises ``ResonanceDivision``.
     """
     pairs = [(max(p), min(p)) for p in pairs]
+    walk = sorted(pairs, key=lambda p: (p[1], p[0]))
+    xs = [x for x, _ in walk]
+    if walk[-1][1] <= xs[0] and xs == sorted(xs):
+        pairs = walk
     pos = pairs[0][1]
     rr1, rl_end = sweep.r_right(pos), sweep.r_left(pairs[-1][0])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if n == 1:  # lambda_r's own recurrence: route C keeps its rounding
-                v, left = lambda_r(rr1, P), lambda_l(rl_end, P)
-            else:
-                v, left = lambda_r_power(rr1, n, P), lambda_l_power(rl_end, n, P)
+            v, left = lambda_r_power(rr1, n, P), lambda_l_power(rl_end, n, P)
             for _, yj in pairs[1:]:
                 v = apply_U(sweep.triple(pos, yj), v)
                 v = apply_generator("L-", v) + apply_generator("K+", v)

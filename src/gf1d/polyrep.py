@@ -9,12 +9,14 @@ operator acts by the substitution xi -> Lhat(xi), mu -> That(xi, mu) with
     That(xi, mu) = mu tau / (1 - xi R_r),
 
 expanded as truncated power series in xi; (tau, R_r, R_l) are read from
-the interval's scattering triple.  A vector (``PolyVec``) has one form:
-a coefficient array over xi-degrees 0..P per mu-degree, P being the
-largest degree it keeps.  Coefficients dropped beyond P, and those the
-evolution leaves unread or unformed below NEGLIGIBLE = 2**-64 of a row's
-largest, are tallied into a scalar truncation-loss estimate carried on
-each vector.
+the interval's scattering triple.  The generating vectors and their powers
+are scale * (mu / (1 - c xi))**m; their coefficients, those of the factor
+(1 - xi R_r)**(-q), of Lhat and of 1 / (1 + xi) all come from one binomial
+series, ``_binomial``.  A vector (``PolyVec``) has one form: a coefficient
+array over xi-degrees 0..P per mu-degree, P being the largest degree it
+keeps.  Coefficients dropped beyond P, and those the evolution leaves
+unread or unformed below NEGLIGIBLE = 2**-64 of a row's largest, are
+tallied into a scalar truncation-loss estimate carried on each vector.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "lambda_r_power",
     "lambda_l_power",
     "mu_over_one_minus_c_xi",
-    "ladder_power",
     "inverse_operator",
     "adjoint_check",
     "inner_product_integral_check",
@@ -236,6 +237,12 @@ def _series_mul(a, b, n):
     return np.convolve(padded, b[: n + 1], mode="valid")
 
 
+def _binomial(m, c, n):
+    """Coefficients 0..n of (1 - c xi)**(-m), for any real or complex m."""
+    k = np.arange(n)
+    return np.cumprod(np.concatenate([[1.0], c * (m + k) / (k + 1)]))
+
+
 _EPS = np.finfo(float).eps
 
 # a coefficient below this fraction of its row's largest cannot change a
@@ -327,14 +334,12 @@ def _compose(tau, rr, rl, rows, degrees, B, n):
     read to its degree, by blocks of B coefficients."""
     powers = np.zeros((B + 1, n + 1), dtype=complex)  # Lhat**0 .. Lhat**B
     powers[0, 0] = 1.0
+    one = _binomial(1, rr, n)  # (1 - xi R_r)**-1: Lhat's tail and the weight-one factor
     powers[1, 0] = rl
-    powers[1, 1] = tau * tau
-    powers[1, 2:] = rr
-    powers[1, 1:] = np.cumprod(powers[1, 1:])
+    powers[1, 1:] = tau * tau * one[:n]
     for j in range(2, B + 1):
         powers[j] = _series_mul(powers[j - 1], powers[1], n)
     baby, giant = powers[:B], powers[B]
-    m = np.arange(n)
     out = {}
     for q, g in rows.items():
         s = degrees[q]
@@ -344,9 +349,7 @@ def _compose(tau, rr, rl, rows, degrees, B, n):
         res = sums[-1]
         for b in sums[-2::-1]:
             res = _series_mul(res, giant, n) + b
-        # (1 - xi R_r)**(-q): binomial series, valid for any real/complex q
-        b = np.cumprod(np.concatenate([[1.0], rr * (q + m) / (m + 1)]))
-        res = _series_mul(res, b, n)
+        res = _series_mul(res, one if q == 1 else _binomial(q, rr, n), n)
         if float(q).is_integer():
             tq = tau ** int(round(q))
         else:
@@ -388,13 +391,7 @@ def _order_needed(L, last, rho, top):
 
 def lambda_r(r, P):
     """(1 + r) sum_p r**p Psi_{p,1}: the resummed multiple-reflection vector."""
-    _check_cutoff(P)
-    row = []
-    c = 1.0 + r
-    for _ in range(P + 1):
-        row.append(c)
-        c = c * r
-    return PolyVec({1: row}, P)
+    return lambda_r_power(r, 1, P)
 
 
 def lambda_l(r_l, P):
@@ -415,27 +412,7 @@ def lambda_l_power(r_l, n, P):
 def mu_over_one_minus_c_xi(m, c, P, scale=1.0):
     """Truncated coefficients of scale * (mu / (1 - c xi))**m."""
     _check_cutoff(P)
-    row = []
-    b = 1.0 + 0j
-    for p in range(P + 1):
-        row.append(scale * b)
-        b = b * c * (m + p) / (p + 1)
-    return PolyVec({m: row}, P)
-
-
-def ladder_power(n, m, c, P):
-    """(L- + K+)**n applied to (mu/(1 - c xi))**m, by repeated generator action.
-
-    Computed with an enlarged internal cutoff so that the returned
-    coefficients up to P are free of truncation artifacts; equals
-    [(m+n-1)!/(m-1)!] (1+c)**n (mu/(1-c xi))**(m+n) truncated at P.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("needs m >= 1 and n >= 1")
-    v = mu_over_one_minus_c_xi(m, c, P + n)
-    for _ in range(n):
-        v = apply_generator("L-", v) + apply_generator("K+", v)
-    return PolyVec(v.rows, P)
+    return PolyVec._of_rows({m: complex(scale) * _binomial(m, c, P)}, P, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +434,7 @@ def inverse_operator(name, v):
                 )
             g = -row / (q + 1)
             if name == "(L+-K-)inv":  # times 1 / (1 + xi)
-                g = _series_mul(g, (-1.0) ** np.arange(v.P + 1), v.P)
+                g = _series_mul(g, _binomial(1, -1.0, v.P), v.P)
             rows[q + 1] = g
         return PolyVec._of_rows(rows, v.P, v.loss)
     if name in ("L-inv", "(L-+K+)inv"):

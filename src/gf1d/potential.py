@@ -61,7 +61,7 @@ class ConstantProfile:
     def __post_init__(self):
         check_point(self.c, "c")
 
-    def value(self, x, x_start, x_end):
+    def value(self, x, x_start):
         return self.c
 
 
@@ -76,7 +76,7 @@ class LinearProfile:
         check_point(self.c0, "c0")
         check_point(self.c1, "c1")
 
-    def value(self, x, x_start, x_end):
+    def value(self, x, x_start):
         return self.c0 + self.c1 * (x - x_start)
 
 
@@ -96,7 +96,7 @@ class SampledProfile:
             msg = "sampled profile abscissae must be strictly increasing"
             raise ConfigError("points", msg)
 
-    def value(self, x, x_start, x_end):
+    def value(self, x, x_start):
         xs = [p[0] for p in self.points]
         i = min(max(bisect.bisect_right(xs, x) - 1, 0), len(xs) - 2)
         (xa, fa), (xb, fb) = self.points[i], self.points[i + 1]
@@ -192,8 +192,8 @@ class PotentialSpec:
         if seg is None:
             c = self.left_tail if mid < self.support[0] else self.right_tail
             return float(c or 0.0), float(c or 0.0)
-        p, lo, hi = seg.profile, seg.x_start, seg.x_end
-        return float(p.value(a, lo, hi)), float(p.value(b, lo, hi))
+        p, lo = seg.profile, seg.x_start
+        return float(p.value(a, lo)), float(p.value(b, lo))
 
 
 def slab(c, x_start=0.0, x_end=1.0):

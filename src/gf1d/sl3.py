@@ -163,26 +163,19 @@ def _across(num, tau, interval):
     return phi
 
 
-def _phi_plus(sweep, x, x0):
-    # solution decaying to the right, normalized at x0
-    rl = sweep.r_left(x)
-    if x >= x0:
-        tau, rr_t, _ = sweep.coefficients(x0, x)  # coefficients of U(x, x0)
-        return (1.0 + rl) * tau / (1.0 - rl * rr_t)
-    # U(x, x0) is the inverse of U(x0, x); written in the forward triple and
-    # R_l(+inf, x0) it has no cancellation
-    tau, rr_t, _ = sweep.coefficients(x, x0)
-    return _across((1.0 + rl) * (1.0 - rr_t * sweep.r_left(x0)), tau, (x, x0))
-
-
-def _phi_minus(sweep, x, x0):
-    # solution decaying to the left, normalized at x0
-    rr = sweep.r_right(x)
-    if x <= x0:
-        tau, _, rl_t = sweep.coefficients(x, x0)  # coefficients of U(x0, x)
-        return (1.0 + rr) * tau / (1.0 - rl_t * rr)
-    tau, _, rl_t = sweep.coefficients(x0, x)
-    return _across((1.0 + rr) * (1.0 - rl_t * sweep.r_right(x0)), tau, (x0, x))
+def _phi(sweep, x, x0, side):
+    """The solution decaying to the right (side > 0) or to the left (side < 0),
+    normalized at x0, from the coefficients of the interval between x and x0."""
+    r_tail = sweep.r_left if side > 0 else sweep.r_right
+    r = r_tail(x)
+    lo, hi = min(x, x0), max(x, x0)
+    tau, rr_t, rl_t = sweep.coefficients(lo, hi)
+    r_t = rr_t if side > 0 else rl_t
+    if (x - x0) * side >= 0:
+        return (1.0 + r) * tau / (1.0 - r * r_t)
+    # x is on the growing side: there the solution is the inverse evolution,
+    # written in the forward triple and the tail at x0 so it has no cancellation
+    return _across((1.0 + r) * (1.0 - r_t * r_tail(x0)), tau, (lo, hi))
 
 
 def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
@@ -208,5 +201,5 @@ def wronskian_from(sweep, x, y):
         raise WronskianZero(
             f"|W| / |2ik| = {abs(denom):.3e} below threshold at k = {k}"
         )
-    two_ik_g = _phi_plus(sweep, hi, x0) * _phi_minus(sweep, lo, x0) / denom
+    two_ik_g = _phi(sweep, hi, x0, 1) * _phi(sweep, lo, x0, -1) / denom
     return two_ik_g / (2j * k), 0.0

@@ -149,6 +149,45 @@ def test_bad_flags_exit_2(capsys):
     assert err.value.code == 2
 
 
+# each input error the loader or a flag parser names: the command (with
+# {doc} a file holding the document, {dir} a directory), the document, and
+# the field its ConfigError names
+_INPUT_ERRORS = {
+    "profile-not-a-mapping": (
+        "green --potential {doc}",
+        "segments:\n  - {x_start: 0, x_end: 1, profile: 3}\n",
+        "segments[0].profile",
+    ),
+    "linear-without-c1": (
+        "green --potential {doc}",
+        "segments:\n  - {x_start: 0, x_end: 1, profile: {type: linear, c0: 1}}\n",
+        "segments[0].profile.c1",
+    ),
+    "tail-without-c": ("green --potential {doc}", "left_tail: {type: constant}\n", "left_tail.c"),
+    "tail-c-not-a-number": (
+        "green --potential {doc}", "right_tail: {type: constant, c: abc}\n", "right_tail.c"
+    ),
+    "tail-not-a-mapping": ("green --potential {doc}", "right_tail: 3\n", "right_tail"),
+    "potential-is-a-directory": ("green --potential {dir}", "", "<document>"),
+    "segments-not-a-list": ("green --potential {doc}", "segments: 3\n", "segments"),
+    "segment-not-a-mapping": ("green --potential {doc}", "segments:\n  - 3\n", "segments[0]"),
+    "k-three-parts": ("green --k 1,2,3", "", "--k"),
+    "grid-two-parts": ("green --grid=0:1", "", "--grid"),
+    "grid-not-a-number": ("green --grid=a:1:3", "", "--grid"),
+    "interval-not-a-number": ("coefficients --interval=a:1", "", "--interval"),
+}
+
+
+@pytest.mark.parametrize("command, doc, field", _INPUT_ERRORS.values(), ids=_INPUT_ERRORS)
+def test_input_errors_exit_2_naming_their_field(command, doc, field, tmp_path, capsys):
+    path = tmp_path / "doc.yaml"
+    path.write_text(doc)
+    code = main(command.format(doc=path, dir=tmp_path).split())
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     p = tmp_path / "lin.yaml"
     p.write_text(RAMP)

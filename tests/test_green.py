@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from documents import TAILED_SLAB
 from gf1d import transfer
@@ -28,6 +30,7 @@ from gf1d.potential import (
     slab,
 )
 from gf1d.sl3 import green_wronskian
+from gf1d.verify import TOLERANCES
 from gf1d.transfer import propagate, riccati_coefficients, semi_infinite_coefficients
 
 SPEC = PotentialSpec(
@@ -157,6 +160,41 @@ def test_product_handles_unsorted_pairs():
     a = green_product(SPEC, [(-0.3, 0.6), (-0.1, 0.45)], k, P=64).value
     b = green_product(SPEC, [(0.6, -0.3), (0.45, -0.1)], k, P=64).value
     assert abs(a - b) < 1e-14
+
+
+def _route_b_product(spec, pairs, k):
+    return math.prod(2j * k * green_closed_form(spec, x, y, k).value for x, y in pairs)
+
+
+def test_product_walks_forward_when_an_order_allows_it():
+    # in the caller's order the chain steps back from -0.7 to -2.0 and its
+    # series grew to 9e30 times the value, with loss inf; sorted by y the
+    # walk is forward and exact
+    spec, k = slab(0.8, -1, 1), 2.36 + 1.54j
+    pairs = [(1.9, -0.7), (-0.4, -2.0)]
+    got = green_product(spec, pairs, k, P=64)
+    want = _route_b_product(spec, pairs, k)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+    assert (got.x, got.y) == (-0.4, -0.7)  # the caller's x_m and y_1
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_products_with_a_forward_order_agree_with_route_b(data):
+    # 2m points split into y_1 <= .. <= y_m <= x_1 <= .. <= x_m, then paired,
+    # shuffled and each pair given either way round
+    m = data.draw(st.integers(2, 3))
+    pts = sorted(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * m, max_size=2 * m)))
+    pairs = data.draw(st.permutations(list(zip(pts[m:], pts[:m]))))
+    flips = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    pairs = [(y, x) if f else (x, y) for (x, y), f in zip(pairs, flips)]
+    k = complex(data.draw(st.floats(0.5, 3.0)), data.draw(st.floats(0.0, 2.0)))
+    spec = slab(0.8, -1, 1)
+    got = green_product(spec, pairs, k, P=64)
+    err = abs(got.value - _route_b_product(spec, pairs, k))
+    # a forward walk has no link whose series grows: its loss is bounded
+    assert math.isfinite(got.truncation_loss)
+    assert err <= TOLERANCES["product-identity"] + got.truncation_loss
 
 
 _SMOOTH = PotentialSpec(

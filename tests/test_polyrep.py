@@ -22,7 +22,6 @@ from gf1d.polyrep import (
     inner_product,
     inner_product_integral_check,
     inverse_operator,
-    ladder_power,
     lambda_l,
     lambda_r,
     lambda_r_power,
@@ -35,6 +34,7 @@ from gf1d.transfer import (
     semi_infinite_coefficients,
 )
 from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab
+from gf1d.verify import _raised
 
 
 def _triple(tau, rr, rl):
@@ -187,12 +187,26 @@ def test_lambda_power_coefficients():
     assert lambda_r_power(r, 1, 6).max_abs_diff(lambda_r(r, 6)) < 1e-15
 
 
+@pytest.mark.parametrize("m", [1, 2, 2.5, 7])
+def test_binomial_series_matches_the_coefficient_recurrence(m):
+    # the plain recurrence, term by term, is the reference; the array form
+    # rounds in another order
+    c, n = 0.6 - 0.3j, 40
+    want, b = [], 1.0 + 0j
+    for p in range(n + 1):
+        want.append(b)
+        b = b * c * (m + p) / (p + 1)
+    assert np.allclose(polyrep._binomial(m, c, n), want, rtol=1e-13, atol=0.0)
+
+
 def test_ladder_power_matches_closed_form():
+    # n-fold raising of (mu/(1 - c xi))**m: [(m+n-1)!/(m-1)!] (1+c)**n
+    # (mu/(1 - c xi))**(m+n)
     P = 24
     for c in (0.35, -0.4 + 0.2j):
         for n in (1, 2, 3):
             for m in (1, 2, 4):
-                got = ladder_power(n, m, c, P)
+                got = _raised(mu_over_one_minus_c_xi(m, c, P + n), n, P)
                 scale = (
                     math.factorial(m + n - 1) / math.factorial(m - 1) * (1 + c) ** n
                 )
@@ -204,10 +218,7 @@ def test_raising_ladder_powers_lambda():
     # n-fold raising at an endpoint turns the vector into n! times its
     # (n+1)-st coefficient-wise power
     P, n, r = 20, 2, 0.45
-    v = lambda_r(r, P + n)
-    for _ in range(n):
-        v = apply_generator("L-", v) + apply_generator("K+", v)
-    got = PolyVec(v.rows, P)
+    got = _raised(lambda_r(r, P + n), n, P)
     want = math.factorial(n) * lambda_r_power(r, n + 1, P)
     assert got.max_abs_diff(want) < 1e-12
 
@@ -492,9 +503,10 @@ def test_apply_U_at_the_numerical_degree_is_within_its_loss(
 def test_growing_chain_runs_the_full_length_arithmetic(monkeypatch):
     # a chain whose series grow reaches the numerical degree P and the
     # order P + 1 at every step: the value is the one of the uncut series,
-    # bit for bit, and the loss stays unbounded
+    # bit for bit, and the loss stays unbounded.  These pairs have no
+    # forward order, so the chain keeps its reversed link -0.7 -> -2.0
     def product():
-        return green_product(slab(0.8, -1, 1), [(1.9, -0.7), (-0.4, -2.0)], 2.36 + 1.54j)
+        return green_product(slab(0.8, -1, 1), [(0.4, -0.7), (1.9, -2.0)], 2.36 + 1.54j)
 
     cut = product()
     monkeypatch.setattr(polyrep, "NEGLIGIBLE", 0.0)
