@@ -153,37 +153,37 @@ def _born(sweep, x, y, args):
     return gv.value, gv.truncation_loss
 
 
-# route name -> (the route column, (sweep, x, y, args) -> (G, truncation
-# loss)); the column is the route of the library's GreenValue, with the Born
-# order.  Every pair at one k reads the same sweep.  Functions are looked up
-# at call time so that rebinding a module attribute reaches the CLI.
-_ROUTES = {
-    "A": ("wronskian", lambda s, x, y, a: sl3.wronskian_from(s, x, y)),
-    "B": ("closed_form", lambda s, x, y, a: green_mod.closed_form_from(s, x, y)),
-    "C": ("polyrep_symmetric", lambda s, x, y, a: green_mod.polyrep_from(s, x, y, a.P)),
-    "C-asym": ("polyrep_asymmetric", lambda s, x, y, a: green_mod.polyrep_from(
-        s, x, y, a.P, "asymmetric"
-    )),
-    "born": ("born_{order}", _born),
-}
+def _pairs(half):
+    """A grid row of a route from its per-pair value half: (sweep, x, ys,
+    args) -> each pair's (G, truncation loss), or the error of a pole pair,
+    lazily and in turn."""
 
+    def row(sweep, x, ys, args):
+        for y in ys:
+            try:
+                yield half(sweep, x, y, args)
+            except (DenominatorZero, WronskianZero) as exc:
+                yield exc
 
-def _green_row(sweep, x, y, route, label, args):
-    """The columns after k of one green row: the route's 2ikG, or a pole row
-    where k sits on a bound-state pole."""
-    k = sweep.k
-    try:
-        value, loss = route(sweep, x, y, args)
-    except (DenominatorZero, WronskianZero):
-        return ["", "", "pole", ""] + ([""] if args.check else [])
-    val = 2j * k * value
-    row = [val.real, val.imag, label, loss]
-    if args.check:
-        try:
-            row.append(abs(val - 2j * k * green_mod.closed_form_from(sweep, x, y)[0]))
-        except DenominatorZero:
-            row.append("")
     return row
+
+
+# route name -> (the route column, its grid row: (sweep, x, ys, args) -> the
+# output of each pair (x, y) of ys, lazily, as ``_pairs`` describes it); the
+# column is the route of the library's GreenValue, with the Born order.
+# Every pair at one k reads the same sweep.  Functions are looked up at call
+# time so that rebinding a module attribute reaches the CLI.
+_ROUTES = {
+    "A": ("wronskian", _pairs(lambda s, x, y, a: sl3.wronskian_from(s, x, y))),
+    "B": ("closed_form", lambda s, x, ys, a: green_mod.closed_form_row(s, x, ys)),
+    "C": ("polyrep_symmetric", _pairs(
+        lambda s, x, y, a: green_mod.polyrep_from(s, x, y, a.P)
+    )),
+    "C-asym": ("polyrep_asymmetric", _pairs(
+        lambda s, x, y, a: green_mod.polyrep_from(s, x, y, a.P, "asymmetric")
+    )),
+    "born": ("born_{order}", _pairs(_born)),
+}
 
 
 def cmd_green(args):
@@ -212,17 +212,29 @@ def cmd_green(args):
             # every route orders (x, y) before it computes, so G(x, y) and
             # G(y, x) are the same bits: a row below the diagonal reuses the
             # text after y of the one above it, each formatted when grid
-            # order first meets it
+            # order first meets it.  The pairs on and above the diagonal of
+            # a grid row are one row of the route, computed as they are
+            # written, so a failure leaves the rows before it written.
             mirrored = {}
             for i, x in enumerate(grid):
-                for j, y in enumerate(grid):
-                    if j < i:
-                        tail = mirrored.pop((j, i))
+                for j in range(i):
+                    stream.write(xs[i] + ys[j] + mirrored.pop((j, i)))
+                # route B is its own check; another route reads route B at
+                # the pairs it has a value for
+                b_at = green_mod.closed_form_at(sweep, x) if args.check else None
+                for j, out in enumerate(route(sweep, x, grid[i:], args), i):
+                    if isinstance(out, Gf1dError):  # k on a bound-state pole
+                        cells = ["", "", "pole", ""] + ([""] if args.check else [])
                     else:
-                        row = _green_row(sweep, x, y, route, label, args)
-                        tail = k_cells + rows.cells(4, row) + rows.end
-                        if j > i:
-                            mirrored[i, j] = tail
+                        val = 2j * k * out[0]
+                        cells = [val.real, val.imag, label, out[1]]
+                        if args.check:
+                            b = out if args.route == "B" else b_at(grid[j])
+                            b_ok = not isinstance(b, Gf1dError)
+                            cells.append(abs(val - 2j * k * b[0]) if b_ok else "")
+                    tail = k_cells + rows.cells(4, cells) + rows.end
+                    if j > i:
+                        mirrored[i, j] = tail
                     stream.write(xs[i] + ys[j] + tail)
     return 0
 

@@ -15,8 +15,10 @@ reflection coefficient.
 Every route reads its endpoint data from a ``transfer.Sweep``; the
 ``*_from(sweep, ...)`` functions are the value halves, which a caller that
 evaluates many points at one k (the CLI grid) calls on one shared sweep.
-A value half returns plain numbers, (G, truncation loss); only the public
-routes wrap them in a ``GreenValue``.
+Route B's value half also comes a grid row at a time, ``closed_form_row``,
+which reads one point's side of its spans once; ``closed_form_from`` is its
+one-pair case.  A value half returns plain numbers, (G, truncation loss);
+only the public routes wrap them in a ``GreenValue``.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ def _endpoint_data(sweep, x, y):
 
 
 def _denominator(k, rl3, t, rr1):
-    """D of the closed form from (tau, R_r, R_l) of [y, x], guarded against a
-    bound-state pole."""
-    tau, rr, rl = t
+    """D of the closed form from (tau, R_r, R_l, ...) of [y, x], guarded
+    against a bound-state pole."""
+    tau, rr, rl = t[0], t[1], t[2]
     d = (1.0 - rl3 * rr) * (1.0 - rl * rr1) - rl3 * tau**2 * rr1
     if abs(d) < DENOMINATOR_THRESHOLD:
         raise DenominatorZero(f"|D| = {abs(d):.3e} below threshold at k = {k}")
@@ -113,10 +115,41 @@ def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
 
 def closed_form_from(sweep, x, y):
     """(G, truncation loss) of route B at (x, y) from a sweep of the medium at its k."""
+    hi, lo = (x, y) if x >= y else (y, x)
+    out = closed_form_at(sweep, lo)(hi)
+    if isinstance(out, DenominatorZero):
+        raise out
+    return out
+
+
+def closed_form_row(sweep, y, xs):
+    """``closed_form_at(sweep, y)`` at each x >= y of xs, lazily and in turn,
+    so an error other than a pole ends the row at its x."""
+    return map(closed_form_at(sweep, y), xs)
+
+
+def closed_form_at(sweep, y):
+    """x -> route B at (x, y) for x >= y: (G, truncation loss), or the
+    ``DenominatorZero`` of a pair on a bound-state pole.
+
+    A pair reads R_l(inf, x), the span of [y, x] and R_r(y, -inf) in that
+    order, and y's side of every span once (``Sweep._spans_from``).
+    """
     k = sweep.k
-    rl3, t, rr1 = _endpoint_data(sweep, x, y)
-    two_ik_g = (1.0 + rl3) * t[0] * (1.0 + rr1) / _denominator(k, rl3, t, rr1)
-    return two_ik_g / (2j * k), 0.0
+    two_ik = 2j * k
+    span = sweep._spans_from(y)
+
+    def value(x):
+        rl3 = sweep.r_left(x)
+        t = span(x)
+        rr1 = sweep.r_right(y)
+        try:
+            d = _denominator(k, rl3, t, rr1)
+        except DenominatorZero as exc:
+            return exc
+        return (1.0 + rl3) * t[0] * (1.0 + rr1) / d / two_ik, 0.0
+
+    return value
 
 
 def _chain(sweep, pairs, P, n=1):

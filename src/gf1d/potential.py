@@ -15,6 +15,8 @@ from __future__ import annotations
 import bisect
 import cmath
 import contextlib
+import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -245,7 +247,7 @@ def _parse_profile(node, where):
         return SampledProfile(pts)
     except KeyError as exc:
         raise ConfigError(f"{where}.{exc.args[0]}", "missing required key") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(where, str(exc)) from exc
 
 
@@ -259,24 +261,46 @@ def _parse_tail(node, where):
             return float(node["c"])
         except KeyError as exc:
             raise ConfigError(f"{where}.c", "missing required key") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}.c", str(exc)) from exc
     raise ConfigError(where, f"invalid tail {node!r}")
 
 
+def _parse(text, name):
+    """The document in text by ``json``, or where json rejects it, by the YAML
+    loader reading it as a stream named as the file it came from."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        pass
+    stream = io.BytesIO(text) if isinstance(text, bytes) else io.StringIO(text)
+    if name is not None:  # YAML's error marks name the stream
+        stream.name = name
+    try:
+        return yaml.load(stream, Loader=_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        # a ValueError comes from a constructor: an integer past Python's
+        # digit limit, or a timestamp that is no date
+        raise ConfigError("<document>", f"not valid YAML/JSON: {exc}") from exc
+
+
 def load_potential(path_or_stream):
-    """Parse a YAML/JSON potential document into a PotentialSpec."""
+    """Parse a JSON or YAML potential document into a PotentialSpec.
+
+    JSON text is read by ``json``; a document it rejects goes to the YAML
+    loader as the stream it came from.  Every number of the schema passes
+    through ``float()``, so both read JSON text alike.
+    """
     try:
         if hasattr(path_or_stream, "read"):
             source = contextlib.nullcontext(path_or_stream)
         else:
             source = open(path_or_stream)
         with source as fh:
-            doc = yaml.load(fh, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError("<document>", f"not valid YAML/JSON: {exc}") from exc
+            text = fh.read()
     except OSError as exc:
         raise ConfigError("<document>", str(exc)) from exc
+    doc = _parse(text, getattr(fh, "name", None))
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "document must be a mapping")
     seg_nodes = doc.get("segments", [])
@@ -293,7 +317,7 @@ def load_potential(path_or_stream):
         prof = _parse_profile(node["profile"], f"{where}.profile")
         try:
             segs.append(Segment(float(node["x_start"]), float(node["x_end"]), prof))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(where, str(exc)) from exc
     left_tail = _parse_tail(doc.get("left_tail"), "left_tail")
     right_tail = _parse_tail(doc.get("right_tail"), "right_tail")

@@ -564,7 +564,8 @@ class Sweep:
     each of them once.  A span between two query points is composed each
     time it is read, which a grid does once per pair, and a constant piece
     between them is not kept: the memory grows with the points, not with
-    the pairs.
+    the pairs.  A row of spans from one point (``_spans``) composes the
+    span from that point to each breakpoint once for the row.
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
@@ -625,25 +626,46 @@ class Sweep:
 
     def _span(self, x1, x2):
         """(tau, R_r, R_l, error) of [x1, x2], x1 <= x2, held to the error bound."""
+        # a row of one span, built without a row function: route A reads two
+        # single spans per pair
+        return self._row_span(x1, bisect.bisect_left(self._bps, x1), {}, x2)
+
+    def _spans(self, y, xs):
+        """The ``_span(y, x)`` of each x >= y of xs, lazily and in turn, so an
+        error ends the iteration at its x."""
+        return map(self._spans_from(y), xs)
+
+    def _spans_from(self, y):
+        """x -> ``_span(y, x)`` for x >= y, sharing y's side across the calls."""
+        return functools.partial(self._row_span, y, bisect.bisect_left(self._bps, y), {})
+
+    def _row_span(self, y, i, heads, x):
+        """``_span(y, x)`` in a row from y, whose first breakpoint at or right
+        of y is the i-th.  ``heads`` keeps the row's span from y to each
+        breakpoint j, composed once by the same calls in the same order as
+        for a single span, so every span of the row has the same bits.
+        """
         bps = self._bps
-        i = bisect.bisect_left(bps, x1)
-        j = bisect.bisect_right(bps, x2) - 1
-        if x1 == x2:
+        j = bisect.bisect_right(bps, x) - 1
+        if x == y:
             t = _IDENTITY
         elif i > j:
             # a grid reads a span between two query points once (twice
             # with --check): only a stepped one is worth keeping
-            t = self._piece(x1, x2) if self.method == "rk4" else self._unsplit(x1, x2)
+            t = self._piece(y, x) if self.method == "rk4" else self._unsplit(y, x)
         else:
-            t = self._row(i, j)
-            if x1 < bps[i]:
-                t = _star(t, self._piece(x1, bps[i]))
-            if bps[j] < x2:
-                t = _star(self._piece(bps[j], x2), t)
+            t = heads.get(j)
+            if t is None:
+                t = self._row(i, j)
+                if y < bps[i]:
+                    t = _star(t, self._piece(y, bps[i]))
+                heads[j] = t
+            if bps[j] < x:
+                t = _star(self._piece(bps[j], x), t)
         if not t[3] <= STEP_ERROR_BOUND:
             raise StepTooLarge(
                 f"rk4 step {self.step} too large: summed step-doubling error "
-                f"{t[3]:.3e} on [{x1}, {x2}]"
+                f"{t[3]:.3e} on [{y}, {x}]"
             )
         return t
 

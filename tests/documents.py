@@ -22,6 +22,8 @@ segments:
     x_end: 1.0
     profile: {type: constant, c: 0.0}
 """
+# the bound state of POLE_POT
+POLE_K = 0.5149332646611294
 
 RAMP = (
     "segments:\n"

@@ -14,6 +14,7 @@ import pytest
 from documents import (
     LINEAR,
     MALFORMED,
+    POLE_K,
     POLE_POT,
     POT,
     POT_LEFT_TAIL,
@@ -290,9 +291,6 @@ def test_large_im_k_grid_is_finite(capsys):
         assert np.isfinite(float(row["two_ik_g_re"]))
         assert np.isfinite(float(row["two_ik_g_im"]))
 
-
-# the bound state of POLE_POT, where the closed-form denominator vanishes
-POLE_K = 0.5149332646611294
 
 
 def _rows(text):

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import io
 import math
 import warnings
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from documents import TAILED_SLAB
+from documents import POLE_K, POLE_POT, TAILED_SLAB
 from gf1d import transfer
 from gf1d.born import born_series
 from gf1d.cli import main
-from gf1d.errors import ConfigError, ResonanceDivision, StepTooLarge
+from gf1d.errors import ConfigError, DenominatorZero, ResonanceDivision, StepTooLarge
 from gf1d.green import (
+    closed_form_from,
+    closed_form_row,
     green_closed_form,
     green_negative_power,
     green_polyrep,
@@ -27,11 +30,17 @@ from gf1d.potential import (
     LinearProfile,
     PotentialSpec,
     Segment,
+    load_potential,
     slab,
 )
 from gf1d.sl3 import green_wronskian
 from gf1d.verify import TOLERANCES
-from gf1d.transfer import propagate, riccati_coefficients, semi_infinite_coefficients
+from gf1d.transfer import (
+    Sweep,
+    propagate,
+    riccati_coefficients,
+    semi_infinite_coefficients,
+)
 
 SPEC = PotentialSpec(
     segments=(
@@ -468,3 +477,26 @@ def test_huge_wavenumber_is_transparent(k):
             value = 2j * k * route(spec, 0.5, 0.2, k).value
             assert cmath.isfinite(value)
             assert abs(abs(value) - math.exp(-0.3 * k.imag if k.imag else 0.0)) < 1e-9
+
+
+@pytest.mark.parametrize("k", [0.8 + 0.3j, POLE_K], ids=["off-pole", "pole"])
+def test_closed_form_row_is_the_single_pairs(k):
+    # one row per grid point, read against fresh per-pair calls: the same
+    # bits, and at a bound state the same pole pairs with the same message
+    spec = load_potential(io.StringIO(POLE_POT))
+    grid = np.linspace(-1.6, 1.6, 7).tolist()
+    row_sweep, pair_sweep = Sweep(spec, k), Sweep(spec, k)
+    poles = 0
+    for i, y in enumerate(grid):
+        row = closed_form_row(row_sweep, y, grid[i:])
+        for x, out in zip(grid[i:], row, strict=True):
+            try:
+                want = closed_form_from(pair_sweep, x, y)
+            except DenominatorZero as exc:
+                assert isinstance(out, DenominatorZero)
+                assert str(out) == str(exc)
+                poles += 1
+            else:
+                assert repr(out) == repr(want)
+                assert repr(closed_form_from(pair_sweep, y, x)) == repr(want)
+    assert poles == (28 if k == POLE_K else 0)

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -274,3 +275,106 @@ def test_ends_agree_with_point_reads_and_routes_agree(medium, points, k_re, k_im
     want = green_closed_form(spec, *points, k).value
     got = green_wronskian(spec, *points, k).value
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+# an integer too large for a float, at each place the schema reads a number
+_HUGE = 10**400
+
+
+def _one_segment(profile, x_end=1):
+    return {"segments": [{"x_start": 0, "x_end": x_end, "profile": profile}]}
+
+
+_HUGE_INTS = {
+    "x_end": (_one_segment({"type": "constant", "c": 0.5}, _HUGE), "segments[0]"),
+    "constant-c": (_one_segment({"type": "constant", "c": _HUGE}), "segments[0].profile"),
+    "tail-c": ({"left_tail": {"type": "constant", "c": -_HUGE}}, "left_tail.c"),
+    "sampled-point": (
+        _one_segment({"type": "sampled", "points": [[0, 0.1], [1, _HUGE]]}),
+        "segments[0].profile",
+    ),
+}
+
+
+@pytest.mark.parametrize("syntax", ["yaml", "json"])
+@pytest.mark.parametrize("place", sorted(_HUGE_INTS))
+def test_huge_integers_name_their_field(place, syntax, tmp_path, capsys):
+    # float() of such an integer raises OverflowError, which ended the CLI
+    # in a traceback and exit 1
+    doc, field = _HUGE_INTS[place]
+    text = json.dumps(doc) if syntax == "json" else yaml.safe_dump(doc, width=10**4)
+    assert str(_HUGE) in text
+    with pytest.raises(ConfigError) as err:
+        load_potential(io.StringIO(text))
+    assert err.value.field == field
+    path = tmp_path / f"huge.{syntax}"
+    path.write_text(text)
+    assert main(["green", "--potential", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+    assert captured.err.count("\n") == 1
+
+
+# the documents rendered as JSON; a malformed one only where it is data, not
+# broken syntax
+VALID_JSON = {name: json.dumps(yaml.safe_load(text)) for name, text in VALID.items()}
+MALFORMED_JSON = {
+    name: (json.dumps(yaml.safe_load(text)), field)
+    for name, (text, field) in MALFORMED.items()
+    if field != "<document>"
+}
+
+
+def _forbid_yaml(monkeypatch):
+    """From here on yaml.load raises: a JSON document is read by json alone."""
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a JSON document reached yaml.load")
+
+    monkeypatch.setattr(potential.yaml, "load", spy)
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_json_rendering_builds_the_yaml_medium(name, monkeypatch):
+    want = load_potential(io.StringIO(VALID[name]))
+    _forbid_yaml(monkeypatch)
+    assert load_potential(io.StringIO(VALID_JSON[name])) == want
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+def test_json_rendering_names_the_yaml_field(name, monkeypatch):
+    text, field = MALFORMED_JSON[name]
+    _forbid_yaml(monkeypatch)
+    with pytest.raises(ConfigError) as err:
+        load_potential(io.StringIO(text))
+    assert err.value.field == field
+
+
+def test_green_grid_reads_json_and_yaml_alike(tmp_path, capsys):
+    out = []
+    media = ((".yaml", POT_RIGHT_TAIL), (".json", VALID_JSON["pot-right-tail"]))
+    for suffix, text in media:
+        path = tmp_path / f"medium{suffix}"
+        path.write_text(text)
+        argv = ["green", "--route", "B", "--potential", str(path),
+                "--grid=-1:1:7", "--k", "1.2,0.3", "--k", "0.7"]
+        assert main(argv) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    assert out[0].count("\n") == 1 + 2 * 49
+
+
+@pytest.mark.parametrize("syntax", ["yaml", "json"])
+def test_integer_past_the_digit_limit_is_a_document_error(syntax, tmp_path, capsys):
+    # json rejects an integer of more than 4300 digits and hands it to the
+    # YAML loader, whose int() raised a bare ValueError
+    doc = _one_segment({"type": "constant", "c": 0.5}, "X")
+    text = json.dumps(doc) if syntax == "json" else yaml.safe_dump(doc)
+    path = tmp_path / f"digits.{syntax}"
+    path.write_text(text.replace('"X"' if syntax == "json" else "X", "9" * 5000))
+    assert main(["green", "--potential", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: <document>: not valid YAML/JSON: ")
+    assert captured.err.count("\n") == 1

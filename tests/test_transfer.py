@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 import time
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from gf1d import transfer
 from gf1d.errors import (
     BranchUndefined,
     ConfigError,
@@ -870,3 +872,70 @@ def test_huge_wavenumber_keeps_the_branch(k):
     assert abs(seed - 0.5 / (-2j * k)) <= 1e-12 * abs(seed)
     assert all(map(cmath.isfinite, (tau, rr, rl)))
     assert abs(rr) <= 1e-150 and abs(tau) <= 1.0
+
+
+def _span_reference(sweep, x1, x2):
+    """A span composed on its own, as ``Sweep`` did before it shared a row's
+    side: the reference for ``_spans``."""
+    bps = sweep._bps
+    i = bisect.bisect_left(bps, x1)
+    j = bisect.bisect_right(bps, x2) - 1
+    if x1 == x2:
+        return transfer._IDENTITY
+    if i > j:
+        return sweep._unsplit(x1, x2)
+    t = sweep._row(i, j)
+    if x1 < bps[i]:
+        t = transfer._star(t, sweep._piece(x1, bps[i]))
+    if bps[j] < x2:
+        t = transfer._star(sweep._piece(bps[j], x2), t)
+    return t
+
+
+@st.composite
+def _constant_rows(draw):
+    """(spec, y, xs): 1-3 constant pieces with a constant left tail, and a
+    row of points on breakpoints, between them and outside the support."""
+    x, segs = draw(st.floats(-1.5, 0.0)), []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.floats(0.2, 1.2))
+        segs.append(Segment(x, x + w, ConstantProfile(draw(st.floats(-1.5, 1.5)))))
+        x += w
+    tail = st.floats(-1.0, 1.0)
+    spec = PotentialSpec(tuple(segs), draw(tail), draw(st.one_of(st.none(), tail)))
+    bps = spec.breakpoints()
+    points = sorted({
+        *bps,
+        *(0.5 * (a + b) for a, b in zip(bps, bps[1:])),
+        bps[0] - 1.3, bps[0] - 0.6, bps[-1] + 0.4, bps[-1] + 1.1,
+    })
+    y = draw(st.sampled_from(points))
+    right = [p for p in points if p >= y]
+    xs = sorted(draw(st.lists(st.sampled_from(right), max_size=8)))
+    return spec, y, xs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(row=_constant_rows(), k_re=st.floats(0.3, 2.5), k_im=st.floats(0.05, 1.0))
+def test_row_spans_are_the_single_spans(row, k_re, k_im):
+    # a grid row reads y's side of its spans once: every span keeps its bits
+    spec, y, xs = row
+    k = complex(k_re, k_im)
+    got = list(Sweep(spec, k)._spans(y, xs))
+    assert repr(got) == repr([Sweep(spec, k)._span(y, x) for x in xs])
+    assert repr(got) == repr([_span_reference(Sweep(spec, k), y, x) for x in xs])
+
+
+def test_rk4_closed_form_steps_three_panels(monkeypatch):
+    # [0, y], [y, x] and [x, L]: a row steps a piece only when a point lies
+    # beyond it, so one pair on a one-segment linear medium takes three
+    from gf1d.green import green_closed_form
+
+    panels = []
+    panel = transfer._magnus_panel
+    monkeypatch.setattr(
+        transfer, "_magnus_panel", lambda *a: panels.append(a[2:4]) or panel(*a)
+    )
+    spec = PotentialSpec((Segment(0.0, 1.0, LinearProfile(0.2, 0.6)),))
+    green_closed_form(spec, 0.7, 0.2, 1.2 + 0.3j, method="rk4", step=0.01)
+    assert sorted(panels) == [(0.0, 0.2), (0.2, 0.7), (0.7, 1.0)]
