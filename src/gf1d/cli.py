@@ -153,36 +153,21 @@ def _born(sweep, x, y, args):
     return gv.value, gv.truncation_loss
 
 
-def _pairs(half):
-    """A grid row of a route from its per-pair value half: (sweep, x, ys,
-    args) -> each pair's (G, truncation loss), or the error of a pole pair,
-    lazily and in turn."""
-
-    def row(sweep, x, ys, args):
-        for y in ys:
-            try:
-                yield half(sweep, x, y, args)
-            except (DenominatorZero, WronskianZero) as exc:
-                yield exc
-
-    return row
-
-
-# route name -> (the route column, its grid row: (sweep, x, ys, args) -> the
-# output of each pair (x, y) of ys, lazily, as ``_pairs`` describes it); the
-# column is the route of the library's GreenValue, with the Born order.
-# Every pair at one k reads the same sweep.  Functions are looked up at call
-# time so that rebinding a module attribute reaches the CLI.
+# route name -> (the route column, its per-pair value half: (sweep, x, y,
+# args) -> (G, truncation loss), raising a pole's error); the column is the
+# route of the library's GreenValue, with the Born order.  Every pair at one
+# k reads the same sweep.  Functions are looked up at call time so that
+# rebinding a module attribute reaches the CLI.
 _ROUTES = {
-    "A": ("wronskian", _pairs(lambda s, x, y, a: sl3.wronskian_from(s, x, y))),
-    "B": ("closed_form", lambda s, x, ys, a: green_mod.closed_form_row(s, x, ys)),
-    "C": ("polyrep_symmetric", _pairs(
-        lambda s, x, y, a: green_mod.polyrep_from(s, x, y, a.P)
+    "A": ("wronskian", lambda s, x, y, a: sl3.wronskian_from(s, x, y)),
+    "B": ("closed_form", lambda s, x, y, a: green_mod.closed_form_from(s, x, y)),
+    "C": ("polyrep_symmetric", lambda s, x, y, a: green_mod.polyrep_from(
+        s, x, y, a.P
     )),
-    "C-asym": ("polyrep_asymmetric", _pairs(
-        lambda s, x, y, a: green_mod.polyrep_from(s, x, y, a.P, "asymmetric")
+    "C-asym": ("polyrep_asymmetric", lambda s, x, y, a: green_mod.polyrep_from(
+        s, x, y, a.P, "asymmetric"
     )),
-    "born": ("born_{order}", _pairs(_born)),
+    "born": ("born_{order}", _born),
 }
 
 
@@ -198,7 +183,8 @@ def cmd_green(args):
     ]
     if args.check:
         header.append("abs_diff_route_b")
-    label, route = _ROUTES[args.route]
+    label, half = _ROUTES[args.route]
+    check = green_mod.closed_form_from
     label = label.format(order=args.order)
     rows = _Rows(args.format, header)
     with _output(args) as stream:
@@ -212,26 +198,27 @@ def cmd_green(args):
             # every route orders (x, y) before it computes, so G(x, y) and
             # G(y, x) are the same bits: a row below the diagonal reuses the
             # text after y of the one above it, each formatted when grid
-            # order first meets it.  The pairs on and above the diagonal of
-            # a grid row are one row of the route, computed as they are
-            # written, so a failure leaves the rows before it written.
+            # order first meets it.  Each pair is computed as it is written,
+            # so a failure leaves the rows before it written.
             mirrored = {}
             for i, x in enumerate(grid):
                 for j in range(i):
                     stream.write(xs[i] + ys[j] + mirrored.pop((j, i)))
-                # route B is its own check; another route reads route B at
-                # the pairs it has a value for
-                b_at = green_mod.closed_form_at(sweep, x) if args.check else None
-                for j, out in enumerate(route(sweep, x, grid[i:], args), i):
-                    if isinstance(out, Gf1dError):  # k on a bound-state pole
+                for j, y in enumerate(grid[i:], i):
+                    try:
+                        g, loss = half(sweep, x, y, args)
+                    except (DenominatorZero, WronskianZero):  # a bound-state pole
                         cells = ["", "", "pole", ""] + ([""] if args.check else [])
                     else:
-                        val = 2j * k * out[0]
-                        cells = [val.real, val.imag, label, out[1]]
-                        if args.check:
-                            b = out if args.route == "B" else b_at(grid[j])
-                            b_ok = not isinstance(b, Gf1dError)
-                            cells.append(abs(val - 2j * k * b[0]) if b_ok else "")
+                        val = 2j * k * g
+                        cells = [val.real, val.imag, label, loss]
+                        if args.check:  # route B is its own check
+                            try:
+                                b = g if args.route == "B" else check(sweep, x, y)[0]
+                            except DenominatorZero:  # route B's pole
+                                cells.append("")
+                            else:
+                                cells.append(abs(val - 2j * k * b))
                     tail = k_cells + rows.cells(4, cells) + rows.end
                     if j > i:
                         mirrored[i, j] = tail

@@ -13,12 +13,12 @@ reflection vectors, or a generating-series value at the left
 reflection coefficient.
 
 Every route reads its endpoint data from a ``transfer.Sweep``; the
-``*_from(sweep, ...)`` functions are the value halves, which a caller that
-evaluates many points at one k (the CLI grid) calls on one shared sweep.
-Route B's value half also comes a grid row at a time, ``closed_form_row``,
-which reads one point's side of its spans once; ``closed_form_from`` is its
-one-pair case.  A value half returns plain numbers, (G, truncation loss);
-only the public routes wrap them in a ``GreenValue``.
+``*_from(sweep, ...)`` functions are the value halves, one pair per call,
+which a caller that evaluates many points at one k (the CLI grid) calls on
+one shared sweep, so each point's side of its spans is read once per sweep.
+A value half returns plain numbers, (G, truncation loss), and raises a
+pole's error like any other; only the public routes wrap the numbers in a
+``GreenValue``.
 """
 
 from __future__ import annotations
@@ -114,42 +114,18 @@ def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
 
 
 def closed_form_from(sweep, x, y):
-    """(G, truncation loss) of route B at (x, y) from a sweep of the medium at its k."""
-    hi, lo = (x, y) if x >= y else (y, x)
-    out = closed_form_at(sweep, lo)(hi)
-    if isinstance(out, DenominatorZero):
-        raise out
-    return out
+    """(G, truncation loss) of route B at (x, y) from a sweep of the medium at its k.
 
-
-def closed_form_row(sweep, y, xs):
-    """``closed_form_at(sweep, y)`` at each x >= y of xs, lazily and in turn,
-    so an error other than a pole ends the row at its x."""
-    return map(closed_form_at(sweep, y), xs)
-
-
-def closed_form_at(sweep, y):
-    """x -> route B at (x, y) for x >= y: (G, truncation loss), or the
-    ``DenominatorZero`` of a pair on a bound-state pole.
-
-    A pair reads R_l(inf, x), the span of [y, x] and R_r(y, -inf) in that
-    order, and y's side of every span once (``Sweep._spans_from``).
+    It reads R_l(inf, x), the span of [y, x] and R_r(y, -inf) in that order,
+    with x >= y enforced by symmetry, and raises ``DenominatorZero`` on a
+    bound-state pole.
     """
-    k = sweep.k
-    two_ik = 2j * k
-    span = sweep._spans_from(y)
-
-    def value(x):
-        rl3 = sweep.r_left(x)
-        t = span(x)
-        rr1 = sweep.r_right(y)
-        try:
-            d = _denominator(k, rl3, t, rr1)
-        except DenominatorZero as exc:
-            return exc
-        return (1.0 + rl3) * t[0] * (1.0 + rr1) / d / two_ik, 0.0
-
-    return value
+    hi, lo = (x, y) if x >= y else (y, x)
+    rl3 = sweep.r_left(hi)
+    t = sweep._span(lo, hi)
+    rr1 = sweep.r_right(lo)
+    d = _denominator(sweep.k, rl3, t, rr1)
+    return (1.0 + rl3) * t[0] * (1.0 + rr1) / d / (2j * sweep.k), 0.0
 
 
 def _chain(sweep, pairs, P, n=1):

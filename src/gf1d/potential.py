@@ -298,7 +298,7 @@ def load_potential(path_or_stream):
             source = open(path_or_stream)
         with source as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<document>", str(exc)) from exc
     doc = _parse(text, getattr(fh, "name", None))
     if not isinstance(doc, dict):

@@ -559,13 +559,13 @@ class Sweep:
     and a span's value is held to the summed step-doubling error of its
     pieces.  A reversed interval (x1 > x2) is the inverse of the forward
     span of [x2, x1], so it shares that span and its error check.  The
-    pieces to breakpoints, the spans between breakpoints, the reflections
-    at each point and the two tail seeds are memoized, so a grid pays for
-    each of them once.  A span between two query points is composed each
-    time it is read, which a grid does once per pair, and a constant piece
-    between them is not kept: the memory grows with the points, not with
-    the pairs.  A row of spans from one point (``_spans``) composes the
-    span from that point to each breakpoint once for the row.
+    pieces to breakpoints, the spans between breakpoints, each point's
+    side (its span to each breakpoint right of it), the reflections at
+    each point and the two tail seeds are memoized, so a grid pays for each
+    of them once.  A span between two query points is composed each time
+    it is read, which a grid does once per pair, and a constant piece
+    between them is not kept: the memory grows as the points times the
+    breakpoints, not with the pairs.
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
@@ -577,6 +577,7 @@ class Sweep:
         self._bps = spec.breakpoints()
         self._pieces = {}
         self._rows = {}  # breakpoint index i -> [span(b_i, b_j) for j >= i]
+        self._sides = {}  # point y -> (first breakpoint index >= y, {j: span(y, b_j)})
         self._rr = {}
         self._rl = {}
 
@@ -624,28 +625,19 @@ class Sweep:
             row.append(_star(self._piece(bps[n], bps[n + 1]), row[-1]))
         return row[j - i]
 
-    def _span(self, x1, x2):
-        """(tau, R_r, R_l, error) of [x1, x2], x1 <= x2, held to the error bound."""
-        # a row of one span, built without a row function: route A reads two
-        # single spans per pair
-        return self._row_span(x1, bisect.bisect_left(self._bps, x1), {}, x2)
+    def _span(self, y, x):
+        """(tau, R_r, R_l, error) of [y, x], y <= x, held to the error bound.
 
-    def _spans(self, y, xs):
-        """The ``_span(y, x)`` of each x >= y of xs, lazily and in turn, so an
-        error ends the iteration at its x."""
-        return map(self._spans_from(y), xs)
-
-    def _spans_from(self, y):
-        """x -> ``_span(y, x)`` for x >= y, sharing y's side across the calls."""
-        return functools.partial(self._row_span, y, bisect.bisect_left(self._bps, y), {})
-
-    def _row_span(self, y, i, heads, x):
-        """``_span(y, x)`` in a row from y, whose first breakpoint at or right
-        of y is the i-th.  ``heads`` keeps the row's span from y to each
-        breakpoint j, composed once by the same calls in the same order as
-        for a single span, so every span of the row has the same bits.
+        y's side, its first breakpoint at or right of y and its span to each
+        breakpoint j, is kept in ``_sides``: each is composed once per sweep,
+        by the same calls in the same order as for a lone span, so every span
+        has the same bits whatever the sweep read before.
         """
         bps = self._bps
+        side = self._sides.get(y)
+        if side is None:
+            side = self._sides[y] = (bisect.bisect_left(bps, y), {})
+        i, heads = side
         j = bisect.bisect_right(bps, x) - 1
         if x == y:
             t = _IDENTITY

@@ -16,7 +16,6 @@ from gf1d.cli import main
 from gf1d.errors import ConfigError, DenominatorZero, ResonanceDivision, StepTooLarge
 from gf1d.green import (
     closed_form_from,
-    closed_form_row,
     green_closed_form,
     green_negative_power,
     green_polyrep,
@@ -481,22 +480,23 @@ def test_huge_wavenumber_is_transparent(k):
 
 @pytest.mark.parametrize("k", [0.8 + 0.3j, POLE_K], ids=["off-pole", "pole"])
 def test_closed_form_row_is_the_single_pairs(k):
-    # one row per grid point, read against fresh per-pair calls: the same
-    # bits, and at a bound state the same pole pairs with the same message
+    # every pair of a grid on one shared sweep, read against a fresh sweep
+    # per pair: the same bits, and at a bound state the same pole pairs with
+    # the same message
     spec = load_potential(io.StringIO(POLE_POT))
     grid = np.linspace(-1.6, 1.6, 7).tolist()
-    row_sweep, pair_sweep = Sweep(spec, k), Sweep(spec, k)
+    shared = Sweep(spec, k)
     poles = 0
     for i, y in enumerate(grid):
-        row = closed_form_row(row_sweep, y, grid[i:])
-        for x, out in zip(grid[i:], row, strict=True):
+        for x in grid[i:]:
             try:
-                want = closed_form_from(pair_sweep, x, y)
+                want = closed_form_from(Sweep(spec, k), x, y)
             except DenominatorZero as exc:
-                assert isinstance(out, DenominatorZero)
-                assert str(out) == str(exc)
+                with pytest.raises(DenominatorZero) as got:
+                    closed_form_from(shared, x, y)
+                assert str(got.value) == str(exc)
                 poles += 1
             else:
-                assert repr(out) == repr(want)
-                assert repr(closed_form_from(pair_sweep, y, x)) == repr(want)
+                assert repr(closed_form_from(shared, x, y)) == repr(want)
+                assert repr(closed_form_from(shared, y, x)) == repr(want)
     assert poles == (28 if k == POLE_K else 0)

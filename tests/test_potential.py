@@ -316,6 +316,29 @@ def test_huge_integers_name_their_field(place, syntax, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"segments:\n  - {x_start: 0, x_end: 1, profile: {type: constant, c: 0.5}}"
+        b"  # caf\xe9\n",
+        b"\xff\xfe{}",
+    ],
+    ids=["latin-1-comment", "utf-16-bom"],
+)
+def test_undecodable_file_is_a_document_error(data, tmp_path, capsys):
+    # the read's UnicodeDecodeError ended the CLI in a traceback and exit 1
+    path = tmp_path / "medium.yaml"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as err:
+        load_potential(str(path))
+    assert err.value.field == "<document>"
+    assert main(["green", "--potential", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: <document>: ")
+    assert captured.err.count("\n") == 1
+
+
 # the documents rendered as JSON; a malformed one only where it is data, not
 # broken syntax
 VALID_JSON = {name: json.dumps(yaml.safe_load(text)) for name, text in VALID.items()}

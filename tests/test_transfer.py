@@ -875,8 +875,8 @@ def test_huge_wavenumber_keeps_the_branch(k):
 
 
 def _span_reference(sweep, x1, x2):
-    """A span composed on its own, as ``Sweep`` did before it shared a row's
-    side: the reference for ``_spans``."""
+    """A span composed on its own, as ``Sweep`` did before it kept each
+    point's side: the reference for ``_span``."""
     bps = sweep._bps
     i = bisect.bisect_left(bps, x1)
     j = bisect.bisect_right(bps, x2) - 1
@@ -918,12 +918,34 @@ def _constant_rows(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(row=_constant_rows(), k_re=st.floats(0.3, 2.5), k_im=st.floats(0.05, 1.0))
 def test_row_spans_are_the_single_spans(row, k_re, k_im):
-    # a grid row reads y's side of its spans once: every span keeps its bits
+    # one sweep reads y's side of its spans once: every span keeps its bits,
+    # in whichever order the row is read
     spec, y, xs = row
     k = complex(k_re, k_im)
-    got = list(Sweep(spec, k)._spans(y, xs))
+    shared = Sweep(spec, k)
+    got = [shared._span(y, x) for x in xs]
     assert repr(got) == repr([Sweep(spec, k)._span(y, x) for x in xs])
     assert repr(got) == repr([_span_reference(Sweep(spec, k), y, x) for x in xs])
+    reverse = Sweep(spec, k)
+    assert repr([reverse._span(y, x) for x in reversed(xs)]) == repr(got[::-1])
+
+
+def test_a_second_span_from_a_point_reuses_its_side(monkeypatch):
+    # the span from y = -0.6 to the breakpoint 0.5 below both x is composed
+    # once per sweep: the second span adds only the piece from 0.5 to 1.1
+    spec = PotentialSpec(
+        tuple(Segment(a, b, ConstantProfile(c)) for a, b, c in _ORACLE_PIECES)
+    )
+    k = 1.1 + 0.3j
+    sweep = Sweep(spec, k)
+    sweep._span(-0.6, 0.8)
+    calls = []
+    star = transfer._star
+    monkeypatch.setattr(transfer, "_star", lambda *a: calls.append(a) or star(*a))
+    got = sweep._span(-0.6, 1.1)
+    assert len(calls) <= 1
+    monkeypatch.undo()
+    assert repr(got) == repr(_span_reference(Sweep(spec, k), -0.6, 1.1))
 
 
 def test_rk4_closed_form_steps_three_panels(monkeypatch):
