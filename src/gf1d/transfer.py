@@ -30,6 +30,7 @@ import bisect
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +64,30 @@ __all__ = [
 RESONANCE_THRESHOLD = 1e-13
 # largest step-doubling error of a stepped evolution, relative to its scale
 STEP_ERROR_BOUND = 1e-6
-# switch to the series of cosh(z), sinh(z)/z below this |z| to avoid cancellation
+# a closed-form constant piece switches to the series of cosh(z), sinh(z)/z
+# below this |z| = |kappa dx| to avoid cancellation
 KAPPA_SERIES_SWITCH = 1e-4
+# a Magnus step takes cosh(q), sinh(q)/q from their series through q^10
+# below this |q|, where the first omitted term is below 1e-20
+MAGNUS_SERIES_SWITCH = 0.1
 # largest growth exponent (Im k + max |f|) * width of one Magnus chunk: U
 # grows at most like e^(that exponent), so a chunk's matrix stays finite
 CHUNK_GROWTH = 20.0
 # most fixed steps one piece may take, charged before any step is built: at
-# this many, a Magnus piece takes about 0.3 s and 46 MB, a Riccati piece 0.5 s
-# (2-core Xeon, Python 3.11)
+# this many, a Magnus piece takes about 0.04 s and 1 MB, a Riccati piece
+# 0.35 s (2-core Xeon, Python 3.11)
 STEP_BUDGET = 2**18
 # steps per block of a piece in ``riccati_coefficients``: its stage record
 # (four values per step) stays this long whatever the piece's length
 _RICCATI_BLOCK = 1024
-_EYE = np.eye(2, dtype=complex)[None]
+# steps per block of a Magnus panel: blocks are aligned at multiples of this
+# power of two, so each is a whole subtree of the panel's pairwise product
+_MAGNUS_BLOCK = 4096
+# Taylor coefficients of cosh(q) and sinh(q) / q from q^10 down to q^0
+_COSH_SERIES = tuple(1.0 / math.factorial(2 * j) for j in range(5, -1, -1))
+_SINHC_SERIES = tuple(1.0 / math.factorial(2 * j + 1) for j in range(5, -1, -1))
+# the identity an odd level of a Magnus product takes at its end
+_EYE = np.eye(2, dtype=complex)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -214,8 +226,8 @@ def _unsupported(a, b):
 
 
 def _check_step(step):
-    if not step > 0:
-        raise ConfigError("step", f"must be > 0, got {step}")
+    if not isinstance(step, numbers.Real) or not step > 0:
+        raise ConfigError("step", f"must be a real number > 0, got {step!r}")
 
 
 def _check_method(method, step):
@@ -248,31 +260,72 @@ def _magnus(fa, fb, dx, n, k):
     b = sqrt(3) h^2 k (f1 - f2) / 6 and c = -ikh, so that
     exp(Omega) = cosh(q) I + sinh(q) / q Omega with q^2 = a^2 + b^2 + c^2.
     On a linear f, (f1 + f2) / 2 is f at the step midpoint and
-    f1 - f2 = -(fb - fa) / (n sqrt(3)) is the same for every step.  None
-    where a step's matrix leaves the float range.
+    f1 - f2 = -(fb - fa) / (n sqrt(3)) is the same for every step.  The
+    steps are built and multiplied in aligned blocks of ``_MAGNUS_BLOCK``,
+    so memory does not grow with n.  None where a step's matrix leaves the
+    float range.
     """
     h = dx / n
-    a = h * (fa + (fb - fa) * ((np.arange(n) + 0.5) / n))
     b = -h * h * k * (fb - fa) / (6.0 * n)
     c = -1j * k * h
-    q2 = a * a + (b * b + c * c)
-    small = np.abs(q2) < KAPPA_SERIES_SWITCH**2
-    q = np.sqrt(np.where(small, 1.0, q2))
-    ch = np.where(small, 1.0 + q2 / 2.0 + q2 * q2 / 24.0, np.cosh(q))
-    shc = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0, np.sinh(q) / q)
-    m = np.empty((n, 2, 2), dtype=complex)
-    m[:, 0, 0] = ch + shc * c
-    m[:, 0, 1] = shc * (a - 1j * b)
-    m[:, 1, 0] = shc * (a + 1j * b)
-    m[:, 1, 1] = ch - shc * c
-    if not np.isfinite(m).all():
-        return None
-    # pairwise products keep the step order: U = M_{n-1} ... M_1 M_0
-    while len(m) > 1:
-        if len(m) % 2:
-            m = np.concatenate((m, _EYE))
-        m = m[1::2] @ m[0::2]
-    return m[0]
+    bc = b * b + c * c
+    blocks = []
+    for lo in range(0, n, _MAGNUS_BLOCK):
+        mid = (np.arange(lo, min(lo + _MAGNUS_BLOCK, n)) + 0.5) / n
+        a = h * (fa + (fb - fa) * mid)
+        q2 = a * a + bc
+        ch, shc = _cosh_sinhc(q2)
+        m = np.empty((2, 2, len(a)), dtype=complex)
+        m[0, 0] = ch + shc * c
+        m[0, 1] = shc * (a - 1j * b)
+        m[1, 0] = shc * (a + 1j * b)
+        m[1, 1] = ch - shc * c
+        if not np.isfinite(m).all():
+            return None
+        blocks.append(_tree_product(m))
+    return _tree_product(np.concatenate(blocks, axis=2))[:, :, 0]
+
+
+def _cosh_sinhc(q2):
+    """cosh(q) and sinh(q) / q for an array of q^2.
+
+    Where |q| < MAGNUS_SERIES_SWITCH both come from their Taylor series
+    through q^10, whose first omitted term is below 1e-20; only the other
+    elements go through ``np.cosh`` and ``np.sinh``.
+    """
+    ch, shc = _series(q2, _COSH_SERIES), _series(q2, _SINHC_SERIES)
+    big = np.abs(q2) >= MAGNUS_SERIES_SWITCH**2
+    if big.any():
+        q = np.sqrt(q2[big])
+        ch[big] = np.cosh(q)
+        shc[big] = np.sinh(q) / q
+    return ch, shc
+
+
+def _series(q2, coefficients):
+    """The polynomial in q^2 with these coefficients, highest first (Horner)."""
+    s = coefficients[0] * q2 + coefficients[1]
+    for c in coefficients[2:]:
+        s *= q2
+        s += c
+    return s
+
+
+def _tree_product(m):
+    """M_{n-1} ... M_1 M_0 of the steps m[:, :, j], as a (2, 2, 1) array.
+
+    Neighbours are multiplied pairwise, later step on the left, level by
+    level; an odd level takes an identity at its end.  Each level is two
+    elementwise products and a sum: stacked ``@`` costs about five times as
+    much on 2x2 matrices, and ``np.einsum`` rounds its complex sums of
+    products up to a few ulp off, which drifted 4e-13 over 12293 steps.
+    """
+    while m.shape[2] > 1:
+        if m.shape[2] % 2:
+            m = np.concatenate((m, _EYE), axis=2)
+        later, earlier = m[:, :, 1::2], m[:, :, 0::2]
+        m = later[:, 0, None] * earlier[None, 0] + later[:, 1, None] * earlier[None, 1]
+    return m
 
 
 def _magnus_panel(fa, fb, a, b, k, step):
@@ -391,24 +444,23 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
         for n, h, fa, df in pieces:
             hh, h6 = 0.5 * h, h / 6.0
             for lo in range(0, n, _RICCATI_BLOCK):
-                hi = min(lo + _RICCATI_BLOCK, n)
+                # f at the start, middle and end of each step of the block
+                f0 = fa + np.arange(lo, min(lo + _RICCATI_BLOCK, n)) * df
+                fm, f1 = f0 + 0.5 * df, f0 + df
                 stages = []
                 record = stages.extend
-                for i in range(lo, hi):
-                    f0 = fa + i * df
-                    fm = f0 + 0.5 * df
-                    r1 = ik2 * rr + f0 * (1.0 - rr * rr)
+                # each stage is R_r' = 2ik S + f (1 - S^2) = f + S (2ik - f S)
+                for g0, gm, g1 in zip(f0.tolist(), fm.tolist(), f1.tolist()):
+                    r1 = g0 + rr * (ik2 - g0 * rr)
                     s2 = rr + hh * r1
-                    r2 = ik2 * s2 + fm * (1.0 - s2 * s2)
+                    r2 = gm + s2 * (ik2 - gm * s2)
                     s3 = rr + hh * r2
-                    r3 = ik2 * s3 + fm * (1.0 - s3 * s3)
+                    r3 = gm + s3 * (ik2 - gm * s3)
                     s4 = rr + h * r3
                     record((rr, s2, s3, s4))
-                    r4 = ik2 * s4 + (f0 + df) * (1.0 - s4 * s4)
-                    rr += h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                    r4 = g1 + s4 * (ik2 - g1 * s4)
+                    rr += h6 * (r1 + 2.0 * (r2 + r3) + r4)
                 s = np.array(stages, dtype=complex).reshape(-1, 4).T
-                f0 = fa + np.arange(lo, hi) * df
-                fm, f1 = f0 + 0.5 * df, f0 + df
                 # stage j of tau is tau_n a_j p_j, with a_j = ik - f_j S_j at
                 # the stage value S_j of R_r and p_j its argument over tau_n
                 a1, a2 = ik - f0 * s[0], ik - fm * s[1]
@@ -612,7 +664,8 @@ class Sweep:
             fl, fh = self.spec.ends(lo, hi)
             u, err = _magnus_panel(fl, fh, lo, hi, self.k, self.step)
             s = scattering_coefficients(TransferMatrix.from_matrix(u, (lo, hi), self.k))
-            chunk = (s.tau, s.r_right, s.r_left, err)
+            # as Python complex, like every other triple of the sweep
+            chunk = (complex(s.tau), complex(s.r_right), complex(s.r_left), err)
             t = chunk if t is None else _star(chunk, t)
         return t
 

@@ -30,8 +30,11 @@ from gf1d.potential import (
     Segment,
     slab,
 )
+from gf1d.sl3 import green_wronskian
 from gf1d.transfer import (
+    _MAGNUS_BLOCK,
     _RICCATI_BLOCK,
+    MAGNUS_SERIES_SWITCH,
     STEP_BUDGET,
     Sweep,
     TransferMatrix,
@@ -443,8 +446,8 @@ def test_tiny_step_is_refused_before_any_step(call):
 
 
 def test_step_budget_admits_a_piece_at_the_budget():
-    # checked without stepping: a full piece takes 0.3 s and 46 MB of Magnus
-    # steps, or 0.5 s of Riccati steps
+    # checked without stepping: a full piece takes 0.04 s and 1 MB of Magnus
+    # steps, or 0.35 s of Riccati steps
     _charge_steps(1.0, 1.0 / STEP_BUDGET)
     with pytest.raises(StepBudget):
         _charge_steps(1.0, 1.0 / (STEP_BUDGET + 1))
@@ -484,6 +487,65 @@ def test_riccati_memory_does_not_grow_with_the_step_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_magnus_memory_does_not_grow_with_the_step_count():
+    # the steps are built and multiplied per block, not per piece
+    spec = PotentialSpec(segments=(Segment(0.0, 1.0, LinearProfile(0.3, -0.5)),))
+    peaks = []
+    for n in (_MAGNUS_BLOCK, 8 * _MAGNUS_BLOCK):
+        tracemalloc.start()
+        try:
+            propagate(spec, 0.0, 1.0, 1.1 + 0.2j, "rk4", step=1.0 / n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def magnus_stepwise(fa, fb, dx, n, k):
+    """The Magnus product one step at a time: each step's exponential
+    cosh(q) I + sinh(q) / q Omega in closed form through cmath."""
+    h = dx / n
+    b = -h * h * k * (fb - fa) / (6.0 * n)
+    c = -1j * k * h
+    u = np.eye(2, dtype=complex)
+    for j in range(n):
+        a = h * (fa + (fb - fa) * ((j + 0.5) / n))
+        q = cmath.sqrt(a * a + b * b + c * c)
+        ch, shc = cmath.cosh(q), cmath.sinh(q) / q
+        step = np.array(
+            [[ch + shc * c, shc * (a - 1j * b)], [shc * (a + 1j * b), ch - shc * c]]
+        )
+        u = step @ u
+    return u
+
+
+@pytest.mark.parametrize(
+    "blocks, extra", [(0, 1), (0, 2), (0, 3), (0, 7), (1, 1), (3, 5)]
+)
+@pytest.mark.parametrize("k", [1.3, 1.3 + 0.2j, 0.4 + 1.0j])
+def test_magnus_product_matches_a_stepwise_product(monkeypatch, blocks, extra, k):
+    # the blocks are shrunk to 16 steps: over 3 * 4096 + 5 steps the
+    # stepwise product itself drifts up to 5e-13 from a 40-digit one (at
+    # k = 1.3 + 0.2j, cmath.cosh rounds these small q about 5e-17 low on
+    # average), while _magnus stays within 8e-14 of it
+    monkeypatch.setattr(transfer, "_MAGNUS_BLOCK", 16)
+    n = 16 * blocks + extra
+    got = transfer._magnus(0.3, -0.5, 0.9, n, k)
+    want = magnus_stepwise(0.3, -0.5, 0.9, n, k)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
+@pytest.mark.parametrize("f, k", [(0.0, 1.3), (0.7, 1.3 + 0.2j), (2.5, 0.4 + 1.0j)])
+def test_magnus_step_agrees_with_cmath_at_the_series_switch(side, f, k):
+    # one step on a constant f, with |q| just below and just above the switch
+    kappa = cmath.sqrt(f * f - k * k)
+    dx = side * MAGNUS_SERIES_SWITCH / abs(kappa)
+    got = transfer._magnus(f, f, dx, 1, k)
+    want = magnus_stepwise(f, f, dx, 1, k)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_tail_reflection_is_moebius_fixed_point():
@@ -599,6 +661,25 @@ def test_fixed_step_routes_reject_nonpositive_step(step):
         propagate(spec, 0.0, 1.0, 1.0, method="rk4", step=step)
     with pytest.raises(ConfigError):
         riccati_coefficients(spec, 0.0, 1.0, 1.0, step=step)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: riccati_coefficients(_LINEAR, 0.0, 1.0, 1.2, step=None),
+        lambda: propagate(_LINEAR, 0.0, 1.0, 1.2, "rk4", step=1e-3 + 0j),
+        lambda: interval_triple(_LINEAR, 0.0, 1.0, 1.2, "rk4", "0.01"),
+        lambda: Sweep(_LINEAR, 1.2, "rk4", None),
+        lambda: semi_infinite_coefficients(_LINEAR, 0.5, 1.2, method="rk4", step="x"),
+        lambda: green_wronskian(_LINEAR, 0.7, 0.2, 1.2, method="rk4", step="0.01"),
+    ],
+    ids=["riccati", "propagate", "interval", "sweep", "semi-infinite", "wronskian"],
+)
+def test_a_step_that_is_not_a_real_number_is_a_config_error(call):
+    # each raised a bare TypeError from comparing the step with 0
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.field == "step"
 
 
 def test_unknown_method_is_a_config_error():
@@ -946,6 +1027,22 @@ def test_a_second_span_from_a_point_reuses_its_side(monkeypatch):
     assert len(calls) <= 1
     monkeypatch.undo()
     assert repr(got) == repr(_span_reference(Sweep(spec, k), -0.6, 1.1))
+
+
+def test_stepped_values_are_python_complex():
+    # the Magnus matrices' numpy scalars reached GreenValue.value and its repr
+    from gf1d.green import green_closed_form
+
+    k = 1.2 + 0.3j
+    values = [
+        green_closed_form(_LINEAR, 0.7, 0.2, k, method="rk4").value,
+        green_wronskian(_LINEAR, 0.7, 0.2, k, method="rk4").value,
+    ]
+    for x1, x2 in ((0.2, 0.7), (0.7, 0.2)):
+        t = interval_triple(_LINEAR, x1, x2, k, "rk4")
+        values += [t.tau, t.r_right, t.r_left]
+    assert all(type(v) is complex for v in values)
+    assert "np." not in repr(green_closed_form(_LINEAR, 0.7, 0.2, k, method="rk4"))
 
 
 def test_rk4_closed_form_steps_three_panels(monkeypatch):
