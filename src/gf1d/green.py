@@ -16,6 +16,8 @@ Every route reads its endpoint data from a ``transfer.Sweep``; the
 ``*_from(sweep, ...)`` functions are the value halves, one pair per call,
 which a caller that evaluates many points at one k (the CLI grid) calls on
 one shared sweep, so each point's side of its spans is read once per sweep.
+Route B also reads a whole grid row from the sweep's point table in one
+loop, ``closed_form_row``, whose two-point case is ``closed_form_from``.
 A value half returns plain numbers, (G, truncation loss), and raises a
 pole's error like any other; only the public routes wrap the numbers in a
 ``GreenValue``.
@@ -114,18 +116,30 @@ def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
 
 
 def closed_form_from(sweep, x, y):
-    """(G, truncation loss) of route B at (x, y) from a sweep of the medium at its k.
+    """(G, truncation loss) of route B at (x, y) from a sweep of the medium at
+    its k, with x >= y enforced by symmetry: the two-point ``closed_form_row``."""
+    hi, lo = (x, y) if x >= y else (y, x)
+    return next(closed_form_row(sweep, sweep.points((lo, hi)), 0, 1))
 
-    It reads R_l(inf, x), the span of [y, x] and R_r(y, -inf) in that order,
-    with x >= y enforced by symmetry, and raises ``DenominatorZero`` on a
+
+def closed_form_row(sweep, points, a, b):
+    """Route B's (G, truncation loss) at (p_a, p_b), (p_a, p_b+1), ... for
+    the sweep's table entries ``points``, p_a <= p_b <= ..., each computed
+    when it is read.
+
+    A pair reads R_l(inf, p_b), the span of [p_a, p_b] and R_r(p_a, -inf)
+    from the table in that order, and raises ``DenominatorZero`` on a
     bound-state pole.
     """
-    hi, lo = (x, y) if x >= y else (y, x)
-    rl3 = sweep.r_left(hi)
-    t = sweep._span(lo, hi)
-    rr1 = sweep.r_right(lo)
-    d = _denominator(sweep.k, rl3, t, rr1)
-    return (1.0 + rl3) * t[0] * (1.0 + rr1) / d / (2j * sweep.k), 0.0
+    k, between = sweep.k, sweep.between
+    k2 = 2j * k
+    q = points[a]
+    for p in points[b:]:
+        rl3 = sweep.rl_of(p)
+        t = between(q, p)
+        rr1 = sweep.rr_of(q)
+        d = _denominator(k, rl3, t, rr1)
+        yield (1.0 + rl3) * t[0] * (1.0 + rr1) / d / k2, 0.0
 
 
 def _chain(sweep, pairs, P, n=1):

@@ -13,8 +13,11 @@ Transmission/reflection coefficients of an interval are
 ``Sweep`` is the propagation core the routes read: for one medium and one
 k it composes these triples piece by piece with the two-interval formula
 (the Redheffer star product), so R_r(x, -inf), R_l(+inf, x) and the triple
-of [y, x] at every query point come from shared work.  A reversed interval
-is the inverse of its forward span, read from the same memoized triple.
+of [y, x] at every query point come from shared work.  It keeps a table of
+the points it has met, and a grid reads a row of spans from two entries
+at a time (``Sweep.between``); a lone span or reflection is the same read.
+A reversed interval is the inverse of its forward span, read from the same
+memoized triple.
 ``propagate``, ``invert``, ``compose`` and the matrix algebra are not on the
 value path: they stay as the independent checks that ``verify`` runs.
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -105,7 +107,9 @@ class TransferMatrix:
 
     @classmethod
     def from_matrix(cls, m, interval, k):
-        return cls(m[0, 0], m[1, 1], m[1, 0], m[0, 1], tuple(interval), k)
+        """The entries of a 2x2 array, as Python ``complex``."""
+        a, b, c, d = map(complex, (m[0, 0], m[1, 1], m[1, 0], m[0, 1]))
+        return cls(a, b, c, d, tuple(interval), k)
 
     def as_matrix(self):
         return np.array(
@@ -376,17 +380,17 @@ def invert(m):
 
 
 def scattering_coefficients(m):
-    if abs(m.alpha_plus) < RESONANCE_THRESHOLD:
+    t = _coefficients(m.alpha_plus, m.beta_plus, m.beta_minus, m.interval)
+    return ScatteringTriple(*t, interval=m.interval, k=m.k)
+
+
+def _coefficients(alpha, beta_plus, beta_minus, interval):
+    """(tau, R_r, R_l) from the entries alpha(k), beta(k), beta(-k) of U."""
+    if abs(alpha) < RESONANCE_THRESHOLD:
         raise ResonanceDivision(
-            f"|alpha| = {abs(m.alpha_plus):.3e} below threshold on {m.interval}"
+            f"|alpha| = {abs(alpha):.3e} below threshold on {interval}"
         )
-    return ScatteringTriple(
-        tau=1.0 / m.alpha_plus,
-        r_right=m.beta_plus / m.alpha_plus,
-        r_left=-m.beta_minus / m.alpha_plus,
-        interval=m.interval,
-        k=m.k,
-    )
+    return 1.0 / alpha, beta_plus / alpha, -beta_minus / alpha
 
 
 def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
@@ -598,6 +602,23 @@ def _below_threshold(num, den):
     return f"|alpha| = {alpha} below threshold"
 
 
+class _Point:
+    """A query point's entry in a sweep's table.
+
+    ``i`` indexes the first breakpoint at or right of x and ``j`` the last
+    at or left of it.  The rest is filled when a reader first needs it:
+    ``heads`` is x's side, its span to each breakpoint j >= i; ``left`` is
+    the piece from breakpoint j to x and ``right`` the piece from x to
+    breakpoint i; ``rr`` and ``rl`` are R_r(x, -inf) and R_l(+inf, x).
+    """
+
+    __slots__ = ("x", "i", "j", "heads", "left", "right", "rr", "rl")
+
+    def __init__(self, x, i, j):
+        self.x, self.i, self.j, self.heads = x, i, j, {}
+        self.left = self.right = self.rr = self.rl = None
+
+
 class Sweep:
     """Scattering data of one medium at one k, shared by every query point.
 
@@ -610,14 +631,19 @@ class Sweep:
     steps them by Magnus steps in chunks short enough for U to stay finite,
     and a span's value is held to the summed step-doubling error of its
     pieces.  A reversed interval (x1 > x2) is the inverse of the forward
-    span of [x2, x1], so it shares that span and its error check.  The
-    pieces to breakpoints, the spans between breakpoints, each point's
-    side (its span to each breakpoint right of it), the reflections at
-    each point and the two tail seeds are memoized, so a grid pays for each
-    of them once.  A span between two query points is composed each time
-    it is read, which a grid does once per pair, and a constant piece
-    between them is not kept: the memory grows as the points times the
-    breakpoints, not with the pairs.
+    span of [x2, x1], so it shares that span and its error check.
+
+    The sweep keeps a table with one entry per point it has met
+    (``points``): the point's breakpoint indices, and, once read, its side
+    (its span to each breakpoint right of it), its two end pieces and its
+    two reflections.  Every span is composed by one method, ``between``, from
+    two entries, and a grid reads a row of spans by calling it along the
+    row: a lone span, R_r and R_l are its cases.  The pieces and spans
+    between breakpoints and the two tail seeds are kept beside the table, so
+    a grid pays for each of them once.  A span between two query points is
+    composed each time it is read, which a grid does once per pair, and a
+    constant piece between them is not kept: the memory grows as the points
+    times the breakpoints, not with the pairs.
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
@@ -629,9 +655,13 @@ class Sweep:
         self._bps = spec.breakpoints()
         self._pieces = {}
         self._rows = {}  # breakpoint index i -> [span(b_i, b_j) for j >= i]
-        self._sides = {}  # point y -> (first breakpoint index >= y, {j: span(y, b_j)})
-        self._rr = {}
-        self._rl = {}
+        self._table = {}  # point -> its _Point
+        # R_r at the left edge and R_l at the right edge of the medium, from
+        # each tail alone, computed when first read.  They are attributes set
+        # here, not cached properties: a cached property writes the sweep's
+        # __dict__ after __init__, and on CPython 3.11 every later attribute
+        # read on the sweep then goes through that dict, about 1.7x slower.
+        self._left_seed = self._right_seed = None
 
     def _piece(self, a, b):
         """Triple of [a, b], which no breakpoint splits, memoized."""
@@ -663,9 +693,10 @@ class Sweep:
         for lo, hi in zip(edges, edges[1:]):
             fl, fh = self.spec.ends(lo, hi)
             u, err = _magnus_panel(fl, fh, lo, hi, self.k, self.step)
-            s = scattering_coefficients(TransferMatrix.from_matrix(u, (lo, hi), self.k))
-            # as Python complex, like every other triple of the sweep
-            chunk = (complex(s.tau), complex(s.r_right), complex(s.r_left), err)
+            # divided as numpy scalars, whose quotients round unlike Python's,
+            # then kept as Python complex like every other triple of the sweep
+            s = _coefficients(u[0, 0], u[1, 0], u[0, 1], (lo, hi))
+            chunk = (complex(s[0]), complex(s[1]), complex(s[2]), err)
             t = chunk if t is None else _star(chunk, t)
         return t
 
@@ -678,41 +709,62 @@ class Sweep:
             row.append(_star(self._piece(bps[n], bps[n + 1]), row[-1]))
         return row[j - i]
 
-    def _span(self, y, x):
-        """(tau, R_r, R_l, error) of [y, x], y <= x, held to the error bound.
+    def _point(self, x):
+        """x's entry in the table, made when the sweep first meets x; a zero
+        is keyed with its sign, so a message names x as the caller wrote it."""
+        key = x if x else (x, math.copysign(1.0, x))
+        p = self._table.get(key)
+        if p is None:
+            bps = self._bps
+            p = _Point(x, bisect.bisect_left(bps, x), bisect.bisect_right(bps, x) - 1)
+            self._table[key] = p
+        return p
 
-        y's side, its first breakpoint at or right of y and its span to each
-        breakpoint j, is kept in ``_sides``: each is composed once per sweep,
-        by the same calls in the same order as for a lone span, so every span
+    def points(self, xs):
+        """The table entries of the points xs, in order."""
+        return [self._point(x) for x in xs]
+
+    def between(self, q, p):
+        """(tau, R_r, R_l, error) of [y, x] from the entries q of y and p of
+        x, y <= x, held to the error bound.
+
+        A span across breakpoints is piece(b_j, x) * head with the head
+        row(i, j) * piece(y, b_i), as ``_star`` composes them.  y's head at
+        each j is kept in its side, so each is composed once per sweep, by
+        the same calls in the same order as for a lone span, and every span
         has the same bits whatever the sweep read before.
         """
-        bps = self._bps
-        side = self._sides.get(y)
-        if side is None:
-            side = self._sides[y] = (bisect.bisect_left(bps, y), {})
-        i, heads = side
-        j = bisect.bisect_right(bps, x) - 1
+        y, x = q.x, p.x
         if x == y:
             t = _IDENTITY
-        elif i > j:
+        elif q.i > p.j:
             # a grid reads a span between two query points once (twice
             # with --check): only a stepped one is worth keeping
             t = self._piece(y, x) if self.method == "rk4" else self._unsplit(y, x)
         else:
-            t = heads.get(j)
+            bps, j = self._bps, p.j
+            t = q.heads.get(j)
             if t is None:
-                t = self._row(i, j)
-                if y < bps[i]:
-                    t = _star(t, self._piece(y, bps[i]))
-                heads[j] = t
+                t = self._row(q.i, j)
+                if y < bps[q.i]:
+                    if q.right is None:
+                        q.right = self._unsplit(y, bps[q.i])
+                    t = _star(t, q.right)
+                q.heads[j] = t
             if bps[j] < x:
-                t = _star(self._piece(bps[j], x), t)
+                if p.left is None:
+                    p.left = self._unsplit(bps[j], x)
+                t = _star(p.left, t)
         if not t[3] <= STEP_ERROR_BOUND:
             raise StepTooLarge(
                 f"rk4 step {self.step} too large: summed step-doubling error "
                 f"{t[3]:.3e} on [{y}, {x}]"
             )
         return t
+
+    def _span(self, y, x):
+        """(tau, R_r, R_l, error) of [y, x], y <= x."""
+        return self.between(self._point(y), self._point(x))
 
     def coefficients(self, x1, x2):
         """(tau, R_r, R_l) of [x1, x2] as plain numbers; x1 > x2 inverts the
@@ -724,38 +776,36 @@ class Sweep:
         """The coefficients of [x1, x2] as a ``ScatteringTriple``."""
         return ScatteringTriple(*self.coefficients(x1, x2), (x1, x2), self.k)
 
-    @functools.cached_property
-    def _left_seed(self):
-        """R_r at the left edge of the medium, from its left tail alone."""
-        return _tail_seed(self.spec.left_tail, self.k, "left")
-
-    @functools.cached_property
-    def _right_seed(self):
-        """R_l at the right edge of the medium, from its right tail alone."""
-        return _tail_seed(self.spec.right_tail, self.k, "right")
-
     def r_right(self, x):
         """R_r(x, -inf): reflection seen from x looking left."""
-        rr = self._rr.get(x)
-        if rr is None:
-            seed = self._left_seed
-            if not self._bps or x <= self._bps[0]:
-                rr = seed
-            else:
-                tail = (0j, seed, 0j, 0.0)
-                rr = _star(self._span(self._bps[0], x), tail)[1]
-            self._rr[x] = rr
-        return rr
+        return self.rr_of(self._point(x))
 
     def r_left(self, x):
         """R_l(+inf, x): reflection seen from x looking right."""
-        rl = self._rl.get(x)
-        if rl is None:
-            seed = self._right_seed
-            if not self._bps or x >= self._bps[-1]:
-                rl = seed
+        return self.rl_of(self._point(x))
+
+    def rr_of(self, p):
+        """R_r(x, -inf) of a table entry, computed when first read."""
+        if p.rr is None:
+            if self._left_seed is None:
+                self._left_seed = _tail_seed(self.spec.left_tail, self.k, "left")
+            bps = self._bps
+            if not bps or p.x <= bps[0]:
+                p.rr = self._left_seed
             else:
-                tail = (0j, 0j, seed, 0.0)
-                rl = _star(tail, self._span(x, self._bps[-1]))[2]
-            self._rl[x] = rl
-        return rl
+                tail = (0j, self._left_seed, 0j, 0.0)
+                p.rr = _star(self.between(self._point(bps[0]), p), tail)[1]
+        return p.rr
+
+    def rl_of(self, p):
+        """R_l(+inf, x) of a table entry, computed when first read."""
+        if p.rl is None:
+            if self._right_seed is None:
+                self._right_seed = _tail_seed(self.spec.right_tail, self.k, "right")
+            bps = self._bps
+            if not bps or p.x >= bps[-1]:
+                p.rl = self._right_seed
+            else:
+                tail = (0j, 0j, self._right_seed, 0.0)
+                p.rl = _star(tail, self.between(p, self._point(bps[-1])))[2]
+        return p.rl

@@ -61,6 +61,27 @@ TAILED_SLAB = (
     "  - {x_start: -0.5, x_end: 0.1, profile: {type: constant, c: 1.1}}\n"
 )
 
+# six constant slabs on [-1.5, 1.5] with uneven inner edges and a constant
+# left tail: the shape of the media the cli_grid benchmark draws
+SIX_SLABS = (
+    "left_tail: {type: constant, c: 0.35}\n"
+    "segments:\n"
+    "  - {x_start: -1.5, x_end: -0.93, profile: {type: constant, c: 0.7}}\n"
+    "  - {x_start: -0.93, x_end: -0.52, profile: {type: constant, c: -1.1}}\n"
+    "  - {x_start: -0.52, x_end: 0.04, profile: {type: constant, c: 0.25}}\n"
+    "  - {x_start: 0.04, x_end: 0.61, profile: {type: constant, c: 0.9}}\n"
+    "  - {x_start: 0.61, x_end: 0.95, profile: {type: constant, c: -0.45}}\n"
+    "  - {x_start: 0.95, x_end: 1.5, profile: {type: constant, c: 1.05}}\n"
+)
+# f rises linearly from 0.5 to 1.5 on [0, 1], is 0.3 on [1, 2] and falls
+# linearly from 1.5 to 0.5 on [2, 3]
+RAMP_STEP_RAMP = (
+    "segments:\n"
+    "  - {x_start: 0, x_end: 1, profile: {type: linear, c0: 0.5, c1: 1.0}}\n"
+    "  - {x_start: 1, x_end: 2, profile: {type: constant, c: 0.3}}\n"
+    "  - {x_start: 2, x_end: 3, profile: {type: linear, c0: 1.5, c1: -1.0}}\n"
+)
+
 # documents the loader rejects, each with the field its ConfigError names
 MALFORMED = {
     "missing-x-end": ("segments:\n  - x_start: 0\n", "segments[0].x_end"),
@@ -96,4 +117,6 @@ VALID = {
     "tail-only": TAIL_ONLY,
     "tail-only-explicit": TAIL_ONLY_EXPLICIT,
     "tailed-slab": TAILED_SLAB,
+    "six-slabs": SIX_SLABS,
+    "ramp-step-ramp": RAMP_STEP_RAMP,
 }

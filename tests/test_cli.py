@@ -19,6 +19,8 @@ from documents import (
     POT,
     POT_LEFT_TAIL,
     RAMP,
+    RAMP_STEP_RAMP,
+    SIX_SLABS,
     TAIL_ONLY,
     TAIL_ONLY_EXPLICIT,
 )
@@ -453,6 +455,9 @@ GREEN_CASES = {
         "segments:\n  - {x_start: -1, x_end: 1, profile: {type: constant, c: 5.0}}\n",
         "C", (-0.4, 0.4, 2), ["0.05,0.01"], {},
     ),
+    # the shape the cli_grid benchmark measures: six slabs, a constant left
+    # tail, 12 points reaching into both tails, two k
+    "six-slabs": (SIX_SLABS, "B", (-1.8, 1.8, 12), ["1.7,0.3", "0.9,0.45"], {}),
 }
 
 
@@ -497,6 +502,65 @@ def test_green_rows_equal_a_reference_writer(case, check, fmt, tmp_path, capsys)
     assert len(tails) == len(lines)
     for (block, x, y), tail in tails.items():
         assert tails[block, y, x] == tail
+
+
+@pytest.mark.parametrize("route", ["A", "B", "C"])
+def test_coinciding_grid_points_equal_a_reference_writer(route, tmp_path, capsys):
+    # --grid=1:1.0000000000000002:3 gives the points 1.0, 1.0 and
+    # 1.0000000000000002: two coincide on the medium's right edge and the
+    # third lies in its right tail.  The rows print two points alike, so the
+    # mirrored-text check of the test above does not apply to them.
+    from gf1d.potential import load_potential
+
+    path = tmp_path / "medium.yaml"
+    path.write_text(POLE_POT)
+    spec = load_potential(str(path))
+    grid = _grid(1.0, 1.0000000000000002, 3)
+    assert grid[0] == grid[1] < grid[2]
+    for fmt in ("csv", "jsonl"):
+        for check in ([], ["--check"]):
+            argv = ["green", "--route", route, "--grid=1:1.0000000000000002:3",
+                    f"--P={CUTOFF}", "--format", fmt, "--potential", str(path),
+                    "--k", "0.8,0.3", "--k", repr(POLE_K), *check]
+            assert main(argv) == 0
+            ks = [0.8 + 0.3j, complex(POLE_K)]
+            rows = _library_green_rows(spec, grid, ks, route, bool(check))
+            header = GREEN_HEADER + (["abs_diff_route_b"] if check else [])
+            assert capsys.readouterr().out == _reference_text(fmt, header, rows)
+
+
+def test_a_failing_pair_leaves_the_rows_before_it(tmp_path, capsys):
+    # each pair is computed as it is written: R_l(inf, 2.4) fails the summed
+    # step error at the third pair of the first row, after two rows.  stdout
+    # and the message are those of a per-pair loop over the public library,
+    # in the grid's order, that stops at the first pair that raises.
+    from gf1d.errors import Gf1dError
+    from gf1d.green import green_closed_form
+    from gf1d.potential import load_potential
+
+    path = tmp_path / "medium.yaml"
+    path.write_text(RAMP_STEP_RAMP)
+    spec = load_potential(str(path))
+    argv = ["green", "--route", "B", "--method", "rk4", "--step", "0.08",
+            "--grid=1.2:3.6:5", "--k", "2.5,0.3", "--potential", str(path)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    k, rows, message = 2.5 + 0.3j, [], None
+    pairs = [(x, y) for x in _grid(1.2, 3.6, 5) for y in _grid(1.2, 3.6, 5)]
+    for x, y in pairs:
+        try:
+            gv = green_closed_form(spec, x, y, k, method="rk4", step=0.08)
+        except Gf1dError as exc:
+            message = f"error: {type(exc).__name__}: {exc}\n"
+            break
+        val = 2j * k * gv.value
+        rows.append([x, y, k.real, k.imag, val.real, val.imag, gv.route,
+                     gv.truncation_loss])
+    assert len(rows) == 2
+    assert message.startswith("error: StepTooLarge: ")
+    assert message.endswith(" on [2.4000000000000004, 3.0]\n")
+    assert out == _reference_text("csv", GREEN_HEADER, rows)
+    assert err == message
 
 
 def test_coefficients_rows_equal_a_reference_writer(tmp_path, capsys):

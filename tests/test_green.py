@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from documents import POLE_K, POLE_POT, TAILED_SLAB
@@ -15,7 +15,9 @@ from gf1d.born import born_series
 from gf1d.cli import main
 from gf1d.errors import ConfigError, DenominatorZero, ResonanceDivision, StepTooLarge
 from gf1d.green import (
+    _denominator,
     closed_form_from,
+    closed_form_row,
     green_closed_form,
     green_negative_power,
     green_polyrep,
@@ -500,3 +502,98 @@ def test_closed_form_row_is_the_single_pairs(k):
                 assert repr(closed_form_from(shared, x, y)) == repr(want)
                 assert repr(closed_form_from(shared, y, x)) == repr(want)
     assert poles == (28 if k == POLE_K else 0)
+
+
+@st.composite
+def _grids(draw):
+    """(spec, grid, k, method): 1-3 constant pieces with constant or vacuum
+    tails, and sorted points on breakpoints, between them and outside the
+    support, equal points among them."""
+    x, segs = draw(st.floats(-1.5, 0.0)), []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.floats(0.2, 1.2))
+        segs.append(Segment(x, x + w, ConstantProfile(draw(st.floats(-1.5, 1.5)))))
+        x += w
+    tail = st.one_of(st.none(), st.floats(-1.0, 1.0))
+    spec = PotentialSpec(tuple(segs), draw(tail), draw(tail))
+    bps = spec.breakpoints()
+    points = sorted({
+        *bps,
+        *(0.5 * (a + b) for a, b in zip(bps, bps[1:])),
+        bps[0] - 1.3, bps[0] - 0.6, bps[-1] + 0.4, bps[-1] + 1.1,
+    })
+    grid = sorted(draw(st.lists(st.sampled_from(points), min_size=1, max_size=7)))
+    k = complex(draw(st.floats(0.3, 2.5)), draw(st.floats(0.05, 1.0)))
+    return spec, grid, k, "exact_piecewise"
+
+
+def _resumed_row(sweep, points, a):
+    """Route B along row a of the sweep's table, a pole's message in its
+    place and the row resumed after it, as the CLI reads it."""
+    got, b = [], a
+    while b < len(points):
+        try:
+            for value in closed_form_row(sweep, points, a, b):
+                got.append(repr(value))
+                b += 1
+        except DenominatorZero as exc:
+            got.append(str(exc))
+            b += 1
+    return got
+
+
+def _fresh_value(spec, x, y, k, method):
+    """Route B at (x, y), x >= y, from a fresh sweep, or a pole's message;
+    also from the lone reads R_l(inf, x), span [y, x] and R_r(y, -inf) of
+    another fresh sweep and the closed form, which must agree bit for bit."""
+    try:
+        value = repr(closed_form_from(Sweep(spec, k, method, 0.01), x, y))
+    except DenominatorZero as exc:
+        value = str(exc)
+    sweep = Sweep(spec, k, method, 0.01)
+    rl3, t, rr1 = sweep.r_left(x), sweep._span(y, x), sweep.r_right(y)
+    try:
+        d = _denominator(sweep.k, rl3, t, rr1)
+    except DenominatorZero as exc:
+        assert value == str(exc)
+    else:
+        g = (1.0 + rl3) * t[0] * (1.0 + rr1) / d / (2j * sweep.k)
+        assert value == repr((g, 0.0))
+    return value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_grids())
+# equal points, as --grid=1:1.0000000000000002:3 gives them, on an edge
+@example(case=(load_potential(io.StringIO(POLE_POT)), [1.0, 1.0, 1.0 + 2**-52],
+               0.8 + 0.3j, "exact_piecewise"))
+@example(case=(load_potential(io.StringIO(POLE_POT)), [-1.6, -1.0, 0.3, 1.0, 1.6],
+               POLE_K, "exact_piecewise"))
+# a linear medium under rk4, the grid reaching past both edges
+@example(case=(PotentialSpec((Segment(0.0, 1.0, LinearProfile(0.2, 0.6)),)),
+               [-0.3, 0.0, 0.3, 0.3, 0.8, 1.0, 1.4], 1.2 + 0.3j, "rk4"))
+def test_table_rows_are_fresh_per_pair_sweeps(case):
+    # the spans and route B values read along each row of one sweep's table
+    # have the bits of a fresh sweep per pair, and a pole its message
+    spec, grid, k, method = case
+    shared = Sweep(spec, k, method, 0.01)
+    points = shared.points(grid)
+    for a, y in enumerate(grid):
+        spans = [repr(shared.between(points[a], p)) for p in points[a:]]
+        fresh = [repr(Sweep(spec, k, method, 0.01)._span(y, x)) for x in grid[a:]]
+        assert spans == fresh
+        want = [_fresh_value(spec, x, y, k, method) for x in grid[a:]]
+        assert _resumed_row(shared, points, a) == want
+
+
+@pytest.mark.xfail(strict=True, reason="route C at |R| = 1 sums a divergent series")
+def test_polyrep_at_unit_reflection_agrees_with_closed_form():
+    # f = 1 in both tails and 0 on [-1, 1] at real k below the threshold:
+    # |R| = 1 at the edges.  At P = 24 route C gives 2ikG = 29.05+29.48i with
+    # truncation loss 0.0, where route B gives 29.05i
+    spec = load_potential(io.StringIO(POLE_POT))
+    k = 0.5249332646611294
+    c = green_polyrep(spec, 0.3, -0.2, k, P=24)
+    b = green_closed_form(spec, 0.3, -0.2, k)
+    err = abs(2j * k * c.value - 2j * k * b.value)
+    assert err <= TOLERANCES["route-polyrep-vs-closed"] + c.truncation_loss

@@ -1058,3 +1058,15 @@ def test_rk4_closed_form_steps_three_panels(monkeypatch):
     spec = PotentialSpec((Segment(0.0, 1.0, LinearProfile(0.2, 0.6)),))
     green_closed_form(spec, 0.7, 0.2, 1.2 + 0.3j, method="rk4", step=0.01)
     assert sorted(panels) == [(0.0, 0.2), (0.2, 0.7), (0.7, 1.0)]
+
+
+@pytest.mark.parametrize("method", ["exact_piecewise", "rk4"])
+def test_propagated_matrices_are_python_complex(method):
+    # TransferMatrix.from_matrix kept the numpy scalars of the matrix it
+    # copied: propagate and scattering_coefficients printed np.complex128
+    m = propagate(slab(0.8, -1, 1), -1, 1, 1.3 + 0.2j, method=method)
+    t = scattering_coefficients(m)
+    assert "np." not in repr(m)
+    assert "np." not in repr(t)
+    values = (m.alpha_plus, m.alpha_minus, m.beta_plus, m.beta_minus)
+    assert all(type(v) is complex for v in values + (t.tau, t.r_right, t.r_left))
