@@ -11,14 +11,17 @@ phi_1(z) = e^{ik|z - y|} on the side d_0 (z - y) > 0, the chain
 gives the order-m term as phi_{m+1}(x).  Each link is one cumulative
 integral on a grid of Gauss-Legendre panels whose edges are the support
 edges, every breakpoint, and x and y, so every kink of the integrand sits
-on a panel edge and the sums converge spectrally in the node count.  Every
-phase factor is referred to a point upstream of it on the same panel.
+on a panel edge and the sums converge spectrally in the node count.  A and
+B integrate in opposite directions at every order, so one stacked pass
+carries both; the last forms only the sums it reads at x.  Every phase
+factor is referred to a point upstream of it on the same panel.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -51,52 +54,55 @@ def _split(knots, parts):
     return np.array([*cuts, knots[-1]])
 
 
-class _Panels:
-    """f and the phase factors at the nodes of every panel, at one k."""
+def _running(factors, shares):
+    """Edge sums s_0 = 0, s_{p+1} = s_p * factors[p] + shares[p]."""
+    return [*accumulate(zip(factors, shares), lambda s, p: s * p[0] + p[1], initial=0j)]
 
-    def __init__(self, spec, edges, k, n_nodes):
-        t, self.w, self.S = gauss_legendre(n_nodes)
-        a = edges[:-1]
-        self.h = 0.5 * np.diff(edges)
-        self.z = (a + self.h)[:, None] + self.h[:, None] * t
-        # f is linear between breakpoints, and no panel straddles one
-        e = edges.tolist()
-        ends = [spec.ends(za, zb) for za, zb in zip(e, e[1:])]
-        fa, fb = np.reshape(ends, (-1, 2, 1)).transpose(1, 0, 2)
-        self.f = fa + (fb - fa) * (0.5 * (t + 1))
-        self.e = np.exp(1j * k * self.h[:, None] * t)  # node from panel midpoint
-        self.e_inv = 1.0 / self.e
-        self.e_half = np.exp(1j * k * self.h)  # midpoint from panel edge
-        self.across = self.e_half**2
 
-    def cumulative(self, psi, d):
-        """int_{d (z - z') > 0} e^{ik|z - z'|} psi(z') dz' at the nodes and edges."""
-        if d > 0:
-            inward, outward, S = self.e_inv, self.e, self.S
-        else:
-            inward, outward, S = self.e, self.e_inv, self.w - self.S
-        g = psi * inward  # psi referred to the panel midpoint
-        inner = self.h[:, None] * outward * (g @ S.T)
-        total = self.h * self.e_half * (g @ self.w)  # panel's share at its far edge
-        at_edges = np.zeros(len(total) + 1, complex)
-        if d > 0:
-            for p in range(len(total)):
-                at_edges[p + 1] = at_edges[p] * self.across[p] + total[p]
-            near_edge = at_edges[:-1]
-        else:
-            for p in reversed(range(len(total))):
-                at_edges[p] = at_edges[p + 1] * self.across[p] + total[p]
-            near_edge = at_edges[1:]
-        return (near_edge * self.e_half)[:, None] * outward + inner, at_edges
+def _passes(spec, edges, k, n_nodes, x_c, y_c, max_order):
+    """Yield each order's two values at x_c, one stacked pass per order: slot 0
+    integrates forward, slot 1 backward; node values trade slots as paths turn."""
+    t, w, S = gauss_legendre(n_nodes)
+    h = 0.5 * (edges[1:] - edges[:-1])
+    z = (edges[:-1] + h)[:, None] + h[:, None] * t
+    # f is linear between breakpoints, and no panel straddles one
+    ends = np.array([spec.ends(a, b) for a, b in pairwise(edges.tolist())])
+    fa, fb = ends.reshape(-1, 2).T[..., None]
+    f = fa + (fb - fa) * (0.5 * (t + 1))
+    f = np.array([f, -f])  # times -d_{i-1}: +1 forward, -1 backward
+    # node to panel midpoint (inward) and back (outward), slot by slot
+    inward = np.empty(f.shape, complex)
+    np.exp(1j * k * h[:, None] * t, out=inward[1])
+    np.divide(1.0, inward[1], out=inward[0])
+    outward, h_outward = inward[::-1], h[:, None] * inward[::-1]
+    e_half = np.exp(1j * k * h)  # midpoint from panel edge
+    to_edge, across = h * e_half, (e_half**2).tolist()
+    n, at_x = len(h), np.searchsorted(edges, x_c)
+    # A leaves y to the left, so its first link runs forward
+    phi = np.where([z < y_c, z > y_c], np.exp(1j * k * abs(z - y_c)), 0)
+    for m in range(1, max_order + 1):
+        g = f * phi * inward  # referred to the panel midpoints
+        forward, backward = (to_edge * (g @ w)).tolist()
+        start, stop = (at_x, at_x) if m == max_order else (0, n)
+        fwd = _running(across[:stop], forward[:stop])
+        bwd = _running(across[start:][::-1], backward[start:][::-1])
+        yield fwd[at_x], bwd[n - at_x]
+        if m < max_order:
+            # h_outward stays the left factor: numpy, reusing a temporary right
+            # operand in place, would swap the factors and round differently
+            phi = g @ S.transpose(0, 2, 1)
+            np.multiply(h_outward, phi, out=phi)
+            near = np.array([fwd[:-1], bwd[-2::-1]]) * e_half  # upstream edges
+            phi += np.multiply(near[..., None], outward, out=g)
+            phi = phi[::-1]
 
 
 def born_series(spec, x, y, k, max_order=3, n_nodes=32):
     """Terms of the expansion of 2ikG(x, y) up to max_order.
 
     Returns (GreenValue, [SeriesTerm]); the value is the partial sum over
-    all returned terms divided by 2ik.  Each order costs two cumulative
-    passes of n_nodes nodes per panel, and the rule's n_nodes x n_nodes
-    integration matrix costs n_nodes**2, all counted against NODE_BUDGET.
+    all returned terms divided by 2ik.  Each order spends 2 * n_nodes nodes
+    per panel and the rule n_nodes**2, all counted against NODE_BUDGET.
     """
     if not isinstance(max_order, numbers.Integral) or max_order < 0:
         raise ConfigError("order", f"order must be an integer >= 0, got {max_order!r}")
@@ -109,7 +115,7 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32):
             raise ConfigError(name, "the Born series needs vacuum tails")
     if x < y:
         x, y = y, x
-    terms = [SeriesTerm(0, "A0", +1, np.exp(1j * k * (x - y)))]
+    terms = [SeriesTerm(0, "A0", +1, complex(np.exp(1j * k * (x - y))))]
     # every place where the integrands may kink: the knots of the support
     # and x and y clipped to it
     x_l, x_r = spec.support
@@ -120,21 +126,15 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32):
     if spent > NODE_BUDGET:
         raise QuadratureBudget(f"node budget {NODE_BUDGET} exceeded ({spent:g})")
     if max_order:
-        edges = _split(knots, parts)
-        grid = _Panels(spec, edges, k, n_nodes)
         # vacuum propagation from y and to x onto the support
         outside = np.exp(1j * k * (abs(x - x_c) + abs(y - y_c)))
-        at_x = np.searchsorted(edges, x_c)
-        from_y = np.exp(1j * k * abs(grid.z - y_c))
-        by_order = []
-        for region, d in (("A", -1), ("B", +1)):
-            phi, sign = np.where(d * (grid.z - y_c) > 0, from_y, 0), 1
-            for m in range(1, max_order + 1):
-                d_in, d = d, -d
-                sign *= -d_in
-                phi, at_edges = grid.cumulative(-d_in * grid.f * phi, d)
-                by_order.append((m, f"{region}{m}", sign, outside * at_edges[at_x]))
-        terms += [SeriesTerm(*t) for t in sorted(by_order)]
-    total = sum(t.value for t in terms)
-    gv = GreenValue(total / (2j * k), x_in, y_in, k, f"born_{max_order}")
+        passes = _passes(spec, _split(knots, parts), k, n_nodes, x_c, y_c, max_order)
+        for m, at_x in enumerate(passes, 1):
+            # -1 per backward link: A runs backward at even orders, B at odd
+            for region, v in zip("AB", at_x if m % 2 else at_x[::-1]):
+                sign = (-1) ** ((m + (region == "B")) // 2)
+                terms.append(SeriesTerm(m, f"{region}{m}", sign, complex(outside * v)))
+    # numpy's complex division: CPython's rounds differently
+    total = np.complex128(sum((t.value for t in terms), 0j)) / (2j * k)
+    gv = GreenValue(complex(total), x_in, y_in, k, f"born_{max_order}")
     return gv, terms

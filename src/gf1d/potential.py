@@ -142,6 +142,7 @@ class PotentialSpec:
     right_tail: float | None = None
     _starts: tuple = field(init=False, repr=False, compare=False, default=())
     _breakpoints: tuple = field(init=False, repr=False, compare=False, default=())
+    _support: tuple = field(init=False, repr=False, compare=False, default=(0.0, 0.0))
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -161,18 +162,18 @@ class PotentialSpec:
         if not segs and left != right:
             pts.add(0.0)
         object.__setattr__(self, "_breakpoints", tuple(sorted(pts)))
+        if segs:
+            object.__setattr__(self, "_support", (segs[0].x_start, segs[-1].x_end))
 
     @property
     def support(self):
         """Hull [x_L, x_R] of the segments; (0.0, 0.0) for a vacuum spec."""
-        if not self.segments:
-            return (0.0, 0.0)
-        return (self.segments[0].x_start, self.segments[-1].x_end)
+        return self._support
 
     def segment_at(self, x):
         """The segment that holds x, the right one at a shared edge; None
         outside the support."""
-        x_l, x_r = self.support
+        x_l, x_r = self._support
         if not self.segments or not x_l <= x <= x_r:
             return None
         return self.segments[bisect.bisect_right(self._starts, x) - 1]
@@ -192,7 +193,7 @@ class PotentialSpec:
         mid = 0.5 * (a + b)
         seg = self.segment_at(mid)
         if seg is None:
-            c = self.left_tail if mid < self.support[0] else self.right_tail
+            c = self.left_tail if mid < self._support[0] else self.right_tail
             return float(c or 0.0), float(c or 0.0)
         p, lo = seg.profile, seg.x_start
         return float(p.value(a, lo)), float(p.value(b, lo))

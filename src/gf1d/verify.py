@@ -293,9 +293,9 @@ def run_suite(seed=0, P=48, corrupt=False):
     r = green_mod.jump_condition_check(spec, 0.1, 1.2 + 0.3j, h=1e-4)
     _report("jump-condition", "unit derivative jump", r, results)
 
-    # weak-medium scaling of the second-order partial sum
+    # weak-medium scaling of the second- and third-order partial sums
     r = _born_scaling_residual()
-    _report("born-weak-scaling", "third-order error scaling", r, results)
+    _report("born-weak-scaling", "third- and fourth-order error scaling", r, results)
 
     return results
 
@@ -382,15 +382,17 @@ def _inverse_mu_power_residual(P=16):
 
 
 def _born_scaling_residual():
-    k = 1.0
-    errs = []
+    """How far the error ratio of the order-m partial sum at c = 0.1 and
+    0.05 lies outside its bracket about 2**(m + 1), for m = 2 and 3."""
+    k, r = 1.0, 0.0
     # x + y away from the slab center so the third-order term does not vanish
-    for c in (0.1, 0.05):
-        spec = slab(c, 0.0, 1.0)
-        gb = green_mod.green_closed_form(spec, 0.7, 0.25, k)
-        got, _ = born_mod.born_series(spec, 0.7, 0.25, k, max_order=2, n_nodes=24)
-        errs.append(abs(got.value - gb.value))
-    ratio = errs[0] / errs[1]
-    if 5.6 <= ratio <= 11.2:
-        return 0.0
-    return min(abs(ratio - 5.6), abs(ratio - 11.2))
+    for order, lo, hi in ((2, 5.6, 11.2), (3, 11.3, 22.6)):
+        errs = []
+        for c in (0.1, 0.05):
+            spec = slab(c, 0.0, 1.0)
+            gb = green_mod.green_closed_form(spec, 0.7, 0.25, k)
+            got, _ = born_mod.born_series(spec, 0.7, 0.25, k, order, n_nodes=24)
+            errs.append(abs(got.value - gb.value))
+        ratio = errs[0] / errs[1]
+        r = max(r, 0.0 if lo <= ratio <= hi else min(abs(ratio - lo), abs(ratio - hi)))
+    return r
