@@ -146,57 +146,28 @@ def cmd_coefficients(args):
     return 0
 
 
-def _born(sweep, x, y, args):
+def _born(sweep, q, p, args):
     if args.method != "exact_piecewise":
         raise ConfigError("--method", "route born samples f directly; it has no rk4")
-    gv = born_mod.born_series(sweep.spec, x, y, sweep.k, max_order=args.order)[0]
+    gv = born_mod.born_series(sweep.spec, q.x, p.x, sweep.k, max_order=args.order)[0]
     return gv.value, gv.truncation_loss
 
 
-def _pairs(half):
-    """The row reader of a per-pair value half (sweep, x, y, args) -> (G, loss)."""
-
-    def row(sweep, points, a, b, args):
-        x = points[a].x
-        return (half(sweep, x, p.x, args) for p in points[b:])
-
-    return row
-
-
-def _resumed(row, sweep, points, a, args):
-    """The values of ``row`` from (p_a, p_a) to the row's end, None for a
-    pair at a bound-state pole: the row resumes after it."""
-    b = a
-    while b < len(points):
-        try:
-            for value in row(sweep, points, a, b, args):
-                b += 1
-                yield value
-        except (DenominatorZero, WronskianZero):
-            b += 1
-            yield None
-
-
-# route name -> (the route column, its row reader: (sweep, points, a, b,
-# args) -> the (G, truncation loss) at (p_a, p_b), (p_a, p_b+1), ... of the
-# sweep's table entries, each computed when it is read and raising a pole's
-# error); the column is the route of the library's GreenValue, with the Born
-# order.  Route B reads the table inline; the other routes call their
-# per-pair value half.  Every pair at one k reads the same sweep.  Functions
-# are looked up at call time so that rebinding a module attribute reaches
-# the CLI.
+# route name -> (the route column, its pair reader: (sweep, q, p, args) -> the
+# (G, truncation loss) at the sweep's table entries q and p, q <= p, raising a
+# pole's error); the column is the route of the library's GreenValue, with the
+# Born order.  Every pair at one k reads the same sweep.  Functions are
+# looked up at call time so that rebinding a module attribute reaches the CLI.
 _ROUTES = {
-    "A": ("wronskian", _pairs(lambda s, x, y, a: sl3.wronskian_from(s, x, y))),
-    "B": ("closed_form", lambda s, points, i, j, a: green_mod.closed_form_row(
-        s, points, i, j
+    "A": ("wronskian", lambda s, q, p, a: sl3.wronskian_from(s, q.x, p.x)),
+    "B": ("closed_form", lambda s, q, p, a: green_mod.closed_form_at(s, q, p)),
+    "C": ("polyrep_symmetric", lambda s, q, p, a: green_mod.polyrep_from(
+        s, q.x, p.x, a.P
     )),
-    "C": ("polyrep_symmetric", _pairs(
-        lambda s, x, y, a: green_mod.polyrep_from(s, x, y, a.P)
+    "C-asym": ("polyrep_asymmetric", lambda s, q, p, a: green_mod.polyrep_from(
+        s, q.x, p.x, a.P, "asymmetric"
     )),
-    "C-asym": ("polyrep_asymmetric", _pairs(
-        lambda s, x, y, a: green_mod.polyrep_from(s, x, y, a.P, "asymmetric")
-    )),
-    "born": ("born_{order}", _pairs(_born)),
+    "born": ("born_{order}", _born),
 }
 
 
@@ -213,7 +184,7 @@ def cmd_green(args):
     if args.check:
         header.append("abs_diff_route_b")
     label, route = _ROUTES[args.route]
-    check = green_mod.closed_form_from
+    check = green_mod.closed_form_at
     label = label.format(order=args.order)
     rows = _Rows(args.format, header)
     with _output(args) as stream:
@@ -228,24 +199,23 @@ def cmd_green(args):
             # every route orders (x, y) before it computes, so G(x, y) and
             # G(y, x) are the same bits: a row below the diagonal reuses the
             # text after y of the one above it, each formatted when grid
-            # order first meets it.  Row i reads the pairs (grid[i], y) for
-            # y from grid[i] on, each computed as it is written, so a
-            # failure leaves the rows before it written.
+            # order first meets it.  Each pair is computed as it is written,
+            # so a failure leaves the rows before it written.
             mirrored = {}
-            for i, x in enumerate(grid):
+            for i, q in enumerate(points):
                 for j in range(i):
                     stream.write(xs[i] + ys[j] + mirrored.pop((j, i)))
-                for j, value in enumerate(_resumed(route, sweep, points, i, args), i):
-                    if value is None:  # a bound-state pole
+                for j, p in enumerate(points[i:], i):
+                    try:
+                        g, loss = route(sweep, q, p, args)
+                    except (DenominatorZero, WronskianZero):  # a bound-state pole
                         cells = ["", "", "pole", ""] + ([""] if args.check else [])
                     else:
-                        g, loss = value
                         val = 2j * k * g
                         cells = [val.real, val.imag, label, loss]
                         if args.check:  # route B is its own check
-                            y = grid[j]
                             try:
-                                b = g if args.route == "B" else check(sweep, x, y)[0]
+                                b = g if args.route == "B" else check(sweep, q, p)[0]
                             except DenominatorZero:  # route B's pole
                                 cells.append("")
                             else:

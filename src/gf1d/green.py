@@ -16,11 +16,11 @@ Every route reads its endpoint data from a ``transfer.Sweep``; the
 ``*_from(sweep, ...)`` functions are the value halves, one pair per call,
 which a caller that evaluates many points at one k (the CLI grid) calls on
 one shared sweep, so each point's side of its spans is read once per sweep.
-Route B also reads a whole grid row from the sweep's point table in one
-loop, ``closed_form_row``, whose two-point case is ``closed_form_from``.
-A value half returns plain numbers, (G, truncation loss), and raises a
-pole's error like any other; only the public routes wrap the numbers in a
-``GreenValue``.
+Route B's half also takes the pair as two entries of the sweep's point
+table, ``closed_form_at``, which a caller that holds the entries calls
+directly.  A value half returns plain numbers, (G, truncation loss), and
+raises a pole's error like any other, so a caller catches poles per pair;
+only the public routes wrap the numbers in a ``GreenValue``.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ def _sweep(spec, x, y, k, method, step):
     return sweep
 
 
-def _endpoint_data(sweep, x, y):
-    """(rl3, (tau, R_r, R_l) of [y, x], rr1) with x >= y enforced by symmetry."""
-    if x < y:
-        x, y = y, x
-    return sweep.r_left(x), sweep.coefficients(y, x), sweep.r_right(y)
-
-
 def _denominator(k, rl3, t, rr1):
     """D of the closed form from (tau, R_r, R_l, ...) of [y, x], guarded
     against a bound-state pole."""
@@ -117,29 +110,23 @@ def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
 
 def closed_form_from(sweep, x, y):
     """(G, truncation loss) of route B at (x, y) from a sweep of the medium at
-    its k, with x >= y enforced by symmetry: the two-point ``closed_form_row``."""
+    its k, with x >= y enforced by symmetry."""
     hi, lo = (x, y) if x >= y else (y, x)
-    return next(closed_form_row(sweep, sweep.points((lo, hi)), 0, 1))
+    return closed_form_at(sweep, *sweep.points((lo, hi)))
 
 
-def closed_form_row(sweep, points, a, b):
-    """Route B's (G, truncation loss) at (p_a, p_b), (p_a, p_b+1), ... for
-    the sweep's table entries ``points``, p_a <= p_b <= ..., each computed
-    when it is read.
+def closed_form_at(sweep, q, p):
+    """Route B's (G, truncation loss) at the sweep's table entries q of y and
+    p of x, y <= x.
 
-    A pair reads R_l(inf, p_b), the span of [p_a, p_b] and R_r(p_a, -inf)
-    from the table in that order, and raises ``DenominatorZero`` on a
-    bound-state pole.
+    Reads R_l(inf, x), the span of [y, x] and R_r(y, -inf) in that order,
+    and raises ``DenominatorZero`` on a bound-state pole.
     """
-    k, between = sweep.k, sweep.between
-    k2 = 2j * k
-    q = points[a]
-    for p in points[b:]:
-        rl3 = sweep.rl_of(p)
-        t = between(q, p)
-        rr1 = sweep.rr_of(q)
-        d = _denominator(k, rl3, t, rr1)
-        yield (1.0 + rl3) * t[0] * (1.0 + rr1) / d / k2, 0.0
+    rl3 = sweep.rl_of(p)
+    t = sweep.between(q, p)
+    rr1 = sweep.rr_of(q)
+    d = _denominator(sweep.k, rl3, t, rr1)
+    return (1.0 + rl3) * t[0] * (1.0 + rr1) / d / (2j * sweep.k), 0.0
 
 
 def _chain(sweep, pairs, P, n=1):
@@ -264,11 +251,13 @@ def green_negative_power(
         )
     except OverflowError:
         raise ResonanceDivision(out_of_range) from None
-    rl3, t, rr1 = _endpoint_data(sweep, x, y)
+    hi, lo = (x, y) if x >= y else (y, x)
+    at_y, at_x = sweep.points((lo, hi))
+    rl3, t, rr1 = sweep.rl_of(at_x), sweep.between(at_y, at_x), sweep.rr_of(at_y)
     v = mu_over_one_minus_c_xi(q, rr1, P)
     for _ in range(n):
         v = inverse_operator("(L-+K+)inv", v)
-    v = apply_U(sweep.triple(min(x, y), max(x, y)), v)
+    v = apply_U(sweep.triple(lo, hi), v)
     for _ in range(n):
         v = inverse_operator("(L+-K-)inv", v)
     if not v.rows:  # every coefficient underflowed

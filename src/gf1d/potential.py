@@ -1,8 +1,8 @@
 """Scattering medium described by the function f(x).
 
 The medium is specified piecewise on a finite support, with vacuum or
-constant tails, and every number in it is finite.  f is linear between
-consecutive breakpoints, so the rest of the package reads it in one way:
+constant tails; every number in it is finite, and so is f.  f is linear
+between consecutive breakpoints, so the rest of the package reads it in one way:
 ``PotentialSpec.knots`` cuts an interval at the breakpoints, and
 ``PotentialSpec.ends`` gives f at both ends of each stretch; a stretch is
 constant when the two values are equal.  The Schrodinger potential
@@ -164,6 +164,14 @@ class PotentialSpec:
         object.__setattr__(self, "_breakpoints", tuple(sorted(pts)))
         if segs:
             object.__setattr__(self, "_support", (segs[0].x_start, segs[-1].x_end))
+        # every reader takes f from ``ends``: f at each breakpoint and its
+        # change across each stretch must be finite (fb - fa is finite only then)
+        for a, b in zip(self._breakpoints, self._breakpoints[1:]):
+            fa, fb = self.ends(a, b)
+            if not math.isfinite(fb - fa):
+                i = bisect.bisect_right(self._starts, 0.5 * (a + b)) - 1
+                msg = f"f must stay finite with a finite change on [{a}, {b}]"
+                raise ConfigError(f"segments[{i}].profile", f"{msg}, got {fa} to {fb}")
 
     @property
     def support(self):

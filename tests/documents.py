@@ -82,8 +82,32 @@ RAMP_STEP_RAMP = (
     "  - {x_start: 2, x_end: 3, profile: {type: linear, c0: 1.5, c1: -1.0}}\n"
 )
 
+# media whose numbers are all finite but whose f is not: a slope past the
+# float range between samples a subnormal distance apart, a linear f that
+# overflows at the segment's end, and samples whose difference overflows
+NON_FINITE_F = {
+    "subnormal-samples": (
+        "segments:\n"
+        "  - {x_start: 0, x_end: 0.5, profile: {type: sampled,\n"
+        "     points: [[0, 0], [2.225073858507e-311, 1]]}}\n",
+        "segments[0].profile",
+    ),
+    "linear-overflow": (
+        "segments:\n"
+        "  - {x_start: 0, x_end: 10, profile: {type: linear, c0: 0, c1: 1.0e+308}}\n",
+        "segments[0].profile",
+    ),
+    "sampled-overflow": (
+        "segments:\n"
+        "  - {x_start: 0, x_end: 1, profile: {type: sampled,\n"
+        "     points: [[0, -1.0e+308], [1, 1.0e+308]]}}\n",
+        "segments[0].profile",
+    ),
+}
+
 # documents the loader rejects, each with the field its ConfigError names
 MALFORMED = {
+    **NON_FINITE_F,
     "missing-x-end": ("segments:\n  - x_start: 0\n", "segments[0].x_end"),
     "unknown-profile": (
         "segments:\n  - {x_start: 0, x_end: 1, profile: {type: nope}}\n",

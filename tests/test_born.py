@@ -407,7 +407,8 @@ def _born_cases(draw):
 @example(case=(slab(0.2, 0.0, 1.0), 0.8, 0.2, 16500 + 0.1j, 2, 2))
 def test_stacked_pass_keeps_the_bits_of_the_per_region_pass(case):
     spec, x, y, k, max_order, n_nodes = case
-    # where a sampled segment's f overflows at an edge, both give nan alike
+    # where a sampled segment's f is finite but huge at an edge (its samples
+    # a tiny distance apart), both overflow to nan alike
     with np.errstate(all="ignore"):
         _, terms = born_series(spec, x, y, k, max_order, n_nodes)
         want = per_region_terms(spec, x, y, k, max_order, n_nodes)

@@ -14,6 +14,7 @@ import pytest
 from documents import (
     LINEAR,
     MALFORMED,
+    NON_FINITE_F,
     POLE_K,
     POLE_POT,
     POT,
@@ -441,6 +442,9 @@ GREEN_CASES = {
         )
         for route in ("A", "B", "C", "C-asym")
     },
+    # 1e-14 above the bound state: row 0 holds a value, five poles and a
+    # value, so the row is read on past a pole
+    "pole-mid-row": (POLE_POT, "B", (-1.6, 1.6, 7), ["0.5149332646611394"], {}),
     "born": (POT, "born", (-1.2, 0.9, 4), ["0.8,0.3", "2.5"], {}),
     **{
         f"rk4-{name}-{route}": (doc, route, (0.1, 1.1, 4), ["1.2,0.3"], RK4)
@@ -492,6 +496,8 @@ def test_green_rows_equal_a_reference_writer(case, check, fmt, tmp_path, capsys)
     assert out == _reference_text(fmt, header, rows)
     if case == "infinite-loss":
         assert any(row[7] == math.inf for row in rows)
+    if case == "pole-mid-row":
+        assert [row[6] for row in rows[:n]] == ["closed_form", *["pole"] * 5, "closed_form"]
     # the text after y of each row is that of its mirrored twin at the same k
     sep = "," if fmt == "csv" else ", "
     lines = out.splitlines()[1:] if fmt == "csv" else out.splitlines()
@@ -651,6 +657,27 @@ def test_non_finite_medium_exits_2(doc, field, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field}: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "route", [["born"], ["A", "--method=rk4"], ["B", "--method=rk4"]],
+    ids=["born", "A-rk4", "B-rk4"],
+)
+@pytest.mark.parametrize("name", sorted(NON_FINITE_F))
+def test_non_finite_f_exits_2(name, route, tmp_path, capsys):
+    # every number of the document is finite but f is not: route born wrote
+    # nan rows and leaked RuntimeWarnings with exit 0, and rk4 ended in an
+    # OverflowError or ValueError traceback with exit 1
+    doc, field = NON_FINITE_F[name]
+    p = tmp_path / "bad.yaml"
+    p.write_text(doc)
+    argv = ["green", "--potential", str(p), "--k", "1,0.1", "--grid=0.1:0.3:2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--route", *route])
+    out, err = capsys.readouterr()
+    assert (code, out, caught) == (2, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {field}: ")
 
 
 def test_tail_only_medium_switches_tails_at_zero(tmp_path, capsys):

@@ -16,8 +16,8 @@ from gf1d.cli import main
 from gf1d.errors import ConfigError, DenominatorZero, ResonanceDivision, StepTooLarge
 from gf1d.green import (
     _denominator,
+    closed_form_at,
     closed_form_from,
-    closed_form_row,
     green_closed_form,
     green_negative_power,
     green_polyrep,
@@ -528,17 +528,14 @@ def _grids(draw):
 
 
 def _resumed_row(sweep, points, a):
-    """Route B along row a of the sweep's table, a pole's message in its
-    place and the row resumed after it, as the CLI reads it."""
-    got, b = [], a
-    while b < len(points):
+    """Route B along row a of the sweep's table, one pair at a time and a
+    pole's message in its place, as the CLI reads it."""
+    got = []
+    for p in points[a:]:
         try:
-            for value in closed_form_row(sweep, points, a, b):
-                got.append(repr(value))
-                b += 1
+            got.append(repr(closed_form_at(sweep, points[a], p)))
         except DenominatorZero as exc:
             got.append(str(exc))
-            b += 1
     return got
 
 

@@ -162,6 +162,23 @@ def test_medium_rejects_non_finite_numbers(build, field):
 
 
 @pytest.mark.parametrize(
+    "segment",
+    [
+        Segment(0.0, 0.5, SampledProfile(((0.0, 0.0), (2.225073858507e-311, 1.0)))),
+        Segment(0.0, 10.0, LinearProfile(0.0, 1e308)),
+        Segment(0.0, 1.0, SampledProfile(((0.0, -1e308), (1.0, 1e308)))),
+    ],
+    ids=["subnormal-samples", "linear-overflow", "sampled-overflow"],
+)
+def test_medium_rejects_a_non_finite_f(segment):
+    # each number is finite, but f is not at a knot, or its change across a
+    # stretch overflows: every route read inf or nan from such a medium
+    with pytest.raises(ConfigError) as err:
+        PotentialSpec((Segment(-1.0, 0.0, ConstantProfile(0.2)), segment))
+    assert err.value.field == "segments[1].profile"
+
+
+@pytest.mark.parametrize(
     "build, field",
     [
         (lambda: Segment(1.0, 0.0, ConstantProfile(0.1)), "x_start"),
