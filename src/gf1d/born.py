@@ -25,7 +25,7 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureBudget
+from .errors import ConfigError, QuadratureBudget, ResonanceDivision
 from .green import GreenValue
 from .potential import check_point, check_wavenumber
 from .quadrature import gauss_legendre
@@ -97,12 +97,14 @@ def _passes(spec, edges, k, n_nodes, x_c, y_c, max_order):
             phi = phi[::-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def born_series(spec, x, y, k, max_order=3, n_nodes=32):
     """Terms of the expansion of 2ikG(x, y) up to max_order.
 
     Returns (GreenValue, [SeriesTerm]); the value is the partial sum over
     all returned terms divided by 2ik.  Each order spends 2 * n_nodes nodes
-    per panel and the rule n_nodes**2, all counted against NODE_BUDGET.
+    per panel and the rule n_nodes**2, all counted against NODE_BUDGET.  A
+    term or sum that leaves the float range raises ``ResonanceDivision``.
     """
     if not isinstance(max_order, numbers.Integral) or max_order < 0:
         raise ConfigError("order", f"order must be an integer >= 0, got {max_order!r}")
@@ -136,5 +138,7 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32):
                 terms.append(SeriesTerm(m, f"{region}{m}", sign, complex(outside * v)))
     # numpy's complex division: CPython's rounds differently
     total = np.complex128(sum((t.value for t in terms), 0j)) / (2j * k)
+    if not np.isfinite(total):  # so is every term that is not finite
+        raise ResonanceDivision(f"the Born series leaves the float range at k = {k}")
     gv = GreenValue(complex(total), x_in, y_in, k, f"born_{max_order}")
     return gv, terms

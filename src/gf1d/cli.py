@@ -263,7 +263,7 @@ def build_parser():
     p.add_argument("--grid", metavar="START:STOP:N")
     p.add_argument("--interval", action="append", default=[], metavar="X1:X2")
     propagation(p)
-    p.set_defaults(func=cmd_coefficients)
+    p.set_defaults(func=cmd_coefficients, command="coefficients")
 
     p = sub.add_parser("green", help="Green function on a grid")
     common(p)
@@ -275,7 +275,7 @@ def build_parser():
     p.add_argument("--check", action="store_true",
                    help="add a column with |route - closed form|")
     propagation(p)
-    p.set_defaults(func=cmd_green)
+    p.set_defaults(func=cmd_green, command="green")
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     common(p)
@@ -283,14 +283,22 @@ def build_parser():
     p.add_argument("--P", type=int, default=48)
     p.add_argument("--inject-corruption", action="store_true",
                    help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, command="verify")
+    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # a command's parser reads the rest once, not the top-level one first;
+        # other argv, or extras, take the full parser and its messages
+        sub = parser.commands.get(argv[0]) if argv else None
+        if sub:
+            args, extras = sub.parse_known_args(argv[1:])
+        if not sub or extras:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags already; normalize other codes
         raise SystemExit(2 if exc.code else 0)

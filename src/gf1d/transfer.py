@@ -79,17 +79,18 @@ CHUNK_GROWTH = 20.0
 # this many, a Magnus piece takes about 0.04 s and 1 MB, a Riccati piece
 # 0.35 s (2-core Xeon, Python 3.11)
 STEP_BUDGET = 2**18
-# steps per block of a piece in ``riccati_coefficients``: its stage record
-# (four values per step) stays this long whatever the piece's length
+# most steps per block in ``riccati_coefficients``: its record of R_r stays
+# this long whatever the pieces' lengths
 _RICCATI_BLOCK = 1024
 # steps per block of a Magnus panel: blocks are aligned at multiples of this
 # power of two, so each is a whole subtree of the panel's pairwise product
 _MAGNUS_BLOCK = 4096
-# Taylor coefficients of cosh(q) and sinh(q) / q from q^10 down to q^0
-_COSH_SERIES = tuple(1.0 / math.factorial(2 * j) for j in range(5, -1, -1))
-_SINHC_SERIES = tuple(1.0 / math.factorial(2 * j + 1) for j in range(5, -1, -1))
-# the identity an odd level of a Magnus product takes at its end
-_EYE = np.eye(2, dtype=complex)[:, :, None]
+# Taylor coefficients of cosh(q) and sinh(q) / q, side by side, from q^10 down
+_COSH_SINHC_SERIES = np.array(
+    [[1.0 / math.factorial(2 * j + p) for p in (0, 1)] for j in range(5, -1, -1)]
+)[:, :, None, None]
+# the identity an odd level of the two stacked Magnus products takes at its end
+_EYE = np.tile(np.eye(2, dtype=complex)[:, :, None], (2, 1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -256,67 +257,64 @@ def _step_count(width, step):
 
 
 def _magnus(fa, fb, dx, n, k):
-    """Product of n fourth-order Magnus steps across a panel of width dx on
-    which f runs linearly from fa to fb.
+    """Products of n and of n / 2 fourth-order Magnus steps (n even) across
+    a panel of width dx on which f runs linearly from fa to fb.
 
     Each step of width h has Gauss nodes f1, f2 and the exponent
     Omega = a sx + b sy + c sz with a = h (f1 + f2) / 2,
     b = sqrt(3) h^2 k (f1 - f2) / 6 and c = -ikh, so that
     exp(Omega) = cosh(q) I + sinh(q) / q Omega with q^2 = a^2 + b^2 + c^2.
     On a linear f, (f1 + f2) / 2 is f at the step midpoint and
-    f1 - f2 = -(fb - fa) / (n sqrt(3)) is the same for every step.  The
-    steps are built and multiplied in aligned blocks of ``_MAGNUS_BLOCK``,
-    so memory does not grow with n.  None where a step's matrix leaves the
-    float range.
+    f1 - f2 = -(fb - fa) / (n sqrt(3)) is the same for every step.  Rows
+    hold the fine steps 2i and 2i + 1 and the coarse step i; folding the
+    first two is the fine product's first level, and the passes, of equal
+    length then, run the rest of it stacked.  Blocks of ``_MAGNUS_BLOCK``
+    fine steps keep memory bounded.  (None, None) where a step's matrix
+    leaves the float range.
     """
-    h = dx / n
-    b = -h * h * k * (fb - fa) / (6.0 * n)
-    c = -1j * k * h
-    bc = b * b + c * c
+    rows = []  # the pass's steps, and the step midpoints (stride i + offset) / steps
+    for steps, stride, offset in ((n, 2, 0.5), (n, 2, 1.5), (n // 2, 1, 0.5)):
+        h = dx / steps
+        b, c = -h * h * k * (fb - fa) / (6.0 * steps), -1j * k * h
+        rows.append((steps, stride, offset, h, c, b * b + c * c, 1j * b))
+    steps, stride, offset, h, c, bc, jb = (np.array(v)[:, None] for v in zip(*rows))
     blocks = []
     for lo in range(0, n, _MAGNUS_BLOCK):
-        mid = (np.arange(lo, min(lo + _MAGNUS_BLOCK, n)) + 0.5) / n
-        a = h * (fa + (fb - fa) * mid)
+        i = np.arange(lo // 2, min(lo + _MAGNUS_BLOCK, n) // 2)
+        a = h * (fa + (fb - fa) * ((i * stride + offset) / steps))
+        # cosh(q) and sinh(q) / q by one Horner pass over their series through
+        # q^10, whose first omitted term is below 1e-20; past the switch by numpy
         q2 = a * a + bc
-        ch, shc = _cosh_sinhc(q2)
-        m = np.empty((2, 2, len(a)), dtype=complex)
-        m[0, 0] = ch + shc * c
-        m[0, 1] = shc * (a - 1j * b)
-        m[1, 0] = shc * (a + 1j * b)
-        m[1, 1] = ch - shc * c
+        cs = _COSH_SINHC_SERIES[0] * q2 + _COSH_SINHC_SERIES[1]
+        for coefficient in _COSH_SINHC_SERIES[2:]:
+            cs *= q2
+            cs += coefficient
+        big = np.abs(q2) >= MAGNUS_SERIES_SWITCH**2
+        if big.any():
+            q = np.sqrt(q2[big])
+            cs[0][big], cs[1][big] = np.cosh(q), np.sinh(q) / q
+        ch, shc = cs
+        m = np.empty((3, 2, 2, len(i)), dtype=complex)
+        m[:, 0, 0] = ch + shc * c
+        m[:, 0, 1] = shc * (a - jb)
+        m[:, 1, 0] = shc * (a + jb)
+        m[:, 1, 1] = ch - shc * c
         if not np.isfinite(m).all():
-            return None
-        blocks.append(_tree_product(m))
-    return _tree_product(np.concatenate(blocks, axis=2))[:, :, 0]
+            return None, None
+        m[1] = _pair(m[1], m[0])
+        blocks.append(_tree_product(m[1:]))
+    u = blocks[0] if len(blocks) == 1 else _tree_product(np.concatenate(blocks, axis=3))
+    return u[0, :, :, 0], u[1, :, :, 0]
 
 
-def _cosh_sinhc(q2):
-    """cosh(q) and sinh(q) / q for an array of q^2.
-
-    Where |q| < MAGNUS_SERIES_SWITCH both come from their Taylor series
-    through q^10, whose first omitted term is below 1e-20; only the other
-    elements go through ``np.cosh`` and ``np.sinh``.
-    """
-    ch, shc = _series(q2, _COSH_SERIES), _series(q2, _SINHC_SERIES)
-    big = np.abs(q2) >= MAGNUS_SERIES_SWITCH**2
-    if big.any():
-        q = np.sqrt(q2[big])
-        ch[big] = np.cosh(q)
-        shc[big] = np.sinh(q) / q
-    return ch, shc
-
-
-def _series(q2, coefficients):
-    """The polynomial in q^2 with these coefficients, highest first (Horner)."""
-    s = coefficients[0] * q2 + coefficients[1]
-    for c in coefficients[2:]:
-        s *= q2
-        s += c
-    return s
+def _pair(later, earlier):
+    """later @ earlier for stacks of 2x2 matrices on the axes -3 and -2."""
+    return (later[..., 0:1, :] * earlier[..., 0:1, :, :]
+            + later[..., 1:2, :] * earlier[..., 1:2, :, :])
 
 
 def _tree_product(m):
-    """M_{n-1} ... M_1 M_0 of the steps m[:, :, j], as a (2, 2, 1) array.
+    """M_{n-1} ... M_1 M_0 of the steps m[p, :, :, j] of each pass p, as (p, 2, 2, 1).
 
     Neighbours are multiplied pairwise, later step on the left, level by
     level; an odd level takes an identity at its end.  Each level is two
@@ -324,11 +322,10 @@ def _tree_product(m):
     much on 2x2 matrices, and ``np.einsum`` rounds its complex sums of
     products up to a few ulp off, which drifted 4e-13 over 12293 steps.
     """
-    while m.shape[2] > 1:
-        if m.shape[2] % 2:
-            m = np.concatenate((m, _EYE), axis=2)
-        later, earlier = m[:, :, 1::2], m[:, :, 0::2]
-        m = later[:, 0, None] * earlier[None, 0] + later[:, 1, None] * earlier[None, 1]
+    while m.shape[3] > 1:
+        if m.shape[3] % 2:
+            m = np.concatenate((m, _EYE), axis=3)
+        m = _pair(m[..., 1::2], m[..., 0::2])
     return m
 
 
@@ -343,9 +340,8 @@ def _magnus_panel(fa, fb, a, b, k, step):
     """
     n = 2 * _step_count(b - a, 2.0 * step)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _magnus(fa, fb, b - a, n, k)
-        coarse = _magnus(fa, fb, b - a, n // 2, k)
-        if u is None or coarse is None:
+        u, coarse = _magnus(fa, fb, b - a, n, k)
+        if u is None:
             raise StepTooLarge(
                 f"rk4 step {step} too large: the Magnus steps on "
                 f"[{a}, {b}] leave the float range at k = {k}"
@@ -406,12 +402,13 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
     breakpoints so each piece sees a linear f.  Only R_r obeys a nonlinear
     (Riccati) equation, R_r' = 2ik R_r + f (1 - R_r^2); tau' = (ik - f R_r)
     tau and R_l' = -f tau^2 read R_r but never feed back into it.  So R_r
-    alone is stepped in scalar Python, recording its four stage values per
-    step.  With them, an RK4 step is linear in tau: it multiplies tau by a
-    factor g_n and adds tau_n^2 w_n to R_l, and g_n, w_n are formed as
-    arrays, tau as their running product.  The iterates are those of the
-    coupled RK4 loop in exact arithmetic.  Long pieces are stepped in blocks
-    of ``_RICCATI_BLOCK`` steps, so memory does not grow with the length.
+    alone is stepped in scalar Python, recording its value at the start of
+    each step; its stage values are formed again from those as arrays.
+    With them, an RK4 step is linear in tau: it multiplies tau by a factor
+    g_n and adds tau_n^2 w_n to R_l, and g_n, w_n are formed as arrays, tau
+    as their running product.  The iterates are those of the coupled RK4
+    loop in exact arithmetic.  The record is kept per block of at most
+    ``_RICCATI_BLOCK`` steps, so memory does not grow with the length.
 
     It shares no code with ``Sweep``, ``propagate`` or the Magnus stepper,
     so it checks them.  Before any step, the RK4 error bound
@@ -425,14 +422,21 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
         raise ConfigError("x2", f"needs x1 <= x2, got [{x1}, {x2}]")
     _check_step(step)
     nodes = spec.knots(x1, x2)
-    pieces = []
+    # a block takes whole runs of a piece's steps while they fit in _RICCATI_BLOCK
+    blocks, size = [], _RICCATI_BLOCK
     bound = 0.0
     for a, b in zip(nodes, nodes[1:]):
         _charge_steps(b - a, step)
         n = _step_count(b - a, step)
         fa, fb = spec.ends(a, b)
         h = (b - a) / n
-        pieces.append((n, h, fa, (fb - fa) / n))
+        for lo in range(0, n, _RICCATI_BLOCK):
+            hi = min(lo + _RICCATI_BLOCK, n)
+            if size + hi - lo > _RICCATI_BLOCK:
+                blocks.append([])
+                size = 0
+            blocks[-1].append((h, lo, hi, fa, (fb - fa) / n))
+            size += hi - lo
         # z bounds h times the rate of each equation for |R_r| <= 1; the RK4
         # step of y' = lambda y misses exp(z) by z^5 / 120 at leading order
         z = (2.0 * abs(k) + 2.0 * max(abs(fa), abs(fb))) * h
@@ -442,42 +446,51 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
         raise StepTooLarge(
             f"rk4 step {step} too large: RK4 error bound {bound:.3e} on [{x1}, {x2}]"
         )
-    ik, ik2 = 1j * k, 2j * k
+    ik, ik2, two = 1j * k, 2j * k, 2.0 + 0j
     rr, tau, rl = 0j, 1.0 + 0j, 0j
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, h, fa, df in pieces:
-            hh, h6 = 0.5 * h, h / 6.0
-            for lo in range(0, n, _RICCATI_BLOCK):
-                # f at the start, middle and end of each step of the block
-                f0 = fa + np.arange(lo, min(lo + _RICCATI_BLOCK, n)) * df
-                fm, f1 = f0 + 0.5 * df, f0 + df
-                stages = []
-                record = stages.extend
+        for block in blocks:
+            starts, fs = [], []  # R_r before each step; f at its start, middle, end
+            record = starts.append
+            for h, lo, hi, fa, df in block:
+                # complex, as CPython makes each float before a mixed operation
+                hc, hh, h6 = complex(h), complex(0.5 * h), complex(h / 6.0)
+                f0 = fa + np.arange(lo, hi) * df
+                fs.append(np.array([f0, f0 + 0.5 * df, f0 + df]))
                 # each stage is R_r' = 2ik S + f (1 - S^2) = f + S (2ik - f S)
-                for g0, gm, g1 in zip(f0.tolist(), fm.tolist(), f1.tolist()):
+                for g0, gm, g1 in zip(*fs[-1].astype(complex).tolist()):
+                    record(rr)
                     r1 = g0 + rr * (ik2 - g0 * rr)
                     s2 = rr + hh * r1
                     r2 = gm + s2 * (ik2 - gm * s2)
                     s3 = rr + hh * r2
                     r3 = gm + s3 * (ik2 - gm * s3)
-                    s4 = rr + h * r3
-                    record((rr, s2, s3, s4))
+                    s4 = rr + hc * r3
                     r4 = g1 + s4 * (ik2 - g1 * s4)
-                    rr += h6 * (r1 + 2.0 * (r2 + r3) + r4)
-                s = np.array(stages, dtype=complex).reshape(-1, 4).T
-                # stage j of tau is tau_n a_j p_j, with a_j = ik - f_j S_j at
-                # the stage value S_j of R_r and p_j its argument over tau_n
-                a1, a2 = ik - f0 * s[0], ik - fm * s[1]
-                a3, a4 = ik - fm * s[2], ik - f1 * s[3]
-                p2 = 1.0 + hh * a1
-                p3 = 1.0 + hh * (a2 * p2)
-                p4 = 1.0 + h * (a3 * p3)
-                g = 1.0 + h6 * (a1 + 2.0 * a2 * p2 + 2.0 * a3 * p3 + a4 * p4)
-                w = -h6 * (f0 + 2.0 * fm * (p2 * p2 + p3 * p3) + f1 * (p4 * p4))
-                # tau before each step of the block, then after it
-                t = np.cumprod(np.concatenate(([tau], g)))
-                rl += complex(np.dot(t[:-1] * t[:-1], w))
-                tau = complex(t[-1])
+                    rr += h6 * (r1 + two * (r2 + r3) + r4)
+            runs = np.cumsum([f.shape[1] for f in fs])
+            h = np.repeat([run[0] for run in block], np.diff(runs, prepend=0))
+            (f0, fm, f1), hh, h6 = np.concatenate(fs, axis=1), 0.5 * h, h / 6.0
+            # S_j again: s_(j+1) = S_1 + w (g + S_j x), x = 2ik - g S_j, with S_j x as
+            # Re x S_j + Im x (i S_j), products numpy rounds as CPython does
+            s = [np.array(starts)]
+            for g, w in ((f0, hh), (fm, hh), (fm, h)):
+                x = ik2 - g * s[-1]
+                s.append(s[0] + w * (g + (x.real * s[-1] + x.imag * (1j * s[-1]))))
+            # stage j of tau is tau_n a_j p_j, with a_j = ik - f_j S_j at the
+            # stage value S_j of R_r and p_j its argument over tau_n
+            a1, a2 = ik - f0 * s[0], ik - fm * s[1]
+            a3, a4 = ik - fm * s[2], ik - f1 * s[3]
+            p2 = 1.0 + hh * a1
+            p3 = 1.0 + hh * (a2 * p2)
+            p4 = 1.0 + h * (a3 * p3)
+            g = 1.0 + h6 * (a1 + 2.0 * a2 * p2 + 2.0 * a3 * p3 + a4 * p4)
+            w = -h6 * (f0 + 2.0 * fm * (p2 * p2 + p3 * p3) + f1 * (p4 * p4))
+            # tau before each step of the block, then after it; R_l run by run
+            t = np.cumprod(np.concatenate(([tau], g)))
+            tau, t2 = complex(t[-1]), t[:-1] * t[:-1]
+            for tr, wr in zip(np.split(t2, runs[:-1]), np.split(w, runs[:-1])):
+                rl += complex(np.dot(tr, wr))
     if not abs(rr) <= 1.0 + 1e-6:
         raise StepTooLarge(f"|R_r| = {abs(rr):.6f} escaped the unit disk")
     if not (cmath.isfinite(tau) and cmath.isfinite(rl)):

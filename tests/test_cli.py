@@ -680,6 +680,78 @@ def test_non_finite_f_exits_2(name, route, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {field}: ")
 
 
+NEAR_LIMIT = {
+    "step": (
+        "segments:\n"
+        "  - {x_start: 0, x_end: 0.5, profile: {type: constant, c: 1.0e+308}}\n"
+        "  - {x_start: 0.5, x_end: 1, profile: {type: constant, c: -1.0e+308}}\n",
+        "--grid=0.1:0.8:2",
+    ),
+    "sampled": (
+        "segments:\n"
+        "  - {x_start: 0.25, x_end: 1, profile: {type: sampled,\n"
+        "     points: [[0, 0], [3.47e-239, 1]]}}\n",
+        "--grid=0.3:0.8:2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_LIMIT))
+def test_born_past_the_float_range_exits_3(name, tmp_path, capsys):
+    # f is finite but near the float limit: route born wrote nan rows and
+    # leaked numpy RuntimeWarnings with exit 0
+    doc, grid = NEAR_LIMIT[name]
+    p = tmp_path / "near.yaml"
+    p.write_text(doc)
+    argv = ["green", "--potential", str(p), "--k", "1,0.1", grid, "--route", "born"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and "nan" not in out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ResonanceDivision: ") and "float range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["green", "--k", "1.3,0.2", "--grid=-1:1:3", "--route", "C", "--check"],
+        ["coefficients", "--interval", "0:1", "--format", "jsonl"],
+        ["verify", "--seed", "1", "--P", "16"],
+        ["green", "--nope"],
+        ["green", "--k", "1", "--route", "B", "extra"],
+        ["green", "--format", "xml"],
+        ["green", "--grid"],
+        ["coefficients", "--step", "fast"],
+        [],
+        ["nope"],
+        ["-h"],
+        ["green", "-h"],
+        ["--", "green"],
+    ],
+    ids=["green", "coefficients", "verify", "unknown-flag", "extra-positional",
+         "bad-choice", "missing-value", "bad-type", "no-command", "unknown-command",
+         "help", "command-help", "double-dash"],
+)
+def test_one_parse_matches_the_full_parser(argv, capsys, monkeypatch):
+    # main reads argv with the command's own parser; the full parser, which
+    # reads it twice, must give the same output, messages and exit code
+    from gf1d.cli import build_parser
+
+    def run():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, capsys.readouterr()
+
+    got = run()
+    parser = build_parser()
+    monkeypatch.setattr(parser, "commands", {})  # every argv to the full parser
+    assert run() == got
+
+
 def test_tail_only_medium_switches_tails_at_zero(tmp_path, capsys):
     # the tails meet at 0, as in the same medium written with a zero segment
     # on [0, 1]; the sweep used to miss that jump while evaluate_f kept it

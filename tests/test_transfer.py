@@ -22,6 +22,7 @@ from gf1d.errors import (
     StepTooLarge,
     UnsupportedProfile,
 )
+from gf1d.green import green_closed_form
 from gf1d.potential import (
     ConstantProfile,
     LinearProfile,
@@ -526,26 +527,135 @@ def magnus_stepwise(fa, fb, dx, n, k):
 )
 @pytest.mark.parametrize("k", [1.3, 1.3 + 0.2j, 0.4 + 1.0j])
 def test_magnus_product_matches_a_stepwise_product(monkeypatch, blocks, extra, k):
-    # the blocks are shrunk to 16 steps: over 3 * 4096 + 5 steps the
+    # the blocks are shrunk to 16 fine steps: over 3 * 4096 + 5 steps the
     # stepwise product itself drifts up to 5e-13 from a 40-digit one (at
     # k = 1.3 + 0.2j, cmath.cosh rounds these small q about 5e-17 low on
-    # average), while _magnus stays within 8e-14 of it
+    # average), while _magnus stays within 8e-14 of it; the coarse product,
+    # of half the steps, is held to its own stepwise product
     monkeypatch.setattr(transfer, "_MAGNUS_BLOCK", 16)
     n = 16 * blocks + extra
-    got = transfer._magnus(0.3, -0.5, 0.9, n, k)
-    want = magnus_stepwise(0.3, -0.5, 0.9, n, k)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    fine, coarse = transfer._magnus(0.3, -0.5, 0.9, 2 * n, k)
+    for got, steps in ((fine, 2 * n), (coarse, n)):
+        want = magnus_stepwise(0.3, -0.5, 0.9, steps, k)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
 @pytest.mark.parametrize("f, k", [(0.0, 1.3), (0.7, 1.3 + 0.2j), (2.5, 0.4 + 1.0j)])
 def test_magnus_step_agrees_with_cmath_at_the_series_switch(side, f, k):
-    # one step on a constant f, with |q| just below and just above the switch
+    # one step on a constant f, with |q| just below and just above the
+    # switch: the coarse product of a two-step panel
     kappa = cmath.sqrt(f * f - k * k)
     dx = side * MAGNUS_SERIES_SWITCH / abs(kappa)
-    got = transfer._magnus(f, f, dx, 1, k)
+    got = transfer._magnus(f, f, dx, 2, k)[1]
     want = magnus_stepwise(f, f, dx, 1, k)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+_PIN_K = 0.4 + 0.1j
+_PINNED_MEDIA = {
+    "linear": (PotentialSpec((Segment(0.0, 1.5, LinearProfile(0.3, -0.4)),)), 1.1, 0.35),
+    "sampled": (PotentialSpec((Segment(0.0, 1.2, SampledProfile((
+        (0.0, 0.2), (0.3, -0.3), (0.6, 0.1), (0.9, 0.3), (1.2, -0.1)))),)), 0.95, 0.2),
+}
+# each stepped value, captured before both passes of a Magnus panel were
+# stacked and before the Riccati loop recorded R_r alone: route B, route A,
+# U of propagate over the support, interval_triple of [y, x] and
+# riccati_coefficients over the support
+_PINNED = {
+    ("linear", 0.001): (
+        (0.11214428120667934-1.3085416122727145j),
+        (0.11214428120667888-1.3085416122727096j),
+        (0.9599863031801348-0.6643087069386857j),
+        (0.7077943290191263+0.49350708317051317j),
+        (-0.020286275474169127+0.08789451965647085j),
+        (0.020286275474168947-0.0878945196564708j),
+        (0.8861248882326548+0.2743140040738372j),
+        (0.0010759338771746648+0.011127371128959911j),
+        (-0.012060292114554963+0.007169180954234095j),
+        (0.704380775962761+0.48743016532860667j),
+        (-0.057131702707518967+0.05202306735022351j),
+        (-0.05713170270752046+0.052023067350223995j),
+    ),
+    ("linear", 0.01): (
+        (0.11214428119528524-1.3085416122790603j),
+        (0.11214428119526605-1.308541612279063j),
+        (0.9599863031863914-0.6643087069200454j),
+        (0.7077943290302827+0.4935070831604855j),
+        (-0.020286275470991107+0.08789451965159087j),
+        (0.020286275470990975-0.08789451965159084j),
+        (0.8861248882364877+0.27431400406761625j),
+        (0.0010759338790882367+0.011127371127775109j),
+        (-0.012060292112700014+0.007169180953139083j),
+        (0.7043807759798306+0.48743016532086986j),
+        (-0.057131702680104444+0.05202306734838925j),
+        (-0.05713170269714481+0.05202306734934043j),
+    ),
+    ("sampled", 0.001): (
+        (0.06343401160345197-1.1099175196204878j),
+        (0.06343401160345194-1.1099175196204873j),
+        (1.001078512332385-0.5224624792893486j),
+        (0.7869464593065338+0.410961822734894j),
+        (0.049970493238823306-0.025835927884422485j),
+        (0.03751018815948539+0.024497705915281345j),
+        (0.8853443988158743+0.2748590150110391j),
+        (0.030891892205704333-0.013951965816834947j),
+        (-0.007131238385395155-0.025516746639639622j),
+        (0.7850825069464866+0.40973424958478105j),
+        (0.04981682462933896+0.00019128751579981012j),
+        (-0.019411043406536512-0.03460192917171767j),
+    ),
+    ("sampled", 0.01): (
+        (0.06343401152955605-1.1099175196469095j),
+        (0.06343401152955347-1.1099175196468916j),
+        (1.0010785123685761-0.5224624791374545j),
+        (0.7869464593881812+0.410961822643248j),
+        (0.049970493240006776-0.025835927879662286j),
+        (0.03751018816081426+0.02449770591188203j),
+        (0.8853443988480261+0.2748590149587199j),
+        (0.03089189220095629-0.01395196581324765j),
+        (-0.007131238392117736-0.025516746634567846j),
+        (0.7850825070329278+0.409734249490504j),
+        (0.04981682463594323+0.00019128751520147306j),
+        (-0.019411043412856033-0.03460192916867108j),
+    ),
+}
+
+
+@pytest.mark.parametrize("medium, step", sorted(_PINNED))
+def test_stepped_values_keep_their_bits(medium, step):
+    spec, x, y = _PINNED_MEDIA[medium]
+    x_l, x_r = spec.support
+    k = _PIN_K
+    u = propagate(spec, x_l, x_r, k, "rk4", step)
+    triples = (
+        interval_triple(spec, y, x, k, "rk4", step),
+        riccati_coefficients(spec, x_l, x_r, k, step),
+    )
+    got = [
+        green_closed_form(spec, x, y, k, "rk4", step).value,
+        green_wronskian(spec, x, y, k, "rk4", step).value,
+        u.alpha_plus, u.alpha_minus, u.beta_plus, u.beta_minus,
+        *(v for t in triples for v in (t.tau, t.r_right, t.r_left)),
+    ]
+    assert list(map(repr, got)) == list(map(repr, _PINNED[(medium, step)]))
+
+
+def test_riccati_stage_values_keep_the_loop_rounding():
+    # the stage values of R_r are formed again as arrays: with numpy's
+    # complex product, which may fuse a multiply and an add, the last bit of
+    # R_l moves on this medium (one Riccati value in 800 of the benchmark's)
+    points = ((0.0, 0.2957113861945009), (0.3988117649869395, 0.3411805485227555),
+              (0.797623529973879, -0.43656961070088296),
+              (1.1964352949608186, 0.9758446866468808), (1.595247059947758, 0.5601762760435467))
+    spec = PotentialSpec((Segment(0.0, 1.595247059947758, SampledProfile(points)),))
+    k = complex(2.0189009660776236, 0.4073900950415664)
+    t = riccati_coefficients(spec, 0.0, 1.595247059947758, k)
+    assert repr((t.tau, t.r_right, t.r_left)) == (
+        "((-0.4884185778693344-0.03141242474291032j), "
+        "(0.1834180659609819+0.21261566083162659j), "
+        "(-0.14917875929183855+0.025497610369553676j))"
+    )
 
 
 def test_tail_reflection_is_moebius_fixed_point():
