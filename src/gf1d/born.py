@@ -106,10 +106,9 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32):
     per panel and the rule n_nodes**2, all counted against NODE_BUDGET.  A
     term or sum that leaves the float range raises ``ResonanceDivision``.
     """
-    if not isinstance(max_order, numbers.Integral) or max_order < 0:
-        raise ConfigError("order", f"order must be an integer >= 0, got {max_order!r}")
-    if not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
-        raise ConfigError("n_nodes", f"must be an integer >= 1, got {n_nodes!r}")
+    for field, n, least in (("order", max_order, 0), ("n_nodes", n_nodes, 1)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+            raise ConfigError(field, f"must be an integer >= {least}, got {n!r}")
     k = check_wavenumber(k)
     x_in, y_in = check_point(x, "x"), check_point(y, "y")
     for name in ("left_tail", "right_tail"):

@@ -139,8 +139,8 @@ def cmd_coefficients(args):
         for k in ks:
             sweep = transfer.Sweep(spec, k, args.method, args.step)
             k_cells = rows.cells(2, [k.real, k.imag]) + rows.sep
-            for (x1, x2), head in zip(intervals, heads):
-                tau, rr, rl = sweep.coefficients(x1, x2)
+            for span, head in zip(intervals, heads):
+                tau, rr, rl = sweep.coefficients(*sweep.points(span))
                 coefficients = [tau.real, tau.imag, rr.real, rr.imag, rl.real, rl.imag]
                 stream.write(head + k_cells + rows.cells(4, coefficients) + rows.end)
     return 0
@@ -159,13 +159,11 @@ def _born(sweep, q, p, args):
 # Born order.  Every pair at one k reads the same sweep.  Functions are
 # looked up at call time so that rebinding a module attribute reaches the CLI.
 _ROUTES = {
-    "A": ("wronskian", lambda s, q, p, a: sl3.wronskian_from(s, q.x, p.x)),
+    "A": ("wronskian", lambda s, q, p, a: sl3.wronskian_at(s, q, p)),
     "B": ("closed_form", lambda s, q, p, a: green_mod.closed_form_at(s, q, p)),
-    "C": ("polyrep_symmetric", lambda s, q, p, a: green_mod.polyrep_from(
-        s, q.x, p.x, a.P
-    )),
-    "C-asym": ("polyrep_asymmetric", lambda s, q, p, a: green_mod.polyrep_from(
-        s, q.x, p.x, a.P, "asymmetric"
+    "C": ("polyrep_symmetric", lambda s, q, p, a: green_mod.polyrep_at(s, q, p, a.P)),
+    "C-asym": ("polyrep_asymmetric", lambda s, q, p, a: green_mod.polyrep_at(
+        s, q, p, a.P, "asymmetric"
     )),
     "born": ("born_{order}", _born),
 }

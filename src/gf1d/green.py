@@ -13,14 +13,13 @@ reflection vectors, or a generating-series value at the left
 reflection coefficient.
 
 Every route reads its endpoint data from a ``transfer.Sweep``; the
-``*_from(sweep, ...)`` functions are the value halves, one pair per call,
-which a caller that evaluates many points at one k (the CLI grid) calls on
-one shared sweep, so each point's side of its spans is read once per sweep.
-Route B's half also takes the pair as two entries of the sweep's point
-table, ``closed_form_at``, which a caller that holds the entries calls
-directly.  A value half returns plain numbers, (G, truncation loss), and
-raises a pole's error like any other, so a caller catches poles per pair;
-only the public routes wrap the numbers in a ``GreenValue``.
+``*_at(sweep, q, p)`` functions are the value halves, one pair per call,
+which take the pair as two entries of the sweep's point table, q of y and
+p of x, y <= x.  A caller that evaluates many points at one k (the CLI
+grid) calls them on one shared sweep, so each point's side of its spans is
+read once per sweep.  A value half returns plain numbers, (G, truncation
+loss), and raises a pole's error like any other, so a caller catches poles
+per pair; only the public routes wrap the numbers in a ``GreenValue``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .polyrep import (
     mu_over_one_minus_c_xi,
 )
 from .potential import check_point
-from .transfer import Sweep
+from .transfer import ScatteringTriple, Sweep
 
 __all__ = [
     "GreenValue",
@@ -75,12 +74,14 @@ class GreenValue:
     truncation_loss: float = 0.0
 
 
-def _sweep(spec, x, y, k, method, step):
-    """The sweep a single-point route reads, after checking k and the points."""
+def _entries(spec, x, y, k, method, step):
+    """(sweep, q, p) of a single-pair route at k: the table entries q of
+    min(x, y) and p of max(x, y), after checking k and the points."""
     sweep = Sweep(spec, k, method, step)
     check_point(x, "x")
     check_point(y, "y")
-    return sweep
+    hi, lo = (x, y) if x >= y else (y, x)
+    return sweep, *sweep.points((lo, hi))
 
 
 def _denominator(k, rl3, t, rr1):
@@ -95,7 +96,10 @@ def _denominator(k, rl3, t, rr1):
 
 def _check_power(n, integral=False):
     """n >= 1, finite, and of an integer type where ``integral``."""
-    ok = isinstance(n, numbers.Integral) if integral else math.isfinite(n)
+    if integral:
+        ok = isinstance(n, numbers.Integral)
+    else:
+        ok = isinstance(n, numbers.Real) and math.isfinite(n)
     if not ok or n < 1:
         kind = "an integer" if integral else "finite and"
         raise ConfigError("n", f"power must be {kind} >= 1, got {n!r}")
@@ -103,16 +107,9 @@ def _check_power(n, integral=False):
 
 def green_closed_form(spec, x, y, k, method="exact_piecewise", step=1e-3):
     """Closed form in the interval coefficients (route B)."""
-    sweep = _sweep(spec, x, y, k, method, step)
-    value, loss = closed_form_from(sweep, x, y)
+    sweep, q, p = _entries(spec, x, y, k, method, step)
+    value, loss = closed_form_at(sweep, q, p)
     return GreenValue(value, x, y, sweep.k, "closed_form", loss)
-
-
-def closed_form_from(sweep, x, y):
-    """(G, truncation loss) of route B at (x, y) from a sweep of the medium at
-    its k, with x >= y enforced by symmetry."""
-    hi, lo = (x, y) if x >= y else (y, x)
-    return closed_form_at(sweep, *sweep.points((lo, hi)))
 
 
 def closed_form_at(sweep, q, p):
@@ -130,7 +127,8 @@ def closed_form_at(sweep, q, p):
 
 
 def _chain(sweep, pairs, P, n=1):
-    """(value, truncation loss) of <Lambda_l**n, chain Lambda_r**n>.
+    """(value, truncation loss) of <Lambda_l**n, chain Lambda_r**n> over
+    pairs of the sweep's table entries.
 
     With each pair ordered x_i >= y_i, the chain runs from y_1 through
     y_2 .. y_m then x_1 .. x_m: the evolution between consecutive endpoints
@@ -142,13 +140,13 @@ def _chain(sweep, pairs, P, n=1):
     A large n or many pairs send the series out of the float range; that
     raises ``ResonanceDivision``.
     """
-    pairs = [(max(p), min(p)) for p in pairs]
-    walk = sorted(pairs, key=lambda p: (p[1], p[0]))
-    xs = [x for x, _ in walk]
-    if walk[-1][1] <= xs[0] and xs == sorted(xs):
+    pairs = [(a, b) if a.x >= b.x else (b, a) for a, b in pairs]
+    walk = sorted(pairs, key=lambda p: (p[1].x, p[0].x))
+    xs = [p.x for p, _ in walk]
+    if walk[-1][1].x <= xs[0] and xs == sorted(xs):
         pairs = walk
     pos = pairs[0][1]
-    rr1, rl_end = sweep.r_right(pos), sweep.r_left(pairs[-1][0])
+    rr1, rl_end = sweep.rr_of(pos), sweep.rl_of(pairs[-1][0])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             v, left = lambda_r_power(rr1, n, P), lambda_l_power(rl_end, n, P)
@@ -181,19 +179,19 @@ def green_polyrep(
     where B is the mu-independent series obtained by applying L+ - K- to
     U(x,y) Lambda_r(y).
     """
-    sweep = _sweep(spec, x, y, k, method, step)
-    value, loss = polyrep_from(sweep, x, y, P, variant)
+    sweep, q, p = _entries(spec, x, y, k, method, step)
+    value, loss = polyrep_at(sweep, q, p, P, variant)
     return GreenValue(value, x, y, sweep.k, f"polyrep_{variant}", loss)
 
 
-def polyrep_from(sweep, x, y, P=64, variant="symmetric"):
-    """(G, truncation loss) of route C at (x, y) from a sweep of the medium at its k."""
+def polyrep_at(sweep, q, p, P=64, variant="symmetric"):
+    """Route C's (G, truncation loss) at the sweep's table entries q of y and
+    p of x, y <= x."""
     if variant == "symmetric":
-        two_ik_g, loss = _chain(sweep, [(x, y)], P)
+        two_ik_g, loss = _chain(sweep, [(p, q)], P)
     elif variant == "asymmetric":
-        hi, lo = (x, y) if x >= y else (y, x)
-        rl3 = sweep.r_left(hi)
-        v = apply_U(sweep.triple(lo, hi), lambda_r(sweep.r_right(lo), P))
+        rl3 = sweep.rl_of(p)
+        v = apply_U(sweep.triple(q, p), lambda_r(sweep.rr_of(q), P))
         # L+ - K- multiplies the mu-degree-one component by -(1+xi); done on
         # a padded array so the top coefficient survives the cutoff
         comp = v.component(1)
@@ -217,8 +215,8 @@ def green_power(spec, x, y, k, n, P=64, method="exact_piecewise", step=1e-3):
     that raises ``ResonanceDivision``.
     """
     _check_power(n)
-    sweep = _sweep(spec, x, y, k, method, step)
-    val, loss = _chain(sweep, [(x, y)], P, n)
+    sweep, q, p = _entries(spec, x, y, k, method, step)
+    val, loss = _chain(sweep, [(p, q)], P, n)
     return GreenValue(val / n, x, y, sweep.k, f"power_{n}", loss)
 
 
@@ -237,7 +235,7 @@ def green_negative_power(
     range (n near 100, or tau underflowed) raises ``ResonanceDivision``.
     """
     _check_power(n, integral=True)
-    sweep = _sweep(spec, x, y, k, method, step)
+    sweep, at_y, at_x = _entries(spec, x, y, k, method, step)
     k = sweep.k
     q = n + 2
     out_of_range = f"the negative power {n} leaves the float range"
@@ -251,13 +249,11 @@ def green_negative_power(
         )
     except OverflowError:
         raise ResonanceDivision(out_of_range) from None
-    hi, lo = (x, y) if x >= y else (y, x)
-    at_y, at_x = sweep.points((lo, hi))
     rl3, t, rr1 = sweep.rl_of(at_x), sweep.between(at_y, at_x), sweep.rr_of(at_y)
     v = mu_over_one_minus_c_xi(q, rr1, P)
     for _ in range(n):
         v = inverse_operator("(L-+K+)inv", v)
-    v = apply_U(sweep.triple(lo, hi), v)
+    v = apply_U(ScatteringTriple(*t[:3], (at_y.x, at_x.x), k), v)
     for _ in range(n):
         v = inverse_operator("(L+-K-)inv", v)
     if not v.rows:  # every coefficient underflowed
@@ -276,11 +272,15 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
     and y_1, each pair ordered x_i >= y_i.
     """
     sweep = Sweep(spec, k, method, step)
+    try:
+        pairs = [(x, y) for x, y in pairs]
+    except (TypeError, ValueError):
+        raise ConfigError("pairs", f"must be (x, y) pairs, got {pairs!r}") from None
     pairs = [(check_point(x, "x"), check_point(y, "y")) for x, y in pairs]
     m = len(pairs)
     if m < 1:
         raise ConfigError("pairs", "a product needs at least one pair")
-    val, loss = _chain(sweep, pairs, P)
+    val, loss = _chain(sweep, [sweep.points(pair) for pair in pairs], P)
     prefactor = (-1) ** (m - 1) / (math.factorial(m) * math.factorial(m - 1))
     x, y = max(pairs[-1]), min(pairs[0])
     return GreenValue(prefactor * val, x, y, sweep.k, f"product_{m}", loss)

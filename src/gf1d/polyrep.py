@@ -129,7 +129,7 @@ class PolyVec:
 def _check_cutoff(P):
     """P is an integer >= 1 whose series work fits CUTOFF_BUDGET; checked
     before any array of P + 1 coefficients is built."""
-    if not isinstance(P, numbers.Integral) or P < 1:
+    if isinstance(P, bool) or not isinstance(P, numbers.Integral) or P < 1:
         raise ConfigError("P", f"series cutoff must be an integer >= 1, got {P!r}")
     if (P + 1) ** 2 > CUTOFF_BUDGET:
         raise CutoffBudget(

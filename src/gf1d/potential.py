@@ -18,6 +18,7 @@ import contextlib
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import yaml
@@ -39,7 +40,10 @@ __all__ = [
 
 
 def check_wavenumber(k):
-    """Validate that k is finite, nonzero and has Im k >= 0; return it as complex."""
+    """Validate that k is a finite, nonzero number with Im k >= 0; return it
+    as complex."""
+    if not isinstance(k, numbers.Complex):
+        raise ConfigError("k", f"wavenumber must be a number, got {k!r}")
     k = complex(k)
     if not cmath.isfinite(k) or k == 0 or k.imag < 0:
         raise ConfigError(
@@ -49,8 +53,10 @@ def check_wavenumber(k):
 
 
 def check_point(x, field="x"):
-    """Validate that a position, or any number of the medium, is finite;
-    return it unchanged."""
+    """Validate that a position, or any number of the medium, is a finite
+    real number; return it unchanged."""
+    if not isinstance(x, numbers.Real):
+        raise ConfigError(field, f"must be a real number, got {x!r}")
     if not math.isfinite(x):
         raise ConfigError(field, f"must be finite, got {x}")
     return x
@@ -116,6 +122,8 @@ class Segment:
     profile: Profile
 
     def __post_init__(self):
+        if not isinstance(self.profile, Profile):
+            raise ConfigError("profile", f"must be a profile, got {self.profile!r}")
         check_point(self.x_start, "x_start")
         check_point(self.x_end, "x_end")
         if not self.x_start < self.x_end:

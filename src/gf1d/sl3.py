@@ -18,10 +18,8 @@ import cmath
 import numpy as np
 
 from .errors import LogBranch, ResonanceDivision, WronskianZero
-from .green import GreenValue
+from .green import GreenValue, _entries
 from .polyrep import RELATIONS
-from .potential import check_point
-from .transfer import Sweep
 
 __all__ = [
     "GeneratorSet3",
@@ -163,19 +161,20 @@ def _across(num, tau, interval):
     return phi
 
 
-def _phi(sweep, x, x0, side):
-    """The solution decaying to the right (side > 0) or to the left (side < 0),
-    normalized at x0, from the coefficients of the interval between x and x0."""
-    r_tail = sweep.r_left if side > 0 else sweep.r_right
-    r = r_tail(x)
-    lo, hi = min(x, x0), max(x, x0)
-    tau, rr_t, rl_t = sweep.coefficients(lo, hi)
+def _phi(sweep, p, mid, side):
+    """The solution decaying to the right (side > 0) or to the left (side < 0)
+    at the table entry p, normalized at the entry mid, from the coefficients
+    of the interval between them."""
+    r_tail = sweep.rl_of if side > 0 else sweep.rr_of
+    r = r_tail(p)
+    lo, hi = (p, mid) if p.x <= mid.x else (mid, p)
+    tau, rr_t, rl_t, _ = sweep.between(lo, hi)
     r_t = rr_t if side > 0 else rl_t
-    if (x - x0) * side >= 0:
+    if (p.x - mid.x) * side >= 0:
         return (1.0 + r) * tau / (1.0 - r * r_t)
-    # x is on the growing side: there the solution is the inverse evolution,
-    # written in the forward triple and the tail at x0 so it has no cancellation
-    return _across((1.0 + r) * (1.0 - r_t * r_tail(x0)), tau, (lo, hi))
+    # p is on the growing side: there the solution is the inverse evolution,
+    # written in the forward triple and the tail at mid so it has no cancellation
+    return _across((1.0 + r) * (1.0 - r_t * r_tail(mid)), tau, (lo.x, hi.x))
 
 
 def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
@@ -185,21 +184,21 @@ def green_wronskian(spec, x, y, k, method="exact_piecewise", step=1e-3):
     Wronskian evaluated at the support midpoint x0, where it reduces to
     W = -2ik (1 - R_l(+inf, x0) R_r(x0, -inf)).
     """
-    sweep = Sweep(spec, k, method, step)
-    value, loss = wronskian_from(sweep, check_point(x, "x"), check_point(y, "y"))
+    sweep, q, p = _entries(spec, x, y, k, method, step)
+    value, loss = wronskian_at(sweep, q, p)
     return GreenValue(value, x, y, sweep.k, "wronskian", loss)
 
 
-def wronskian_from(sweep, x, y):
-    """(G, truncation loss) of route A at (x, y) from a sweep of the medium at its k."""
+def wronskian_at(sweep, q, p):
+    """Route A's (G, truncation loss) at the sweep's table entries q of y and
+    p of x, y <= x."""
     k = sweep.k
     x_l, x_r = sweep.spec.support
-    x0 = 0.5 * (x_l + x_r)
-    hi, lo = (x, y) if x >= y else (y, x)
-    denom = 1.0 - sweep.r_left(x0) * sweep.r_right(x0)
+    (mid,) = sweep.points((0.5 * (x_l + x_r),))
+    denom = 1.0 - sweep.rl_of(mid) * sweep.rr_of(mid)
     if abs(denom) < WRONSKIAN_THRESHOLD:
         raise WronskianZero(
             f"|W| / |2ik| = {abs(denom):.3e} below threshold at k = {k}"
         )
-    two_ik_g = _phi(sweep, hi, x0, 1) * _phi(sweep, lo, x0, -1) / denom
+    two_ik_g = _phi(sweep, p, mid, 1) * _phi(sweep, q, mid, -1) / denom
     return two_ik_g / (2j * k), 0.0

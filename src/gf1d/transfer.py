@@ -14,8 +14,8 @@ Transmission/reflection coefficients of an interval are
 k it composes these triples piece by piece with the two-interval formula
 (the Redheffer star product), so R_r(x, -inf), R_l(+inf, x) and the triple
 of [y, x] at every query point come from shared work.  It keeps a table of
-the points it has met, and a grid reads a row of spans from two entries
-at a time (``Sweep.between``); a lone span or reflection is the same read.
+the points it has met, and every reader takes entries of that table: a
+span is read from two entries (``Sweep.between``), a reflection from one.
 A reversed interval is the inverse of its forward span, read from the same
 memoized triple.
 ``propagate``, ``invert``, ``compose`` and the matrix algebra are not on the
@@ -58,7 +58,6 @@ __all__ = [
     "riccati_coefficients",
     "compose_triples",
     "semi_infinite_coefficients",
-    "tail_reflection",
     "interval_triple",
     "Sweep",
 ]
@@ -392,7 +391,7 @@ def _coefficients(alpha, beta_plus, beta_minus, interval):
 def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     """Scattering coefficients of [x1, x2]; x1 > x2 inverts the span of [x2, x1]."""
     sweep = Sweep(spec, k, method, step)
-    return sweep.triple(check_point(x1, "x1"), check_point(x2, "x2"))
+    return sweep.triple(*sweep.points((check_point(x1, "x1"), check_point(x2, "x2"))))
 
 
 def riccati_coefficients(spec, x1, x2, k, step=1e-3):
@@ -512,22 +511,13 @@ def compose_triples(outer, inner):
     return ScatteringTriple(*t[:3], (inner.interval[0], outer.interval[1]), outer.k)
 
 
-def tail_reflection(c, k, side):
-    """Limit reflection of a constant-f half line.
+def _tail_seed(c, k, side):
+    """Limit reflection of a constant-f half line, c None for vacuum.
 
     ``side`` is "left" for R_r(edge, -inf) and "right" for R_l(+inf, edge).
     The seed (ik + kappa) / c is written as c / (kappa - ik), its equal since
     kappa**2 + k**2 = c**2: for |c| << |k| the first form cancels.
     """
-    if side not in ("left", "right"):
-        raise ConfigError("side", f"must be 'left' or 'right', got {side!r}")
-    if c is not None:
-        check_point(c, "c")
-    return _tail_seed(c, check_wavenumber(k), side)
-
-
-def _tail_seed(c, k, side):
-    """``tail_reflection`` of a checked c, complex k and side."""
     if c == 0 or c is None:
         return 0j
     seed = c / (_kappa(c, k) - 1j * k)
@@ -537,8 +527,8 @@ def _tail_seed(c, k, side):
 def semi_infinite_coefficients(spec, x, k, method="exact_piecewise", step=1e-3):
     """(R_r(x, -inf), R_l(+inf, x)) for vacuum or constant tails."""
     sweep = Sweep(spec, k, method, step)
-    check_point(x, "x")
-    return sweep.r_right(x), sweep.r_left(x)
+    (p,) = sweep.points((check_point(x, "x"),))
+    return sweep.rr_of(p), sweep.rl_of(p)
 
 
 def _constant_piece(c, dx, k):
@@ -649,14 +639,14 @@ class Sweep:
     The sweep keeps a table with one entry per point it has met
     (``points``): the point's breakpoint indices, and, once read, its side
     (its span to each breakpoint right of it), its two end pieces and its
-    two reflections.  Every span is composed by one method, ``between``, from
-    two entries, and a grid reads a row of spans by calling it along the
-    row: a lone span, R_r and R_l are its cases.  The pieces and spans
-    between breakpoints and the two tail seeds are kept beside the table, so
-    a grid pays for each of them once.  A span between two query points is
-    composed each time it is read, which a grid does once per pair, and a
-    constant piece between them is not kept: the memory grows as the points
-    times the breakpoints, not with the pairs.
+    two reflections.  Only ``points`` takes positions; every reader takes
+    entries, and every span is composed by one method, ``between``, from
+    two of them: a grid reads a row of spans by calling it along the row.
+    The pieces and spans between breakpoints and the two tail seeds are
+    kept beside the table, so a grid pays for each of them once.  A span
+    between two query points is composed each time it is read, which a
+    grid does once per pair, and a constant piece between them is not kept:
+    the memory grows as the points times the breakpoints, not with the pairs.
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
@@ -722,20 +712,19 @@ class Sweep:
             row.append(_star(self._piece(bps[n], bps[n + 1]), row[-1]))
         return row[j - i]
 
-    def _point(self, x):
-        """x's entry in the table, made when the sweep first meets x; a zero
-        is keyed with its sign, so a message names x as the caller wrote it."""
-        key = x if x else (x, math.copysign(1.0, x))
-        p = self._table.get(key)
-        if p is None:
-            bps = self._bps
-            p = _Point(x, bisect.bisect_left(bps, x), bisect.bisect_right(bps, x) - 1)
-            self._table[key] = p
-        return p
-
     def points(self, xs):
-        """The table entries of the points xs, in order."""
-        return [self._point(x) for x in xs]
+        """The table entries of the points xs, in order, each made when the
+        sweep first meets its point; a zero is keyed with its sign, so a
+        message names x as the caller wrote it."""
+        table, bps, entries = self._table, self._bps, []
+        for x in xs:
+            key = x if x else (x, math.copysign(1.0, x))
+            p = table.get(key)
+            if p is None:
+                i, j = bisect.bisect_left(bps, x), bisect.bisect_right(bps, x) - 1
+                p = table[key] = _Point(x, i, j)
+            entries.append(p)
+        return entries
 
     def between(self, q, p):
         """(tau, R_r, R_l, error) of [y, x] from the entries q of y and p of
@@ -775,27 +764,15 @@ class Sweep:
             )
         return t
 
-    def _span(self, y, x):
-        """(tau, R_r, R_l, error) of [y, x], y <= x."""
-        return self.between(self._point(y), self._point(x))
-
-    def coefficients(self, x1, x2):
-        """(tau, R_r, R_l) of [x1, x2] as plain numbers; x1 > x2 inverts the
-        span of [x2, x1]."""
-        t = self._span(x1, x2) if x1 <= x2 else _reverse(self._span(x2, x1))
+    def coefficients(self, q, p):
+        """(tau, R_r, R_l) of [q.x, p.x] from two table entries, as plain
+        numbers; q right of p inverts the span between them."""
+        t = self.between(q, p) if q.x <= p.x else _reverse(self.between(p, q))
         return t[:3]
 
-    def triple(self, x1, x2):
-        """The coefficients of [x1, x2] as a ``ScatteringTriple``."""
-        return ScatteringTriple(*self.coefficients(x1, x2), (x1, x2), self.k)
-
-    def r_right(self, x):
-        """R_r(x, -inf): reflection seen from x looking left."""
-        return self.rr_of(self._point(x))
-
-    def r_left(self, x):
-        """R_l(+inf, x): reflection seen from x looking right."""
-        return self.rl_of(self._point(x))
+    def triple(self, q, p):
+        """The coefficients of [q.x, p.x] as a ``ScatteringTriple``."""
+        return ScatteringTriple(*self.coefficients(q, p), (q.x, p.x), self.k)
 
     def rr_of(self, p):
         """R_r(x, -inf) of a table entry, computed when first read."""
@@ -807,7 +784,7 @@ class Sweep:
                 p.rr = self._left_seed
             else:
                 tail = (0j, self._left_seed, 0j, 0.0)
-                p.rr = _star(self.between(self._point(bps[0]), p), tail)[1]
+                p.rr = _star(self.between(*self.points(bps[:1]), p), tail)[1]
         return p.rr
 
     def rl_of(self, p):
@@ -820,5 +797,5 @@ class Sweep:
                 p.rl = self._right_seed
             else:
                 tail = (0j, 0j, self._right_seed, 0.0)
-                p.rl = _star(tail, self.between(p, self._point(bps[-1])))[2]
+                p.rl = _star(tail, self.between(p, *self.points(bps[-1:])))[2]
         return p.rl

@@ -1,0 +1,56 @@
+"""The library boundary names every input it rejects.
+
+Each call below hands a public entry point a value of the wrong kind: a
+string for a number, a profile for a tail, a malformed list of pairs.  Each
+must raise ``ConfigError`` naming the field, never a ``TypeError``,
+``ValueError`` or ``AttributeError`` from deep inside, and never run on a
+silently converted value.
+"""
+
+import pytest
+
+from gf1d.born import born_series
+from gf1d.errors import ConfigError
+from gf1d.green import green_closed_form, green_polyrep, green_power, green_product
+from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab
+
+SPEC = slab(0.8, -0.5, 0.5)
+K = 1.2 + 0.2j
+
+CASES = {
+    # a string for a point: TypeError from math.isfinite
+    "closed-form-str-x": (lambda: green_closed_form(SPEC, "0.3", 0.1, 1.0), "x"),
+    "born-str-x": (lambda: born_series(SPEC, "0.3", 0.1, 1.0), "x"),
+    # a string for k: complex("1") read it as 1+0j
+    "closed-form-str-k": (lambda: green_closed_form(SPEC, 0.3, 0.1, "1"), "k"),
+    # strings and profiles for numbers of the medium
+    "slab-str-c": (lambda: slab("1"), "c"),
+    "str-tail": (lambda: PotentialSpec((), left_tail="1"), "left_tail"),
+    "profile-tail": (
+        lambda: PotentialSpec((), left_tail=ConstantProfile(1.0)), "left_tail"
+    ),
+    # AttributeError: 'NoneType' object has no attribute 'value'
+    "segment-without-profile": (
+        lambda: PotentialSpec((Segment(0, 1, None),)), "profile"
+    ),
+    # the series routes' own arguments
+    "power-str-n": (lambda: green_power(SPEC, 0.3, -0.2, K, "2"), "n"),
+    "product-short-pair": (lambda: green_product(SPEC, [(0.3,)], K), "pairs"),
+    "product-not-pairs": (lambda: green_product(SPEC, 5, K), "pairs"),
+    # a bool is an int: P=True ran at P = 1, order=True at order 1, and
+    # n_nodes=True ended in TypeError from the quadrature rule
+    "polyrep-bool-P": (lambda: green_polyrep(SPEC, 0.3, -0.2, K, P=True), "P"),
+    "born-bool-order": (
+        lambda: born_series(SPEC, 0.3, -0.2, K, max_order=True), "order"
+    ),
+    "born-bool-nodes": (
+        lambda: born_series(SPEC, 0.3, -0.2, K, n_nodes=True), "n_nodes"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, field", CASES.values(), ids=CASES.keys())
+def test_a_value_of_the_wrong_kind_names_its_field(call, field):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.field == field

@@ -17,7 +17,6 @@ from gf1d.errors import ConfigError, DenominatorZero, ResonanceDivision, StepToo
 from gf1d.green import (
     _denominator,
     closed_form_at,
-    closed_form_from,
     green_closed_form,
     green_negative_power,
     green_polyrep,
@@ -491,16 +490,17 @@ def test_closed_form_row_is_the_single_pairs(k):
     poles = 0
     for i, y in enumerate(grid):
         for x in grid[i:]:
+            fresh = Sweep(spec, k)
             try:
-                want = closed_form_from(Sweep(spec, k), x, y)
+                want = closed_form_at(fresh, *fresh.points((y, x)))
             except DenominatorZero as exc:
                 with pytest.raises(DenominatorZero) as got:
-                    closed_form_from(shared, x, y)
+                    closed_form_at(shared, *shared.points((y, x)))
                 assert str(got.value) == str(exc)
                 poles += 1
             else:
-                assert repr(closed_form_from(shared, x, y)) == repr(want)
-                assert repr(closed_form_from(shared, y, x)) == repr(want)
+                assert repr(closed_form_at(shared, *shared.points((y, x)))) == repr(want)
+                assert repr(green_closed_form(spec, y, x, k).value) == repr(want[0])
     assert poles == (28 if k == POLE_K else 0)
 
 
@@ -539,16 +539,23 @@ def _resumed_row(sweep, points, a):
     return got
 
 
+def _fresh_span(sweep, y, x):
+    """repr of the span of [y, x] read as a lone span of the sweep."""
+    return repr(sweep.between(*sweep.points((y, x))))
+
+
 def _fresh_value(spec, x, y, k, method):
     """Route B at (x, y), x >= y, from a fresh sweep, or a pole's message;
     also from the lone reads R_l(inf, x), span [y, x] and R_r(y, -inf) of
     another fresh sweep and the closed form, which must agree bit for bit."""
+    fresh = Sweep(spec, k, method, 0.01)
     try:
-        value = repr(closed_form_from(Sweep(spec, k, method, 0.01), x, y))
+        value = repr(closed_form_at(fresh, *fresh.points((y, x))))
     except DenominatorZero as exc:
         value = str(exc)
     sweep = Sweep(spec, k, method, 0.01)
-    rl3, t, rr1 = sweep.r_left(x), sweep._span(y, x), sweep.r_right(y)
+    (p,), (q,) = sweep.points([x]), sweep.points([y])
+    rl3, t, rr1 = sweep.rl_of(p), sweep.between(q, p), sweep.rr_of(q)
     try:
         d = _denominator(sweep.k, rl3, t, rr1)
     except DenominatorZero as exc:
@@ -577,7 +584,7 @@ def test_table_rows_are_fresh_per_pair_sweeps(case):
     points = shared.points(grid)
     for a, y in enumerate(grid):
         spans = [repr(shared.between(points[a], p)) for p in points[a:]]
-        fresh = [repr(Sweep(spec, k, method, 0.01)._span(y, x)) for x in grid[a:]]
+        fresh = [_fresh_span(Sweep(spec, k, method, 0.01), y, x) for x in grid[a:]]
         assert spans == fresh
         want = [_fresh_value(spec, x, y, k, method) for x in grid[a:]]
         assert _resumed_row(shared, points, a) == want

@@ -1,10 +1,16 @@
-"""No orphaned helpers: every module-level private name of the package is
-used somewhere in the package, not only by the tests."""
+"""No orphaned names: every module-level private name of the package, and
+every name a module lists in ``__all__``, is used somewhere in the package,
+not only by the tests."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gf1d"
+
+# public names no package module reads: the benchmark's tracer
+# (perfbench/tracing.py) binds them by name, and they stay until the library
+# keeps its own per-layer counters
+UNREAD_PUBLIC = ["polyrep.lambda_l", "potential.evaluate_f"]
 
 
 def _private(name):
@@ -12,7 +18,7 @@ def _private(name):
 
 
 def _definitions(tree):
-    """(name, first line, last line) of each private name bound at module level."""
+    """(name, first line, last line) of each name bound at module level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -21,8 +27,21 @@ def _definitions(tree):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        for name in filter(_private, names):
+        for name in names:
             yield name, node.lineno, node.end_lineno
+
+
+def _strings(tree, target):
+    """The string constants of the module-level assignment to ``target``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == target for t in node.targets
+        ):
+            return {
+                n.value for n in ast.walk(node.value)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            }
+    return set()
 
 
 def _uses(tree):
@@ -36,14 +55,21 @@ def _uses(tree):
             yield node.name, node.lineno
 
 
-def orphans(src=SRC):
+def orphans(src=SRC, public=False):
     """The module-level private names of the package at ``src`` that nothing
-    but their own definition reads, as "module.name"."""
+    but their own definition reads, as "module.name"; with ``public``, the
+    names in a module's ``__all__`` instead, where the lazy package
+    namespace (the strings of ``_SOURCES`` in ``__init__``) counts as a
+    reader."""
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))}
     uses = {stem: list(_uses(tree)) for stem, tree in trees.items()}
+    lazy = _strings(trees["__init__"], "_SOURCES") if "__init__" in trees else set()
     found = []
     for stem, tree in trees.items():
+        checked = _strings(tree, "__all__") - lazy if public else None
         for name, first, last in _definitions(tree):
+            if not (name in checked if public else _private(name)):
+                continue
             used = any(
                 use == name and not (other == stem and first <= line <= last)
                 for other, reads in uses.items()
@@ -66,3 +92,22 @@ def test_an_orphaned_helper_is_found(tmp_path):
         "_LEFT = 2\n"
     )
     assert orphans(tmp_path) == ["mod._recursive", "mod._LEFT"]
+
+
+def test_every_public_name_has_a_reader():
+    assert orphans(public=True) == UNREAD_PUBLIC
+
+
+def test_an_orphaned_public_name_is_found(tmp_path):
+    # of four exported names, one is read by another module, one by its own
+    # module, one only by the lazy namespace and one by nothing
+    (tmp_path / "__init__.py").write_text('_SOURCES = {"mod": ("lazy",)}\n')
+    (tmp_path / "mod.py").write_text(
+        '__all__ = ["shared", "inner", "lazy", "unread"]\n\n\n'
+        "def shared():\n    return inner()\n\n\n"
+        "def inner():\n    return 1\n\n\n"
+        "def lazy():\n    return 2\n\n\n"
+        "def unread():\n    return unread\n"
+    )
+    (tmp_path / "other.py").write_text("from .mod import shared\n")
+    assert orphans(tmp_path, public=True) == ["mod.unread"]

@@ -51,7 +51,6 @@ from gf1d.transfer import (
     riccati_coefficients,
     scattering_coefficients,
     semi_infinite_coefficients,
-    tail_reflection,
 )
 
 
@@ -404,16 +403,11 @@ def test_entry_points_check_their_domain(call, field):
 @pytest.mark.parametrize(
     "call, field",
     [
-        # a RecursionError: _kappa and _sqrt_radicand rescaled a NaN radicand
-        (lambda: tail_reflection(0.5, math.nan, "left"), "k"),
-        (lambda: tail_reflection(math.nan, 1.0, "left"), "c"),
         (lambda: constant_step_matrix(0.5, 1.0, math.nan), "k"),
-        # a NaN matrix, and the right-side seed
+        # a NaN matrix
         (lambda: constant_step_matrix(0.5, math.inf, 1.0), "dx"),
-        (lambda: tail_reflection(0.5, 1.0, "up"), "side"),
     ],
-    ids=["tail-nan-k", "tail-nan-c", "step-matrix-nan-k", "step-matrix-inf-dx",
-         "tail-unknown-side"],
+    ids=["step-matrix-nan-k", "step-matrix-inf-dx"],
 )
 def test_public_helpers_check_their_input(call, field):
     with warnings.catch_warnings():
@@ -658,11 +652,19 @@ def test_riccati_stage_values_keep_the_loop_rounding():
     )
 
 
+def tail_seed(c, k, side="left"):
+    """R_r(0, -inf) of a constant-c left half line, or R_l(+inf, 0) of a
+    right one, read from a sweep's table."""
+    sweep = Sweep(PotentialSpec(**{f"{side}_tail": c}), k)
+    (p,) = sweep.points([0.0])
+    return sweep.rr_of(p) if side == "left" else sweep.rl_of(p)
+
+
 def test_tail_reflection_is_moebius_fixed_point():
     # widening a constant half line by one more slab leaves the seed fixed
     for c in (0.8, -1.2):
         for k in (1.5, 0.4 + 0.9j, 2.0 + 0.0j):
-            seed = tail_reflection(c, k, "left")
+            seed = tail_seed(c, k, "left")
             t = interval_triple(slab(c, 0.0, 0.63), 0.0, 0.63, k)
             moved = t.r_right + t.tau**2 * seed / (1.0 - t.r_left * seed)
             assert abs(moved - seed) < 1e-12
@@ -670,14 +672,14 @@ def test_tail_reflection_is_moebius_fixed_point():
 
 def test_tail_reflection_branch():
     # |k| > |c| on the real axis: propagating waves, |R| < 1
-    r = tail_reflection(1.0, 3.0, "left")
+    r = tail_seed(1.0, 3.0, "left")
     assert abs(r) < 1.0
-    r2 = tail_reflection(1.0, -3.0 + 0j, "left")
+    r2 = tail_seed(1.0, -3.0 + 0j, "left")
     assert abs(r2) < 1.0
     with pytest.raises(BranchUndefined):
-        tail_reflection(1.0, 1.0, "left")
-    assert tail_reflection(0.0, 1.0, "left") == 0
-    assert tail_reflection(None, 1.0, "right") == 0
+        tail_seed(1.0, 1.0, "left")
+    assert tail_seed(0.0, 1.0, "left") == 0
+    assert tail_seed(None, 1.0, "right") == 0
 
 
 def test_weak_tail_reflection_keeps_its_digits():
@@ -687,7 +689,7 @@ def test_weak_tail_reflection_keeps_its_digits():
     for c in (1e-4, -1e-8, 7e-44):
         for k in (1.5 + 0.05j, 0.7 + 0j, 0.3 + 2.0j):
             want = c / (-2j * k)
-            assert abs(tail_reflection(c, k, "left") - want) <= 1e-8 * abs(want)
+            assert abs(tail_seed(c, k, "left") - want) <= 1e-8 * abs(want)
 
 
 def test_semi_infinite_with_vacuum_tails_matches_support_edges():
@@ -712,11 +714,11 @@ def test_semi_infinite_with_constant_tail():
     )
     k = 1.3 + 0.4j
     rr, _ = semi_infinite_coefficients(spec, 0.0, k)
-    assert abs(rr - tail_reflection(0.8, k, "left")) < 1e-14
+    assert abs(rr - tail_seed(0.8, k, "left")) < 1e-14
     # moving into the medium composes the slab piece with the tail seed
     rr_mid, _ = semi_infinite_coefficients(spec, 0.6, k)
     t = interval_triple(spec, 0.0, 0.6, k)
-    seed = tail_reflection(0.8, k, "left")
+    seed = tail_seed(0.8, k, "left")
     want = t.r_right + t.tau**2 * seed / (1.0 - t.r_left * seed)
     assert abs(rr_mid - want) < 1e-14
 
@@ -875,13 +877,13 @@ def test_sweep_matches_expm_oracle(k):
     sweep = Sweep(spec, k)
     for x in grid:
         w = _oracle_evolution(far_left, x, k) @ v_left
-        assert abs(sweep.r_right(x) - w[1] / w[0]) < 1e-12
+        assert abs(sweep.rr_of(*sweep.points([x])) - w[1] / w[0]) < 1e-12
         w = np.linalg.solve(_oracle_evolution(x, far_right, k), v_right)
-        assert abs(sweep.r_left(x) - w[0] / w[1]) < 1e-12
+        assert abs(sweep.rl_of(*sweep.points([x])) - w[0] / w[1]) < 1e-12
     for i, x1 in enumerate(grid):
         for x2 in grid[i:]:
             u = _oracle_evolution(x1, x2, k)
-            t = sweep.triple(x1, x2)
+            t = sweep.triple(*sweep.points((x1, x2)))
             assert abs(t.tau - 1.0 / u[0, 0]) < 1e-12
             assert abs(t.r_right - u[1, 0] / u[0, 0]) < 1e-12
             assert abs(t.r_left + u[0, 1] / u[0, 0]) < 1e-12
@@ -895,19 +897,22 @@ def test_sweep_values_do_not_depend_on_other_points():
     k = 1.1 + 0.3j
     shared = Sweep(spec, k)
     for x in np.linspace(-1.5, 1.5, 7):
-        shared.r_right(x), shared.r_left(x), shared.triple(-1.5, x)
+        (p,) = shared.points([x])
+        shared.rr_of(p), shared.rl_of(p), shared.triple(*shared.points((-1.5, x)))
     for x in np.linspace(-1.5, 1.5, 7):
         fresh = Sweep(spec, k)
-        assert fresh.triple(-1.5, x) == shared.triple(-1.5, x)
-        assert fresh.r_right(x) == shared.r_right(x)
-        assert fresh.r_left(x) == shared.r_left(x)
+        (p,), (f,) = shared.points([x]), fresh.points([x])
+        want = shared.triple(*shared.points((-1.5, x)))
+        assert fresh.triple(*fresh.points((-1.5, x))) == want
+        assert fresh.rr_of(f) == shared.rr_of(p)
+        assert fresh.rl_of(f) == shared.rl_of(p)
 
 
 def test_tail_seeds_are_computed_once_per_sweep(monkeypatch):
     # the seeds depend on a tail and k alone: route B over a 12-point grid
     # at one k on a medium with two constant tails computed them 24 times
     from gf1d import transfer
-    from gf1d.green import closed_form_from, green_closed_form
+    from gf1d.green import closed_form_at, green_closed_form
 
     spec = PotentialSpec(
         segments=tuple(Segment(a, b, ConstantProfile(c)) for a, b, c in _ORACLE_PIECES),
@@ -922,7 +927,8 @@ def test_tail_seeds_are_computed_once_per_sweep(monkeypatch):
     seed = transfer._tail_seed
     monkeypatch.setattr(transfer, "_tail_seed", lambda *a: calls.append(a) or seed(*a))
     sweep = Sweep(spec, k)
-    assert [closed_form_from(sweep, x, y)[0] for x, y in pairs] == want
+    got = [closed_form_at(sweep, *sweep.points((y, x)))[0] for x, y in pairs]
+    assert got == want
     assert len(calls) == 2
 
 
@@ -938,9 +944,9 @@ def test_rk4_span_is_held_to_the_summed_step_error():
     )
     sweep = Sweep(spec, 1.2 + 0.3j, method="rk4", step=0.05)
     for a in starts:
-        sweep.triple(a, a + 0.5)
+        sweep.triple(*sweep.points((a, a + 0.5)))
     with pytest.raises(StepTooLarge):
-        sweep.triple(0.0, 1.5)
+        sweep.triple(*sweep.points((0.0, 1.5)))
 
 
 def _backward_evolution(pieces, tails, x_hi, x_lo, k):
@@ -982,7 +988,8 @@ def test_reversed_interval_is_finite_or_named(cs, widths, tails, ends, k_re, k_i
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            t = Sweep(spec, k).triple(x_hi, x_lo)
+            sweep = Sweep(spec, k)
+            t = sweep.triple(*sweep.points((x_hi, x_lo)))
         except Gf1dError:
             return
     got = (t.tau, t.r_right, t.r_left)
@@ -1012,7 +1019,8 @@ def test_long_rk4_piece_is_stepped_in_chunks():
     # the reference
     spec = PotentialSpec(segments=(Segment(0.0, 12.0, LinearProfile(1.5, -0.2)),))
     k = 0.8 + 5.5j
-    t = Sweep(spec, k, method="rk4", step=1e-3).triple(0.0, 12.0)
+    sweep = Sweep(spec, k, method="rk4", step=1e-3)
+    t = sweep.triple(*sweep.points((0.0, 12.0)))
     m = propagate(spec, 0.0, 12.0, k, method="rk4", step=1e-3)
     want = scattering_coefficients(m)
     assert abs(t.tau - want.tau) <= 1e-9 * abs(want.tau)
@@ -1054,7 +1062,7 @@ def test_huge_wavenumber_keeps_the_branch(k):
     # c**2 - k**2 overflows past |k| = 1.3e154; it used to give nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        seed = tail_reflection(0.5, k, "left")
+        seed = tail_seed(0.5, k, "left")
         tau, rr, rl = _constant_piece(0.5, 0.3, complex(k))
         if k.imag == 0:  # the matrix itself leaves the float range at Im k > 0
             assert np.all(np.isfinite(constant_step_matrix(0.5, 0.3, complex(k))))
@@ -1067,7 +1075,7 @@ def test_huge_wavenumber_keeps_the_branch(k):
 
 def _span_reference(sweep, x1, x2):
     """A span composed on its own, as ``Sweep`` did before it kept each
-    point's side: the reference for ``_span``."""
+    point's side: the reference for ``Sweep.between``."""
     bps = sweep._bps
     i = bisect.bisect_left(bps, x1)
     j = bisect.bisect_right(bps, x2) - 1
@@ -1114,11 +1122,13 @@ def test_row_spans_are_the_single_spans(row, k_re, k_im):
     spec, y, xs = row
     k = complex(k_re, k_im)
     shared = Sweep(spec, k)
-    got = [shared._span(y, x) for x in xs]
-    assert repr(got) == repr([Sweep(spec, k)._span(y, x) for x in xs])
+    got = [shared.between(*shared.points((y, x))) for x in xs]
+    fresh = [Sweep(spec, k) for _ in xs]
+    assert repr(got) == repr([s.between(*s.points((y, x))) for s, x in zip(fresh, xs)])
     assert repr(got) == repr([_span_reference(Sweep(spec, k), y, x) for x in xs])
     reverse = Sweep(spec, k)
-    assert repr([reverse._span(y, x) for x in reversed(xs)]) == repr(got[::-1])
+    backwards = [reverse.between(*reverse.points((y, x))) for x in reversed(xs)]
+    assert repr(backwards) == repr(got[::-1])
 
 
 def test_a_second_span_from_a_point_reuses_its_side(monkeypatch):
@@ -1129,11 +1139,11 @@ def test_a_second_span_from_a_point_reuses_its_side(monkeypatch):
     )
     k = 1.1 + 0.3j
     sweep = Sweep(spec, k)
-    sweep._span(-0.6, 0.8)
+    sweep.between(*sweep.points((-0.6, 0.8)))
     calls = []
     star = transfer._star
     monkeypatch.setattr(transfer, "_star", lambda *a: calls.append(a) or star(*a))
-    got = sweep._span(-0.6, 1.1)
+    got = sweep.between(*sweep.points((-0.6, 1.1)))
     assert len(calls) <= 1
     monkeypatch.undo()
     assert repr(got) == repr(_span_reference(Sweep(spec, k), -0.6, 1.1))
