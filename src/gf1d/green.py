@@ -95,12 +95,12 @@ def _denominator(k, rl3, t, rr1):
 
 
 def _check_power(n, integral=False):
-    """n >= 1, finite, and of an integer type where ``integral``."""
+    """n >= 1, finite, not a bool, and of an integer type where ``integral``."""
     if integral:
         ok = isinstance(n, numbers.Integral)
     else:
         ok = isinstance(n, numbers.Real) and math.isfinite(n)
-    if not ok or n < 1:
+    if isinstance(n, bool) or not ok or n < 1:
         kind = "an integer" if integral else "finite and"
         raise ConfigError("n", f"power must be {kind} >= 1, got {n!r}")
 

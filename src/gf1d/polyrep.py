@@ -164,7 +164,7 @@ def apply_generator(name, v):
         # padded[j] holds xi-degree j-1; slot 0 receives only the p = 0
         # term of a lowering, which has coefficient p = 0
         padded = np.zeros(v.P + 3, dtype=complex)
-        padded[1 + dp : v.P + 2 + dp] = coefficient(p, q) * row
+        np.multiply(coefficient(p, q), row, out=padded[1 + dp : v.P + 2 + dp])
         lost += abs(padded[-1])
         rows[q + dn] = padded[1:-1]
     return PolyVec._of_rows(rows, v.P, v.loss + lost)
@@ -217,7 +217,7 @@ def inner_product(left, right):
         if rrow is None:
             continue
         w, poles = _weight_row(left.P, q)
-        if np.any((lrow[poles] != 0) & (rrow[poles] != 0)):
+        if poles.size and np.any((lrow[poles] != 0) & (rrow[poles] != 0)):
             raise GammaPole(f"weight undefined at q = {q} on a nonzero term")
         total += complex(np.vdot(lrow * w, rrow))
     return total
@@ -226,21 +226,36 @@ def inner_product(left, right):
 # ---------------------------------------------------------------------------
 # evolution action
 
-def _series_mul(a, b, n):
-    """Truncated Cauchy product of coefficient arrays of length >= n+1.
+def _series_mul(padded, b):
+    """Truncated Cauchy product, to order n = b.size - 1, of b and the
+    series padded[n:], which n zeros precede in ``padded``.
 
     Only the orders up to n are formed: the orders above n of two decaying
     series underflow into subnormal numbers, which cost many times more.
     """
-    padded = np.zeros(2 * n + 1, dtype=complex)
-    padded[n:] = a[: n + 1]
-    return np.convolve(padded, b[: n + 1], mode="valid")
+    return np.convolve(padded, b, mode="valid")
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _binomial_index(m, n):
+    """Read-only (m + k, k + 1) for k < n; typed, since m + k takes its
+    dtype from the type of m."""
+    k = np.arange(n)
+    mk, k1 = m + k, k + 1
+    mk.flags.writeable = k1.flags.writeable = False
+    return mk, k1
 
 
 def _binomial(m, c, n):
-    """Coefficients 0..n of (1 - c xi)**(-m), for any real or complex m."""
-    k = np.arange(n)
-    return np.cumprod(np.concatenate([[1.0], c * (m + k) / (k + 1)]))
+    """Coefficients 0..n of (1 - c xi)**(-m), for any real or complex m; real
+    for real c and m, whose ratios a complex division would round otherwise."""
+    mk, k1 = _binomial_index(m, n)
+    out = np.empty(n + 1, dtype=np.result_type(c, mk, 1.0))
+    out[0] = 1.0
+    ratios = out[1:]
+    np.multiply(c, mk, out=ratios)
+    np.divide(ratios, k1, out=ratios)
+    return np.multiply.accumulate(out, out=out)  # np.cumprod, without its wrapper
 
 
 _EPS = np.finfo(float).eps
@@ -322,39 +337,46 @@ def _degree(g, gain):
     top = float(a.max())
     if not math.isfinite(top):
         return a.size - 1, 0.0
+    if gain == 1.0:  # a passive interval: gain**p is 1
+        s = int((a > NEGLIGIBLE * top).nonzero()[0][-1])
+        rest = a[s + 1 :]
+        return s, float(rest[rest > 0.0].sum())
     shrink = (1.0 / gain) ** np.arange(a.size)  # gain**-p, underflowing to 0
-    s = int(np.flatnonzero(a > NEGLIGIBLE * top * shrink)[-1])
+    s = int((a > NEGLIGIBLE * top * shrink).nonzero()[0][-1])
     rest, shrink = a[s + 1 :], shrink[s + 1 :]
     kept = rest > 0.0  # shrink is not 0 where rest is not
-    return s, float(np.sum(rest[kept] / shrink[kept]))
+    return s, float((rest[kept] / shrink[kept]).sum())
 
 
 def _compose(tau, rr, rl, rows, degrees, B, n):
     """{q: tau**q (1 - xi R_r)**(-q) g(Lhat)} to order n for each row g,
     read to its degree, by blocks of B coefficients."""
-    powers = np.zeros((B + 1, n + 1), dtype=complex)  # Lhat**0 .. Lhat**B
+    # Lhat**0 .. Lhat**B and then the Horner sum, each after n zeros, so
+    # that every row is the left factor of a product as it stands
+    table = np.zeros((B + 2, 2 * n + 1), dtype=complex)
+    powers, padded, horner = table[: B + 1, n:], table[B + 1], table[B + 1, n:]
     powers[0, 0] = 1.0
     one = _binomial(1, rr, n)  # (1 - xi R_r)**-1: Lhat's tail and the weight-one factor
     powers[1, 0] = rl
-    powers[1, 1:] = tau * tau * one[:n]
+    np.multiply(tau * tau, one[:n], out=powers[1, 1:])
     for j in range(2, B + 1):
-        powers[j] = _series_mul(powers[j - 1], powers[1], n)
+        powers[j] = _series_mul(table[j - 1], powers[1])
     baby, giant = powers[:B], powers[B]
     out = {}
     for q, g in rows.items():
         s = degrees[q]
         blocks = np.zeros((s // B + 1, B), dtype=complex)
-        blocks.flat[: s + 1] = g[: s + 1]
+        blocks.ravel()[: s + 1] = g[: s + 1]
         sums = blocks @ baby
-        res = sums[-1]
+        horner[:] = sums[-1]
         for b in sums[-2::-1]:
-            res = _series_mul(res, giant, n) + b
-        res = _series_mul(res, one if q == 1 else _binomial(q, rr, n), n)
+            np.add(_series_mul(padded, giant), b, out=horner)
+        res = _series_mul(padded, one if q == 1 else _binomial(q, rr, n))
         if float(q).is_integer():
             tq = tau ** int(round(q))
         else:
             tq = cmath.exp(q * cmath.log(tau))
-        out[q] = res * tq
+        out[q] = np.multiply(res, tq, out=res)
     return out
 
 
@@ -434,7 +456,8 @@ def inverse_operator(name, v):
                 )
             g = -row / (q + 1)
             if name == "(L+-K-)inv":  # times 1 / (1 + xi)
-                g = _series_mul(g, _binomial(1, -1.0, v.P), v.P)
+                padded = np.concatenate([np.zeros(v.P), g])
+                g = _series_mul(padded, _binomial(1, -1.0, v.P))
             rows[q + 1] = g
         return PolyVec._of_rows(rows, v.P, v.loss)
     if name in ("L-inv", "(L-+K+)inv"):

@@ -21,8 +21,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-import yaml
-
 from .errors import ConfigError
 
 __all__ = [
@@ -41,8 +39,8 @@ __all__ = [
 
 def check_wavenumber(k):
     """Validate that k is a finite, nonzero number with Im k >= 0; return it
-    as complex."""
-    if not isinstance(k, numbers.Complex):
+    as complex.  A bool is refused, though Python counts it a number."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Complex):
         raise ConfigError("k", f"wavenumber must be a number, got {k!r}")
     k = complex(k)
     if not cmath.isfinite(k) or k == 0 or k.imag < 0:
@@ -54,8 +52,8 @@ def check_wavenumber(k):
 
 def check_point(x, field="x"):
     """Validate that a position, or any number of the medium, is a finite
-    real number; return it unchanged."""
-    if not isinstance(x, numbers.Real):
+    real number, not a bool; return it unchanged."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ConfigError(field, f"must be a real number, got {x!r}")
     if not math.isfinite(x):
         raise ConfigError(field, f"must be finite, got {x}")
@@ -244,9 +242,9 @@ def evaluate_f(spec, x, side=0):
 # config-file loading
 
 _PROFILE_TYPES = {"constant", "linear", "sampled"}
-# libyaml's parser where PyYAML was built with it: it accepts the same
-# documents and builds them with the same constructor, several times faster
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# the YAML loader; None takes libyaml's where PyYAML was built with it: it
+# accepts the same documents, builds them alike and is several times faster
+_LOADER = None
 
 
 def _parse_profile(node, where):
@@ -290,11 +288,14 @@ def _parse(text, name):
         return json.loads(text)
     except (ValueError, RecursionError):
         pass
+    import yaml  # here, so that a JSON document never pays for importing it
+
+    loader = _LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     stream = io.BytesIO(text) if isinstance(text, bytes) else io.StringIO(text)
     if name is not None:  # YAML's error marks name the stream
         stream.name = name
     try:
-        return yaml.load(stream, Loader=_LOADER)
+        return yaml.load(stream, Loader=loader)
     except (yaml.YAMLError, ValueError) as exc:
         # a ValueError comes from a constructor: an integer past Python's
         # digit limit, or a timestamp that is no date

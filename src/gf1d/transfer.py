@@ -230,7 +230,7 @@ def _unsupported(a, b):
 
 
 def _check_step(step):
-    if not isinstance(step, numbers.Real) or not step > 0:
+    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not step > 0:
         raise ConfigError("step", f"must be a real number > 0, got {step!r}")
 
 

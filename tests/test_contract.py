@@ -11,8 +11,15 @@ import pytest
 
 from gf1d.born import born_series
 from gf1d.errors import ConfigError
-from gf1d.green import green_closed_form, green_polyrep, green_power, green_product
+from gf1d.green import (
+    green_closed_form,
+    green_negative_power,
+    green_polyrep,
+    green_power,
+    green_product,
+)
 from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab
+from gf1d.transfer import riccati_coefficients
 
 SPEC = slab(0.8, -0.5, 0.5)
 K = 1.2 + 0.2j
@@ -45,6 +52,23 @@ CASES = {
     ),
     "born-bool-nodes": (
         lambda: born_series(SPEC, 0.3, -0.2, K, n_nodes=True), "n_nodes"
+    ),
+    # the same for the points, k, the rk4 step and the powers: x = True was
+    # returned as the value's x, k = True read as 1+0j, step = True ran at
+    # step 1 (or ended in "rk4 step True too large"), n = True ran at n = 1
+    "closed-form-bool-x": (lambda: green_closed_form(SPEC, True, -0.2, 1.0), "x"),
+    "closed-form-bool-y": (lambda: green_closed_form(SPEC, 0.3, False, 1.0), "y"),
+    "closed-form-bool-k": (lambda: green_closed_form(SPEC, 0.3, -0.2, True), "k"),
+    "rk4-bool-step": (
+        lambda: green_closed_form(SPEC, 0.3, -0.2, K, method="rk4", step=True),
+        "step",
+    ),
+    "riccati-bool-step": (
+        lambda: riccati_coefficients(SPEC, -0.5, 0.5, K, step=True), "step"
+    ),
+    "power-bool-n": (lambda: green_power(SPEC, 0.3, -0.2, K, True), "n"),
+    "negative-power-bool-n": (
+        lambda: green_negative_power(SPEC, 0.3, -0.2, K, n=True), "n"
     ),
 }
 

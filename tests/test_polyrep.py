@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gf1d import polyrep
@@ -516,11 +516,13 @@ def test_growing_chain_runs_the_full_length_arithmetic(monkeypatch):
 
 
 def _products(monkeypatch, t, v):
-    """The number of truncated products apply_U(t, v) forms."""
+    """The number of truncated products apply_U(t, v) forms, at least one: a
+    product formed other than through _series_mul would go uncounted."""
     calls = []
     mul = polyrep._series_mul
     monkeypatch.setattr(polyrep, "_series_mul", lambda *a: calls.append(1) or mul(*a))
     apply_U(t, v)
+    assert calls, "apply_U formed no product through _series_mul"
     return len(calls)
 
 
@@ -563,3 +565,155 @@ def test_apply_U_forms_the_orders_its_tail_estimate_asks_for(monkeypatch):
     want = _horner_apply_U(t, v)[1][:129]
     assert np.max(np.abs(w.rows[1] - want)) <= 1e-14 * np.max(np.abs(want))
     assert w.loss < 1e-18
+
+
+# --- the evolution in its plain form, the reference for its bits: every
+# product pads a fresh array, the binomial series is concatenated, and the
+# gain**-p array is formed on passive links too.  apply_U keeps each bit.
+
+def _reference_series_mul(a, b, n):
+    padded = np.zeros(2 * n + 1, dtype=complex)
+    padded[n:] = a[: n + 1]
+    return np.convolve(padded, b[: n + 1], mode="valid")
+
+
+def _reference_binomial(m, c, n):
+    k = np.arange(n)
+    return np.cumprod(np.concatenate([[1.0], c * (m + k) / (k + 1)]))
+
+
+def _reference_degree(g, gain):
+    a = np.abs(g)
+    top = float(a.max())
+    if not math.isfinite(top):
+        return a.size - 1, 0.0
+    shrink = (1.0 / gain) ** np.arange(a.size)
+    s = int(np.flatnonzero(a > polyrep.NEGLIGIBLE * top * shrink)[-1])
+    rest, shrink = a[s + 1 :], shrink[s + 1 :]
+    kept = rest > 0.0
+    return s, float(np.sum(rest[kept] / shrink[kept]))
+
+
+def _reference_compose(tau, rr, rl, rows, degrees, B, n):
+    powers = np.zeros((B + 1, n + 1), dtype=complex)
+    powers[0, 0] = 1.0
+    one = _reference_binomial(1, rr, n)
+    powers[1, 0] = rl
+    powers[1, 1:] = tau * tau * one[:n]
+    for j in range(2, B + 1):
+        powers[j] = _reference_series_mul(powers[j - 1], powers[1], n)
+    baby, giant = powers[:B], powers[B]
+    out = {}
+    for q, g in rows.items():
+        s = degrees[q]
+        blocks = np.zeros((s // B + 1, B), dtype=complex)
+        blocks.flat[: s + 1] = g[: s + 1]
+        sums = blocks @ baby
+        res = sums[-1]
+        for b in sums[-2::-1]:
+            res = _reference_series_mul(res, giant, n) + b
+        weight = one if q == 1 else _reference_binomial(q, rr, n)
+        res = _reference_series_mul(res, weight, n)
+        if float(q).is_integer():
+            tq = tau ** int(round(q))
+        else:
+            tq = cmath.exp(q * cmath.log(tau))
+        out[q] = res * tq
+    return out
+
+
+def _reference_apply_U(t, v):
+    tau, rr, rl = t.tau, t.r_right, t.r_left
+    P = v.P
+    gain = polyrep._disk_gain(tau, rr, rl)
+    degrees, carried = {}, v.loss
+    for q, g in v.rows.items():
+        degrees[q], unread = _reference_degree(g, gain)
+        carried += unread
+    s = max(degrees.values(), default=0)
+    B = min(s + 1, math.isqrt(max(1, len(degrees) + sum(degrees.values())) - 1) + 1)
+    L = min(P + 1, max(32, 2 * s, polyrep._order_needed(0, 1.0, abs(rr), 1.0)))
+    rows = _reference_compose(tau, rr, rl, v.rows, degrees, B, L)
+    tails = [polyrep._tail(res, rr) for res in rows.values()]
+    if L <= P:
+        wanted = max((polyrep._order_needed(L, *tail) for tail in tails), default=L)
+        if wanted > L:
+            L = min(P + 1, wanted)
+            rows = _reference_compose(tau, rr, rl, v.rows, degrees, B, L)
+            tails = [polyrep._tail(res, rr) for res in rows.values()]
+    rho = max((r for _, r, _ in tails), default=abs(rr))
+    lost = carried + sum(last for last, _, _ in tails)
+    loss = math.inf if rho >= 1.0 else lost / (1.0 - rho)
+    return PolyVec(rows, P, loss)
+
+
+def _drawn_row(rng, P, decay, kind):
+    """Random coefficients falling as decay**p, or the geometric series of a
+    random ratio of modulus decay / 2, with exact zeros, a subnormal tail or
+    one non-finite entry mixed in by ``kind``."""
+    p = np.arange(P + 1)
+    row = (rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1)) * decay**p
+    at = int(rng.integers(0, P + 1))
+    if kind == "geometric":
+        row = (0.5 * decay * cmath.exp(2j * math.pi * rng.random())) ** p
+    elif kind == "zeros":
+        row[rng.random(P + 1) < 0.4] = 0.0
+    elif kind == "subnormal":
+        row[at:] = 4e-320 * (1 + 1j) * rng.random(P + 1 - at)
+        row[0] = 1.0
+    elif kind in ("inf", "nan"):
+        row[at] = complex(kind)
+    return row
+
+
+# a passive link whose output needs the second pass at both weights
+@example("passive", 0.43, 2.7, 6.0, 0.95, 1.1, (2, 3.5), 128, 0.8, "geometric", 0.0, 11)
+# a passive row whose unread tail mixes zeros in: summed with its zeros, the
+# unread part groups otherwise and the loss moves by an ulp
+@example("passive", 0.14, 2.8, 4.9, 0.62, 1.1, (1,), 128, 0.3, "zeros", 0.0, 57)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    link=st.sampled_from(["passive", "reversed", "unbounded"]),
+    r=st.floats(0.0, 0.95),
+    alpha=_phase,
+    beta=_phase,
+    gamma=st.floats(0.5, 1.0),
+    grow=st.floats(1.1, 3.0),
+    weights=st.sampled_from([(1,), (2,), (3,), (1.5,), (2.5,), (1, 2), (2, 3.5)]),
+    P=st.sampled_from([1, 2, 12, 64, 128]),
+    decay=st.sampled_from([0.0, 0.3, 0.8, 1.0, 1.05]),
+    kind=st.sampled_from(["plain", "geometric", "zeros", "subnormal", "inf", "nan"]),
+    loss=st.sampled_from([0.0, 2.5e-19, np.float64(7e-21)]),
+    seed=st.integers(0, 2**16),
+)
+def test_apply_U_keeps_the_bits_of_the_fresh_buffer_evolution(
+    link, r, alpha, beta, gamma, grow, weights, P, decay, kind, loss, seed
+):
+    # passive links have gain 1; a reversed link's Lhat leaves the unit
+    # disk (1 < gain < inf), and at |R_r| >= 1 the gain is unbounded
+    t = _passive_triple(r, alpha, beta, gamma if link == "passive" else 1.0)
+    if link == "reversed":
+        t = _triple(grow * t.tau, t.r_right, t.r_left)
+        assert 1.0 < polyrep._disk_gain(t.tau, t.r_right, t.r_left) < math.inf
+    elif link == "unbounded":
+        t = _triple(t.tau, (grow - 0.1) * cmath.exp(1j * alpha), t.r_left)
+    rng = np.random.default_rng(seed)
+    rows = {q: _drawn_row(rng, P, decay, kind) for q in weights}
+    v = PolyVec._of_rows(rows, P, loss)
+    with np.errstate(all="ignore"):
+        got, want = apply_U(t, v), _reference_apply_U(t, v)
+    assert list(got.rows) == list(want.rows)
+    for q, row in want.rows.items():
+        assert got.rows[q].tobytes() == row.tobytes()
+    assert repr(got.loss) == repr(want.loss)
+
+
+@pytest.mark.parametrize("m", [1, 2, 2.5, 7])
+@pytest.mark.parametrize("c", [0.8, -1.0, 3, 0.6 - 0.3j, np.complex128(0.2 + 0.9j)])
+def test_binomial_keeps_the_bits_of_the_concatenated_series(m, c):
+    # a real c keeps real arithmetic: a complex division by k + 1 would
+    # multiply by its reciprocal and round otherwise
+    for n in (0, 1, 40, 129):
+        got, want = polyrep._binomial(m, c, n), _reference_binomial(m, c, n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -372,7 +372,8 @@ def _forbid_yaml(monkeypatch):
     def spy(*args, **kwargs):
         raise AssertionError("a JSON document reached yaml.load")
 
-    monkeypatch.setattr(potential.yaml, "load", spy)
+    # potential imports yaml where it reads a document json rejects
+    monkeypatch.setattr(yaml, "load", spy)
 
 
 @pytest.mark.parametrize("name", sorted(VALID))
