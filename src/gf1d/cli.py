@@ -140,7 +140,7 @@ def cmd_coefficients(args):
             sweep = transfer.Sweep(spec, k, args.method, args.step)
             k_cells = rows.cells(2, [k.real, k.imag]) + rows.sep
             for span, head in zip(intervals, heads):
-                tau, rr, rl = sweep.coefficients(*sweep.points(span))
+                tau, rr, rl, _ = sweep.between(*sweep.points(span))
                 coefficients = [tau.real, tau.imag, rr.real, rr.imag, rl.real, rl.imag]
                 stream.write(head + k_cells + rows.cells(4, coefficients) + rows.end)
     return 0

@@ -42,8 +42,8 @@ from .polyrep import (
     lambda_r_power,
     mu_over_one_minus_c_xi,
 )
-from .potential import check_point
-from .transfer import ScatteringTriple, Sweep
+from .potential import check_point, check_wavenumber
+from .transfer import Sweep
 
 __all__ = [
     "GreenValue",
@@ -151,11 +151,11 @@ def _chain(sweep, pairs, P, n=1):
         with np.errstate(over="ignore", invalid="ignore"):
             v, left = lambda_r_power(rr1, n, P), lambda_l_power(rl_end, n, P)
             for _, yj in pairs[1:]:
-                v = apply_U(sweep.triple(pos, yj), v)
+                v = apply_U(sweep.between(pos, yj), v)
                 v = apply_generator("L-", v) + apply_generator("K+", v)
                 pos = yj
             for i, (xj, _) in enumerate(pairs):
-                v = apply_U(sweep.triple(pos, xj), v)
+                v = apply_U(sweep.between(pos, xj), v)
                 if i < len(pairs) - 1:
                     v = apply_generator("L+", v) - apply_generator("K-", v)
                 pos = xj
@@ -191,7 +191,7 @@ def polyrep_at(sweep, q, p, P=64, variant="symmetric"):
         two_ik_g, loss = _chain(sweep, [(p, q)], P)
     elif variant == "asymmetric":
         rl3 = sweep.rl_of(p)
-        v = apply_U(sweep.triple(q, p), lambda_r(sweep.rr_of(q), P))
+        v = apply_U(sweep.between(q, p), lambda_r(sweep.rr_of(q), P))
         # L+ - K- multiplies the mu-degree-one component by -(1+xi); done on
         # a padded array so the top coefficient survives the cutoff
         comp = v.component(1)
@@ -253,7 +253,7 @@ def green_negative_power(
     v = mu_over_one_minus_c_xi(q, rr1, P)
     for _ in range(n):
         v = inverse_operator("(L-+K+)inv", v)
-    v = apply_U(ScatteringTriple(*t[:3], (at_y.x, at_x.x), k), v)
+    v = apply_U(t, v)
     for _ in range(n):
         v = inverse_operator("(L+-K-)inv", v)
     if not v.rows:  # every coefficient underflowed
@@ -288,7 +288,9 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
 
 def jump_condition_check(spec, y, k, h=1e-5):
     """Route B's |d_x G(y+, y) - d_x G(y-, y) - 1|, by one-sided 2nd-order stencils."""
-    k = complex(k)
+    k = check_wavenumber(k)
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0 < h < math.inf:
+        raise ConfigError("h", f"must be a finite real number > 0, got {h!r}")
 
     def g(x):
         return green_closed_form(spec, x, y, k).value

@@ -62,37 +62,28 @@ class PolyVec:
     """Vector stored as mu-degree rows.
 
     ``rows[q]`` is the coefficient array c[0..P] of xi**p mu**q: a row's key
-    is its weight q.  The constructor takes {q: array} and cuts or
-    zero-pads each array to P+1; rows that are all zero are dropped and no
-    row is modified in place.
+    is its weight q.  The constructor keeps a complex array of at least P+1
+    entries as its first P+1, not copied, and casts and cuts or zero-pads any
+    other; rows that are all zero are dropped.  No row is ever written.
     """
 
     def __init__(self, rows, P, loss=0.0):
         _check_cutoff(P)
-        padded = {}
-        for q, arr in rows.items():
-            arr = np.asarray(arr)[: P + 1]
-            padded[q] = np.zeros(P + 1, dtype=complex)
-            padded[q][: arr.size] = arr
-        self._set(padded, P, loss)
-
-    def _set(self, rows, P, loss):
-        self.P, self.loss = P, loss
-        self.rows = {q: rows[q] for q in sorted(rows) if np.count_nonzero(rows[q])}
-
-    @classmethod
-    def _of_rows(cls, rows, P, loss):
-        """Vector owning ``rows``, each already of length P+1."""
-        v = cls.__new__(cls)
-        v._set(rows, P, loss)
-        return v
+        self.P, self.loss, self.rows = P, loss, {}
+        for q in sorted(rows):
+            row = np.asarray(rows[q], dtype=complex)[: P + 1]
+            if row.size <= P:
+                row, short = np.zeros(P + 1, dtype=complex), row
+                row[: short.size] = short
+            if np.count_nonzero(row):
+                self.rows[q] = row
 
     @classmethod
     def basis(cls, p, q, P):
         _check_cutoff(P)
         if not 0 <= p <= P:
-            raise ValueError(f"xi-degree {p} outside [0, {P}]")
-        return cls._of_rows({q: np.eye(1, P + 1, p, dtype=complex)[0]}, P, 0.0)
+            raise ConfigError("p", f"xi-degree {p} outside [0, {P}]")
+        return cls({q: np.eye(1, P + 1, p, dtype=complex)[0]}, P)
 
     def component(self, q):
         """Coefficient array c[p] of the mu-degree-q part, length P+1."""
@@ -100,19 +91,25 @@ class PolyVec:
         return np.zeros(self.P + 1, dtype=complex) if row is None else row.copy()
 
     def __add__(self, other):
-        if self.P != other.P:
-            raise ValueError("incompatible vectors")
-        rows = dict(self.rows)
-        for q, row in other.rows.items():
-            rows[q] = rows[q] + row if q in rows else row
-        return PolyVec._of_rows(rows, self.P, self.loss + other.loss)
+        return self._sum(other, False)
 
     def __sub__(self, other):
-        return self + (other * -1.0)
+        return self._sum(other, True)
+
+    def _sum(self, other, negate):
+        """self + other, or self + other * -1.0 where ``negate``."""
+        _check_same_cutoff(self, other)
+        rows = dict(self.rows)
+        for q, row in other.rows.items():
+            if negate:  # not -row: the product's signed zeros and nans
+                row = row * -1.0
+            rows[q] = rows[q] + row if q in rows else row
+        loss = other.loss * 1.0 if negate else other.loss
+        return PolyVec(rows, self.P, self.loss + loss)
 
     def __mul__(self, scalar):
         rows = {q: row * scalar for q, row in self.rows.items()}
-        return PolyVec._of_rows(rows, self.P, self.loss * abs(scalar))
+        return PolyVec(rows, self.P, self.loss * abs(scalar))
 
     __rmul__ = __mul__
 
@@ -136,6 +133,11 @@ def _check_cutoff(P):
             f"series cutoff {P} costs {(P + 1) ** 2:.3g} coefficient products "
             f"per truncated product, over the budget of {CUTOFF_BUDGET}"
         )
+
+
+def _check_same_cutoff(a, b):
+    if a.P != b.P:
+        raise ConfigError("P", f"vectors at cutoffs {a.P} and {b.P} do not combine")
 
 
 # generator -> (xi-degree shift, mu-degree shift, coefficient(p, q))
@@ -167,7 +169,7 @@ def apply_generator(name, v):
         np.multiply(coefficient(p, q), row, out=padded[1 + dp : v.P + 2 + dp])
         lost += abs(padded[-1])
         rows[q + dn] = padded[1:-1]
-    return PolyVec._of_rows(rows, v.P, v.loss + lost)
+    return PolyVec(rows, v.P, v.loss + lost)
 
 
 def basis_weight(p, q):
@@ -211,6 +213,7 @@ def _weight_row(P, q):
 
 def inner_product(left, right):
     """Conjugate-linear in left, linear in right."""
+    _check_same_cutoff(left, right)
     total = 0j
     for q, lrow in left.rows.items():
         rrow = right.rows.get(q)
@@ -266,7 +269,7 @@ NEGLIGIBLE = 2.0**-64
 
 
 def apply_U(t, v):
-    """Evolution of the interval with scattering triple t, applied to v.
+    """Evolution of the interval whose (tau, R_r, R_l) are t[:3], applied to v.
 
     Expanded to the cutoff P of v, each mu-homogeneous component mu**q g(xi)
     maps to tau**q (1 - xi R_r)**(-q) g(Lhat(xi)).  The composition g(Lhat)
@@ -289,7 +292,7 @@ def apply_U(t, v):
     largest degree kept, and a series that does not decay (s = P,
     L = P + 1) is formed as it would be without the cut.
     """
-    tau, rr, rl = t.tau, t.r_right, t.r_left
+    tau, rr, rl = t[:3]
     P = v.P
     gain = _disk_gain(tau, rr, rl)
     degrees, carried = {}, v.loss
@@ -434,7 +437,7 @@ def lambda_l_power(r_l, n, P):
 def mu_over_one_minus_c_xi(m, c, P, scale=1.0):
     """Truncated coefficients of scale * (mu / (1 - c xi))**m."""
     _check_cutoff(P)
-    return PolyVec._of_rows({m: complex(scale) * _binomial(m, c, P)}, P, 0.0)
+    return PolyVec({m: complex(scale) * _binomial(m, c, P)}, P, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +462,7 @@ def inverse_operator(name, v):
                 padded = np.concatenate([np.zeros(v.P), g])
                 g = _series_mul(padded, _binomial(1, -1.0, v.P))
             rows[q + 1] = g
-        return PolyVec._of_rows(rows, v.P, v.loss)
+        return PolyVec(rows, v.P, v.loss)
     if name in ("L-inv", "(L-+K+)inv"):
         if len(v.rows) != 1:
             raise DomainViolation(f"{name} needs a mu-homogeneous input")
@@ -475,7 +478,7 @@ def inverse_operator(name, v):
             out[v.P] = g[v.P] / (m + v.P - 1)
             for p in range(v.P - 1, -1, -1):
                 out[p] = (g[p] - (p + 1) * out[p + 1]) / (m + p - 1)
-        return PolyVec._of_rows({m - 1: out}, v.P, v.loss)
+        return PolyVec({m - 1: out}, v.P, v.loss)
     raise ConfigError("name", f"unknown inverse operator {name!r}")
 
 

@@ -15,9 +15,8 @@ k it composes these triples piece by piece with the two-interval formula
 (the Redheffer star product), so R_r(x, -inf), R_l(+inf, x) and the triple
 of [y, x] at every query point come from shared work.  It keeps a table of
 the points it has met, and every reader takes entries of that table: a
-span is read from two entries (``Sweep.between``), a reflection from one.
-A reversed interval is the inverse of its forward span, read from the same
-memoized triple.
+span is read from two entries in either order (``Sweep.between``), a
+reflection from one.  A reversed span is the inverse of its forward one.
 ``propagate``, ``invert``, ``compose`` and the matrix algebra are not on the
 value path: they stay as the independent checks that ``verify`` runs.
 
@@ -34,6 +33,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,8 +122,8 @@ class TransferMatrix:
         return abs(det - 1.0)
 
 
-@dataclass(frozen=True)
-class ScatteringTriple:
+# a tuple: apply_U reads its (tau, R_r, R_l) as t[:3], as from a sweep's span
+class ScatteringTriple(NamedTuple):
     tau: complex
     r_right: complex
     r_left: complex
@@ -391,7 +391,9 @@ def _coefficients(alpha, beta_plus, beta_minus, interval):
 def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     """Scattering coefficients of [x1, x2]; x1 > x2 inverts the span of [x2, x1]."""
     sweep = Sweep(spec, k, method, step)
-    return sweep.triple(*sweep.points((check_point(x1, "x1"), check_point(x2, "x2"))))
+    x1, x2 = check_point(x1, "x1"), check_point(x2, "x2")
+    t = sweep.between(*sweep.points((x1, x2)))
+    return ScatteringTriple(*t[:3], (x1, x2), sweep.k)
 
 
 def riccati_coefficients(spec, x1, x2, k, step=1e-3):
@@ -504,10 +506,7 @@ def compose_triples(outer, inner):
 
     The formula is the sweep's own, ``_star``.
     """
-    t = _star(
-        (outer.tau, outer.r_right, outer.r_left, 0.0),
-        (inner.tau, inner.r_right, inner.r_left, 0.0),
-    )
+    t = _star((*outer[:3], 0.0), (*inner[:3], 0.0))
     return ScatteringTriple(*t[:3], (inner.interval[0], outer.interval[1]), outer.k)
 
 
@@ -728,7 +727,7 @@ class Sweep:
 
     def between(self, q, p):
         """(tau, R_r, R_l, error) of [y, x] from the entries q of y and p of
-        x, y <= x, held to the error bound.
+        x, held to the error bound; y > x inverts the span of [x, y].
 
         A span across breakpoints is piece(b_j, x) * head with the head
         row(i, j) * piece(y, b_i), as ``_star`` composes them.  y's head at
@@ -737,6 +736,8 @@ class Sweep:
         has the same bits whatever the sweep read before.
         """
         y, x = q.x, p.x
+        if y > x:
+            return _reverse(self.between(p, q))
         if x == y:
             t = _IDENTITY
         elif q.i > p.j:
@@ -763,16 +764,6 @@ class Sweep:
                 f"{t[3]:.3e} on [{y}, {x}]"
             )
         return t
-
-    def coefficients(self, q, p):
-        """(tau, R_r, R_l) of [q.x, p.x] from two table entries, as plain
-        numbers; q right of p inverts the span between them."""
-        t = self.between(q, p) if q.x <= p.x else _reverse(self.between(p, q))
-        return t[:3]
-
-    def triple(self, q, p):
-        """The coefficients of [q.x, p.x] as a ``ScatteringTriple``."""
-        return ScatteringTriple(*self.coefficients(q, p), (q.x, p.x), self.k)
 
     def rr_of(self, p):
         """R_r(x, -inf) of a table entry, computed when first read."""

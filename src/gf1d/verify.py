@@ -10,6 +10,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import born as born_mod
 from . import green as green_mod
 from . import polyrep, sl3, transfer
+from .errors import ConfigError
 from .potential import PotentialSpec, Segment, ConstantProfile, slab
 
 __all__ = [
@@ -121,6 +123,8 @@ def run_suite(seed=0, P=48, corrupt=False):
     ``corrupt`` perturbs one 3x3 generator entry before checking, a
     negative control that must produce failing reports.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     specs = sample_potentials(rng, 8)
     ks = sample_wavenumbers(rng, 4)

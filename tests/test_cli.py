@@ -227,6 +227,8 @@ def test_verify_jsonl(capsys):
         ["green", "--route", "born", "--method", "rk4"],
         ["coefficients", "--interval", "0:1e400"],
         ["coefficients", "--interval", "0:nan"],
+        # numpy's "expected non-negative integer" ended in a traceback, exit 1
+        ["verify", "--seed", "-1"],
     ],
 )
 def test_out_of_domain_input_exits_2(argv, capsys):

@@ -17,9 +17,12 @@ from gf1d.green import (
     green_polyrep,
     green_power,
     green_product,
+    jump_condition_check,
 )
+from gf1d.polyrep import PolyVec, inner_product
 from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab
 from gf1d.transfer import riccati_coefficients
+from gf1d.verify import run_suite
 
 SPEC = slab(0.8, -0.5, 0.5)
 K = 1.2 + 0.2j
@@ -70,6 +73,32 @@ CASES = {
     "negative-power-bool-n": (
         lambda: green_negative_power(SPEC, 0.3, -0.2, K, n=True), "n"
     ),
+    # numpy's ValueError and TypeErrors from default_rng; None drew a seed
+    # from the OS, and True ran as seed 1
+    "suite-negative-seed": (lambda: run_suite(seed=-1), "seed"),
+    "suite-float-seed": (lambda: run_suite(seed=1.5), "seed"),
+    "suite-str-seed": (lambda: run_suite(seed="3"), "seed"),
+    "suite-none-seed": (lambda: run_suite(seed=None), "seed"),
+    "suite-bool-seed": (lambda: run_suite(seed=True), "seed"),
+    # a negative h swapped the one-sided stencils and returned about 2, h = 0
+    # ended in ZeroDivisionError, and complex("1") read a string k
+    "jump-negative-h": (lambda: jump_condition_check(SPEC, 0.1, K, h=-1e-4), "h"),
+    "jump-zero-h": (lambda: jump_condition_check(SPEC, 0.1, K, h=0), "h"),
+    "jump-nan-h": (lambda: jump_condition_check(SPEC, 0.1, K, h=float("nan")), "h"),
+    "jump-inf-h": (lambda: jump_condition_check(SPEC, 0.1, K, h=float("inf")), "h"),
+    "jump-bool-h": (lambda: jump_condition_check(SPEC, 0.1, K, h=True), "h"),
+    "jump-str-h": (lambda: jump_condition_check(SPEC, 0.1, K, h="1e-4"), "h"),
+    "jump-str-k": (lambda: jump_condition_check(SPEC, 0.1, "1"), "k"),
+    # series vectors at two cutoffs: numpy's reshape error, or a plain
+    # ValueError
+    "inner-product-two-cutoffs": (
+        lambda: inner_product(PolyVec({1: [1.0]}, 4), PolyVec({1: [1.0]}, 5)), "P"
+    ),
+    "sum-two-cutoffs": (lambda: PolyVec({1: [1.0]}, 4) + PolyVec({1: [1.0]}, 5), "P"),
+    "difference-two-cutoffs": (
+        lambda: PolyVec({1: [1.0]}, 4) - PolyVec({1: [1.0]}, 5), "P"
+    ),
+    "basis-degree-past-cutoff": (lambda: PolyVec.basis(7, 1, 4), "p"),
 }
 
 

@@ -601,3 +601,62 @@ def test_polyrep_at_unit_reflection_agrees_with_closed_form():
     b = green_closed_form(spec, 0.3, -0.2, k)
     err = abs(2j * k * c.value - 2j * k * b.value)
     assert err <= TOLERANCES["route-polyrep-vs-closed"] + c.truncation_loss
+
+
+# the series routes' values and truncation losses on two media: one whose
+# product chains walk forward, and one whose chains take reversed links
+_SERIES_MEDIA = {
+    "forward": (
+        PotentialSpec(
+            tuple(
+                Segment(a, b, ConstantProfile(c))
+                for a, b, c in ((-0.8, -0.2, 0.7), (-0.2, 0.3, -0.4), (0.3, 0.9, 0.5))
+            ),
+            left_tail=0.1,
+        ),
+        (0.6, -0.5),
+        [(0.5, -0.6), (0.7, -0.2), (0.9, 0.1)],
+    ),
+    "reversed": (
+        PotentialSpec((Segment(-0.5, 0.5, ConstantProfile(0.8)),), right_tail=0.25),
+        (-0.3, 0.4),
+        [(0.4, -0.3), (0.1, 0.0), (0.3, -0.1)],
+    ),
+}
+_SERIES_PINNED = {
+    "forward": (
+        ((0.2982271841537677-0.0757451505247116j), 2.6549462706032225e-20),
+        ((0.29822718415376775-0.07574515052471162j), 5.2417988851043506e-20),
+        ((-0.6431053624556473+0.12511784987283198j), 2.809734840081239e-20),
+        ((-0.5039796618530187-0.30567925204340113j), 2.298320145288561e-20),
+        ((0.11851474988872882-1.2297525016826918j), 1.0105301933284564e-20),
+        ((-0.6834011235587875+0.2593415778813135j), 1.1194834787033287e-16),
+        ((-0.33824096234885453-0.4768182641398429j), 5.478248114319754e-16),
+    ),
+    "reversed": (
+        ((0.15465964147361821-0.2740943323048599j), 5.8386678849642275e-12),
+        ((0.15465964147361821-0.2740943323048599j), 1.0941053268358881e-11),
+        ((0.1616255111427755+0.6660784158335793j), 1.6530050009742501e-10),
+        ((-0.05924071338089574+0.6208228152382624j), 6.690610123515611e-10),
+        ((0.9494811940339658-0.7466403538607567j), 5.482823525686905e-11),
+        ((0.6845440855347413+0.47931599859669466j), 8.390780577216465e-09),
+        ((0.45838853967697474+0.6460072764377185j), 6.848490112039206e-06),
+    ),
+}
+
+
+@pytest.mark.parametrize("medium", sorted(_SERIES_PINNED))
+def test_series_values_keep_their_bits(medium):
+    spec, (x, y), pairs = _SERIES_MEDIA[medium]
+    k, P = 1.3 + 0.2j, 32
+    values = [
+        green_polyrep(spec, x, y, k, P=P),
+        green_polyrep(spec, x, y, k, P=P, variant="asymmetric"),
+        green_power(spec, x, y, k, 2, P=P),
+        green_power(spec, x, y, k, 2.5, P=P),
+        green_negative_power(spec, x, y, k, 1, P=P),
+        green_product(spec, pairs[:2], k, P=P),
+        green_product(spec, pairs, k, P=P),
+    ]
+    got = [repr((v.value, float(v.truncation_loss))) for v in values]
+    assert got == list(map(repr, _SERIES_PINNED[medium]))

@@ -1,6 +1,6 @@
-"""No orphaned names: every module-level private name of the package, and
-every name a module lists in ``__all__``, is used somewhere in the package,
-not only by the tests."""
+"""No orphaned names: every module-level private name of the package, every
+name a module lists in ``__all__``, and every method of a package class, is
+used somewhere in the package, not only by the tests."""
 
 import ast
 from pathlib import Path
@@ -55,6 +55,15 @@ def _uses(tree):
             yield node.name, node.lineno
 
 
+def _read_elsewhere(uses, stem, name, first, last):
+    """Whether any module reads ``name`` outside lines first..last of ``stem``."""
+    return any(
+        use == name and not (other == stem and first <= line <= last)
+        for other, reads in uses.items()
+        for use, line in reads
+    )
+
+
 def orphans(src=SRC, public=False):
     """The module-level private names of the package at ``src`` that nothing
     but their own definition reads, as "module.name"; with ``public``, the
@@ -70,12 +79,7 @@ def orphans(src=SRC, public=False):
         for name, first, last in _definitions(tree):
             if not (name in checked if public else _private(name)):
                 continue
-            used = any(
-                use == name and not (other == stem and first <= line <= last)
-                for other, reads in uses.items()
-                for use, line in reads
-            )
-            if not used:
+            if not _read_elsewhere(uses, stem, name, first, last):
                 found.append(f"{stem}.{name}")
     return found
 
@@ -111,3 +115,55 @@ def test_an_orphaned_public_name_is_found(tmp_path):
     )
     (tmp_path / "other.py").write_text("from .mod import shared\n")
     assert orphans(tmp_path, public=True) == ["mod.unread"]
+
+
+def _methods(tree):
+    """(class, method, first line, last line) of each method of a
+    module-level class but the dunders."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield node.name, item.name, item.lineno, item.end_lineno
+
+
+def orphaned_methods(src=SRC):
+    """The methods of the package's classes at ``src`` that no attribute read
+    in the package names outside the method's own body, as
+    "module.Class.method"; a bare name of the same spelling, such as a
+    parameter, does not count as a read."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))}
+    uses = {
+        stem: [(n.attr, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+        for stem, tree in trees.items()
+    }
+    return [
+        f"{stem}.{cls}.{name}"
+        for stem, tree in trees.items()
+        for cls, name, first, last in _methods(tree)
+        if not _read_elsewhere(uses, stem, name, first, last)
+    ]
+
+
+def test_every_method_has_a_reader():
+    assert orphaned_methods() == []
+
+
+def test_an_orphaned_method_is_found(tmp_path):
+    # of a class's methods, one is read by another module, one by a sibling
+    # method, one only by itself and one only by a parameter's spelling;
+    # dunders are exempt
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.n = 0\n\n"
+        "    def read(self):\n        return self._inner()\n\n"
+        "    def _inner(self):\n        return 1\n\n"
+        "    def again(self, n):\n        return self.again(n - 1) if n else 0\n\n"
+        "    def unread(self):\n        return 2\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "from .mod import Box\n\nBox().read()\n\n\ndef use(unread):\n    return unread\n"
+    )
+    assert orphaned_methods(tmp_path) == ["mod.Box.again", "mod.Box.unread"]

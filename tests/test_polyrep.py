@@ -110,6 +110,31 @@ def test_basis_weight_values():
         basis_weight(0, -2)
 
 
+def test_basis_weight_names_a_pole_of_the_gamma_form():
+    # q = -1 with a fractional p + q: lgamma(q + 1) is at its pole
+    with pytest.raises(GammaPole):
+        basis_weight(0.5, -1.0)
+
+
+def test_inner_product_skips_a_row_the_right_vector_lacks():
+    left = PolyVec({1: [1.0], 2: [1.0]}, 4)
+    assert inner_product(left, PolyVec({1: [2.0]}, 4)) == 2 + 0j
+
+
+def test_difference_keeps_the_bits_of_the_negated_sum():
+    # a - b negates b's rows as b * -1.0 does, a complex product: an infinite
+    # part gives a nan beside it where -b would not, and zeros keep its signs
+    P = 3
+    a = PolyVec({1: [1.0, 0.0, 2.0], 2: [1.0], 4: [0.5j]}, P, 0.5)
+    b = PolyVec({1: [1j, math.inf, 2.0], 3: [1e-320, -0.0, 1.0], 4: [0.5j]}, P, 0.25)
+    with np.errstate(invalid="ignore"):
+        got, want = a - b, a + b * -1.0
+    assert list(got.rows) == list(want.rows) == [1, 2, 3]
+    for q, row in want.rows.items():
+        assert got.rows[q].tobytes() == row.tobytes()
+    assert repr(got.loss) == repr(want.loss)
+
+
 def test_inner_product_orthogonality():
     P = 6
     a = PolyVec.basis(2, 1, P)
@@ -699,7 +724,7 @@ def test_apply_U_keeps_the_bits_of_the_fresh_buffer_evolution(
         t = _triple(t.tau, (grow - 0.1) * cmath.exp(1j * alpha), t.r_left)
     rng = np.random.default_rng(seed)
     rows = {q: _drawn_row(rng, P, decay, kind) for q in weights}
-    v = PolyVec._of_rows(rows, P, loss)
+    v = PolyVec(rows, P, loss)
     with np.errstate(all="ignore"):
         got, want = apply_U(t, v), _reference_apply_U(t, v)
     assert list(got.rows) == list(want.rows)

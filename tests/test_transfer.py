@@ -218,6 +218,20 @@ def test_compose_and_invert():
         compose(m1, m2)
 
 
+def test_propagate_over_an_empty_interval_is_the_identity():
+    k = 0.9 + 0.5j
+    m = propagate(slab(1.1, 0.0, 1.0), 0.4, 0.4, k)
+    assert m == TransferMatrix.identity(0.4, k)
+
+
+def test_compose_at_two_wavenumbers_is_refused():
+    spec = slab(1.1, 0.0, 1.0)
+    left = propagate(spec, 0.6, 1.0, 0.9 + 0.5j)
+    right = propagate(spec, 0.0, 0.6, 0.9 + 0.4j)
+    with pytest.raises(IntervalMismatch, match="wavenumbers differ"):
+        compose(left, right)
+
+
 def test_inverse_swaps_k_sign_entries():
     m = propagate(slab(0.8, 0.0, 1.0), 0.0, 1.0, 1.2)
     mi = invert(m)
@@ -883,10 +897,10 @@ def test_sweep_matches_expm_oracle(k):
     for i, x1 in enumerate(grid):
         for x2 in grid[i:]:
             u = _oracle_evolution(x1, x2, k)
-            t = sweep.triple(*sweep.points((x1, x2)))
-            assert abs(t.tau - 1.0 / u[0, 0]) < 1e-12
-            assert abs(t.r_right - u[1, 0] / u[0, 0]) < 1e-12
-            assert abs(t.r_left + u[0, 1] / u[0, 0]) < 1e-12
+            tau, rr, rl, _ = sweep.between(*sweep.points((x1, x2)))
+            assert abs(tau - 1.0 / u[0, 0]) < 1e-12
+            assert abs(rr - u[1, 0] / u[0, 0]) < 1e-12
+            assert abs(rl + u[0, 1] / u[0, 0]) < 1e-12
 
 
 def test_sweep_values_do_not_depend_on_other_points():
@@ -898,12 +912,12 @@ def test_sweep_values_do_not_depend_on_other_points():
     shared = Sweep(spec, k)
     for x in np.linspace(-1.5, 1.5, 7):
         (p,) = shared.points([x])
-        shared.rr_of(p), shared.rl_of(p), shared.triple(*shared.points((-1.5, x)))
+        shared.rr_of(p), shared.rl_of(p), shared.between(*shared.points((-1.5, x)))
     for x in np.linspace(-1.5, 1.5, 7):
         fresh = Sweep(spec, k)
         (p,), (f,) = shared.points([x]), fresh.points([x])
-        want = shared.triple(*shared.points((-1.5, x)))
-        assert fresh.triple(*fresh.points((-1.5, x))) == want
+        want = shared.between(*shared.points((-1.5, x)))
+        assert fresh.between(*fresh.points((-1.5, x))) == want
         assert fresh.rr_of(f) == shared.rr_of(p)
         assert fresh.rl_of(f) == shared.rl_of(p)
 
@@ -944,9 +958,9 @@ def test_rk4_span_is_held_to_the_summed_step_error():
     )
     sweep = Sweep(spec, 1.2 + 0.3j, method="rk4", step=0.05)
     for a in starts:
-        sweep.triple(*sweep.points((a, a + 0.5)))
+        sweep.between(*sweep.points((a, a + 0.5)))
     with pytest.raises(StepTooLarge):
-        sweep.triple(*sweep.points((0.0, 1.5)))
+        sweep.between(*sweep.points((0.0, 1.5)))
 
 
 def _backward_evolution(pieces, tails, x_hi, x_lo, k):
@@ -988,8 +1002,7 @@ def test_reversed_interval_is_finite_or_named(cs, widths, tails, ends, k_re, k_i
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            sweep = Sweep(spec, k)
-            t = sweep.triple(*sweep.points((x_hi, x_lo)))
+            t = interval_triple(spec, x_hi, x_lo, k)
         except Gf1dError:
             return
     got = (t.tau, t.r_right, t.r_left)
@@ -1020,12 +1033,12 @@ def test_long_rk4_piece_is_stepped_in_chunks():
     spec = PotentialSpec(segments=(Segment(0.0, 12.0, LinearProfile(1.5, -0.2)),))
     k = 0.8 + 5.5j
     sweep = Sweep(spec, k, method="rk4", step=1e-3)
-    t = sweep.triple(*sweep.points((0.0, 12.0)))
+    tau, rr, rl, _ = sweep.between(*sweep.points((0.0, 12.0)))
     m = propagate(spec, 0.0, 12.0, k, method="rk4", step=1e-3)
     want = scattering_coefficients(m)
-    assert abs(t.tau - want.tau) <= 1e-9 * abs(want.tau)
-    assert abs(t.r_right - want.r_right) < 1e-9
-    assert abs(t.r_left - want.r_left) < 1e-9
+    assert abs(tau - want.tau) <= 1e-9 * abs(want.tau)
+    assert abs(rr - want.r_right) < 1e-9
+    assert abs(rl - want.r_left) < 1e-9
 
 
 @pytest.mark.parametrize(
