@@ -18,7 +18,7 @@ import sys
 
 from . import born as born_mod
 from . import green as green_mod
-from . import sl3, transfer, verify
+from . import polyrep, sl3, transfer, verify
 from .errors import ConfigError, DenominatorZero, Gf1dError, WronskianZero
 from .potential import PotentialSpec, check_wavenumber, load_potential
 
@@ -131,6 +131,7 @@ def cmd_coefficients(args):
         "tau_re", "tau_im", "r_right_re", "r_right_im",
         "r_left_re", "r_left_im",
     ]
+    transfer._check_method(args.method, args.step)  # before any output
     rows = _Rows(args.format, header)
     with _output(args) as stream:
         stream.write(rows.header)
@@ -147,8 +148,6 @@ def cmd_coefficients(args):
 
 
 def _born(sweep, q, p, args):
-    if args.method != "exact_piecewise":
-        raise ConfigError("--method", "route born samples f directly; it has no rk4")
     gv = born_mod.born_series(sweep.spec, q.x, p.x, sweep.k, max_order=args.order)[0]
     return gv.value, gv.truncation_loss
 
@@ -184,6 +183,16 @@ def cmd_green(args):
     label, route = _ROUTES[args.route]
     check = green_mod.closed_form_at
     label = label.format(order=args.order)
+    # the arguments every pair reads are checked before any output, by the
+    # library's checks in the order the first pair meets them
+    transfer._check_method(args.method, args.step)
+    if args.route in ("C", "C-asym"):
+        polyrep._check_cutoff(args.P)
+    elif args.route == "born":
+        if args.method != "exact_piecewise":
+            raise ConfigError("--method", "route born samples f directly; it has no rk4")
+        born_mod._check_count("order", args.order, 0)
+        born_mod._check_tails(spec)
     rows = _Rows(args.format, header)
     with _output(args) as stream:
         stream.write(rows.header)

@@ -17,9 +17,13 @@ Every route reads its endpoint data from a ``transfer.Sweep``; the
 which take the pair as two entries of the sweep's point table, q of y and
 p of x, y <= x.  A caller that evaluates many points at one k (the CLI
 grid) calls them on one shared sweep, so each point's side of its spans is
-read once per sweep.  A value half returns plain numbers, (G, truncation
-loss), and raises a pole's error like any other, so a caller catches poles
-per pair; only the public routes wrap the numbers in a ``GreenValue``.
+read once per sweep.  The public routes take the calling thread's last
+sweep when it serves the same medium object at the same k, method and step
+(``transfer._shared_sweep``), so a bundle of routes at one point pays for
+its spans once; a value does not depend on what a sweep served before.
+A value half returns plain numbers, (G, truncation loss), and raises a
+pole's error like any other, so a caller catches poles per pair; only the
+public routes wrap the numbers in a ``GreenValue``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .polyrep import (
     mu_over_one_minus_c_xi,
 )
 from .potential import check_point, check_wavenumber
-from .transfer import Sweep
+from .transfer import _shared_sweep
 
 __all__ = [
     "GreenValue",
@@ -77,7 +81,7 @@ class GreenValue:
 def _entries(spec, x, y, k, method, step):
     """(sweep, q, p) of a single-pair route at k: the table entries q of
     min(x, y) and p of max(x, y), after checking k and the points."""
-    sweep = Sweep(spec, k, method, step)
+    sweep = _shared_sweep(spec, k, method, step)
     check_point(x, "x")
     check_point(y, "y")
     hi, lo = (x, y) if x >= y else (y, x)
@@ -271,7 +275,7 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
     (``_chain``); one pair is route C's 2ikG.  The returned x and y are x_m
     and y_1, each pair ordered x_i >= y_i.
     """
-    sweep = Sweep(spec, k, method, step)
+    sweep = _shared_sweep(spec, k, method, step)
     try:
         pairs = [(x, y) for x, y in pairs]
     except (TypeError, ValueError):

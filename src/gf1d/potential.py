@@ -40,9 +40,10 @@ __all__ = [
 def check_wavenumber(k):
     """Validate that k is a finite, nonzero number with Im k >= 0; return it
     as complex.  A bool is refused, though Python counts it a number."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Complex):
-        raise ConfigError("k", f"wavenumber must be a number, got {k!r}")
-    k = complex(k)
+    if type(k) is not complex:  # a complex skips the slower ABC check
+        if isinstance(k, bool) or not isinstance(k, numbers.Complex):
+            raise ConfigError("k", f"wavenumber must be a number, got {k!r}")
+        k = complex(k)
     if not cmath.isfinite(k) or k == 0 or k.imag < 0:
         raise ConfigError(
             "k", f"wavenumber must be finite and nonzero with Im k >= 0, got {k}"
@@ -53,7 +54,8 @@ def check_wavenumber(k):
 def check_point(x, field="x"):
     """Validate that a position, or any number of the medium, is a finite
     real number, not a bool; return it unchanged."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    # a float skips the slower ABC check
+    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise ConfigError(field, f"must be a real number, got {x!r}")
     if not math.isfinite(x):
         raise ConfigError(field, f"must be finite, got {x}")

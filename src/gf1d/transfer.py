@@ -20,6 +20,11 @@ reflection from one.  A reversed span is the inverse of its forward one.
 ``propagate``, ``invert``, ``compose`` and the matrix algebra are not on the
 value path: they stay as the independent checks that ``verify`` runs.
 
+A sweep is not for sharing between threads: it extends its memos by
+check-then-act.  The public routes take their sweep from ``_shared_sweep``,
+which keeps the calling thread's last sweep, so consecutive calls on one
+medium object at one k read one sweep.
+
 A piece is a stretch between consecutive knots of the medium; f is linear
 on it and read from its two end values (``PotentialSpec.ends``).  A piece
 with equal end values is constant and takes the closed form; any other
@@ -32,6 +37,7 @@ import bisect
 import cmath
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,6 +96,11 @@ _COSH_SINHC_SERIES = np.array(
 )[:, :, None, None]
 # the identity an odd level of the two stacked Magnus products takes at its end
 _EYE = np.tile(np.eye(2, dtype=complex)[:, :, None], (2, 1, 1, 1))
+# a remembered sweep is reused while its point table holds fewer points than
+# this, so a long scan at one medium and k keeps about this many at a time
+_SHARED_POINTS = 64
+# each thread's last sweep of ``_shared_sweep``: (spec, key, sweep)
+_shared = threading.local()
 
 
 @dataclass(frozen=True)
@@ -390,7 +401,7 @@ def _coefficients(alpha, beta_plus, beta_minus, interval):
 
 def interval_triple(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     """Scattering coefficients of [x1, x2]; x1 > x2 inverts the span of [x2, x1]."""
-    sweep = Sweep(spec, k, method, step)
+    sweep = _shared_sweep(spec, k, method, step)
     x1, x2 = check_point(x1, "x1"), check_point(x2, "x2")
     t = sweep.between(*sweep.points((x1, x2)))
     return ScatteringTriple(*t[:3], (x1, x2), sweep.k)
@@ -525,7 +536,7 @@ def _tail_seed(c, k, side):
 
 def semi_infinite_coefficients(spec, x, k, method="exact_piecewise", step=1e-3):
     """(R_r(x, -inf), R_l(+inf, x)) for vacuum or constant tails."""
-    sweep = Sweep(spec, k, method, step)
+    sweep = _shared_sweep(spec, k, method, step)
     (p,) = sweep.points((check_point(x, "x"),))
     return sweep.rr_of(p), sweep.rl_of(p)
 
@@ -646,6 +657,10 @@ class Sweep:
     between two query points is composed each time it is read, which a
     grid does once per pair, and a constant piece between them is not kept:
     the memory grows as the points times the breakpoints, not with the pairs.
+
+    A sweep is not for sharing between threads: ``_row`` extends a row by
+    check-then-append, so two threads could append one span twice and shift
+    every later span of that row.
     """
 
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
@@ -713,11 +728,13 @@ class Sweep:
 
     def points(self, xs):
         """The table entries of the points xs, in order, each made when the
-        sweep first meets its point; a zero is keyed with its sign, so a
-        message names x as the caller wrote it."""
+        sweep first meets its point.  A zero, or a point that is not a
+        float, is keyed with its sign and type: a message names x as the
+        caller wrote it, and a numpy float, whose arithmetic rounds unlike a
+        float's, never serves a float point of equal value or the reverse."""
         table, bps, entries = self._table, self._bps, []
         for x in xs:
-            key = x if x else (x, math.copysign(1.0, x))
+            key = x if x and type(x) is float else (x, type(x), math.copysign(1.0, x))
             p = table.get(key)
             if p is None:
                 i, j = bisect.bisect_left(bps, x), bisect.bisect_right(bps, x) - 1
@@ -790,3 +807,27 @@ class Sweep:
                 tail = (0j, 0j, self._right_seed, 0.0)
                 p.rl = _star(tail, self.between(p, *self.points(bps[-1:])))[2]
         return p.rl
+
+
+def _shared_sweep(spec, k, method, step):
+    """The calling thread's last sweep if it serves this spec object at this
+    k, method and step and its table holds fewer than ``_SHARED_POINTS``
+    points; otherwise a new ``Sweep``, remembered in its place.
+
+    k, method and step are checked first, so every error and its order are
+    those of ``Sweep``.  The spec is matched by identity, k by its bits
+    (1+0j and 1-0j are equal but not the same k) and the step, which only
+    rk4 reads, by value and type.  A value at given points depends on those
+    points and the breakpoints only, so a shared sweep gives the bits of a
+    fresh one.  Each thread keeps its own.
+    """
+    k = check_wavenumber(k)
+    _check_method(method, step)
+    key = (k, math.copysign(1.0, k.real), math.copysign(1.0, k.imag), method,
+           (type(step), step) if method == "rk4" else None)
+    last = getattr(_shared, "last", None)
+    if last and last[0] is spec and last[1] == key and len(last[2]._table) < _SHARED_POINTS:
+        return last[2]
+    sweep = Sweep(spec, k, method, step)
+    _shared.last = (spec, key, sweep)
+    return sweep

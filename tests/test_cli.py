@@ -242,6 +242,36 @@ def test_out_of_domain_input_exits_2(argv, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["green", "--method", "rk4", "--step", "0"], 2),
+        (["coefficients", "--method", "rk4", "--step", "-1"], 2),
+        (["green", "--route", "C", "--P", "0"], 2),
+        (["green", "--route", "C-asym", "--P", "0"], 2),
+        (["green", "--route", "C", "--P", "5000"], 3),
+        (["green", "--route", "born", "--order", "-1"], 2),
+        (["green", "--route", "born", "--method", "rk4"], 2),
+        (["green", "--route", "born", "--potential", "{tailed}"], 2),
+    ],
+)
+def test_argument_errors_come_before_any_output(argv, code, tmp_path, capsys):
+    # each was checked in the first pair, after the CSV header was written
+    # to stdout or to the --out file, which was truncated first
+    tailed = tmp_path / "tailed.yaml"
+    tailed.write_text(POT_LEFT_TAIL)
+    argv = [a.format(tailed=tailed) for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    assert main(argv + ["--out", str(path)]) == code
+    assert path.read_text() == "kept\n"
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("command", ["green", "coefficients"])
 def test_tiny_step_exits_3(command, tmp_path, capsys):
     # it ended in a numpy _ArrayMemoryError traceback of 7.28 TiB

@@ -660,3 +660,297 @@ def test_series_values_keep_their_bits(medium):
     ]
     got = [repr((v.value, float(v.truncation_loss))) for v in values]
     assert got == list(map(repr, _SERIES_PINNED[medium]))
+
+
+# ---------------------------------------------------------------------------
+# the shared sweep: consecutive public calls on one medium object and one k
+# read one sweep (transfer._shared_sweep), and no value may depend on it
+
+
+def _tailed_medium():
+    """A fresh medium object, so that its first call misses the shared sweep."""
+    return PotentialSpec(segments=SPEC.segments, left_tail=0.4, right_tail=-0.3)
+
+
+def _linear_medium():
+    return PotentialSpec(segments=(Segment(-0.5, 0.8, LinearProfile(0.2, 0.6)),))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every sweep built while the test runs, in order."""
+    sweeps = []
+
+    class Spy(transfer.Sweep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sweeps.append(self)
+
+    monkeypatch.setattr(transfer, "Sweep", Spy)
+    return sweeps
+
+
+_X, _Y, _P = 0.6, -0.3, 32
+_PAIRS = [(0.6, -0.3), (0.45, -0.1), (0.3, 0.05)]
+_RK4 = {"method": "rk4", "step": 0.01}
+
+
+def _route_bundle(spec, linear, k):
+    """(name, public call, the same reader on a fresh sweep) for every public
+    route that takes the shared sweep."""
+    from gf1d.green import _chain, polyrep_at
+    from gf1d.sl3 import wronskian_at
+    from gf1d.transfer import interval_triple
+
+    def pair(s, x=_X, y=_Y):
+        return s.points((y, x))
+
+    def value(v):
+        return (v.value, v.truncation_loss)
+
+    def fresh(reader, medium=spec, **kw):
+        return lambda: reader(Sweep(medium, k, **kw))
+
+    def product(pairs):
+        m = len(pairs)
+        prefactor = (-1) ** (m - 1) / (math.factorial(m) * math.factorial(m - 1))
+
+        def reader(s):
+            val, loss = _chain(s, [s.points(p) for p in pairs], _P)
+            return prefactor * val, loss
+
+        return reader
+
+    def semi_infinite(s):
+        (p,) = s.points((_X,))
+        return s.rr_of(p), s.rl_of(p)
+
+    bundle = [
+        ("A", lambda: value(green_wronskian(spec, _X, _Y, k)),
+         fresh(lambda s: wronskian_at(s, *pair(s)))),
+        ("B", lambda: value(green_closed_form(spec, _X, _Y, k)),
+         fresh(lambda s: closed_form_at(s, *pair(s)))),
+        ("C", lambda: value(green_polyrep(spec, _X, _Y, k, P=_P)),
+         fresh(lambda s: polyrep_at(s, *pair(s), _P))),
+        ("C-asym", lambda: value(green_polyrep(spec, _X, _Y, k, P=_P, variant="asymmetric")),
+         fresh(lambda s: polyrep_at(s, *pair(s), _P, "asymmetric"))),
+        ("product2", lambda: value(green_product(spec, _PAIRS[:2], k, P=_P)),
+         fresh(product(_PAIRS[:2]))),
+        ("product3", lambda: value(green_product(spec, _PAIRS, k, P=_P)),
+         fresh(product(_PAIRS))),
+        ("triple", lambda: interval_triple(spec, _Y, _X, k)[:3],
+         fresh(lambda s: s.between(*pair(s))[:3])),
+        ("triple-reversed", lambda: interval_triple(spec, _X, _Y, k)[:3],
+         fresh(lambda s: s.between(*pair(s)[::-1])[:3])),
+        ("semi-infinite", lambda: semi_infinite_coefficients(spec, _X, k),
+         fresh(semi_infinite)),
+        ("rk4-B", lambda: value(green_closed_form(linear, _X, _Y, k, **_RK4)),
+         fresh(lambda s: closed_form_at(s, *pair(s)), linear, **_RK4)),
+        ("rk4-A", lambda: value(green_wronskian(linear, _X, _Y, k, **_RK4)),
+         fresh(lambda s: wronskian_at(s, *pair(s)), linear, **_RK4)),
+    ]
+    for n in (2, 2.5):
+        def reader(s, n=n):
+            val, loss = _chain(s, [pair(s)], _P, n)
+            return val / n, loss
+
+        bundle.append((f"power{n}", lambda n=n: value(green_power(spec, _X, _Y, k, n, P=_P)),
+                       fresh(reader)))
+    # no pair reader: the reference is the route on a medium object of its own,
+    # equal by value, which builds its own sweep
+    bundle.append((
+        "negpower1", lambda: value(green_negative_power(spec, _X, _Y, k, 1, P=_P)),
+        lambda: value(green_negative_power(
+            PotentialSpec(spec.segments, spec.left_tail, spec.right_tail), _X, _Y, k, 1, P=_P
+        )),
+    ))
+    return bundle
+
+
+def test_shared_sweep_keeps_the_bits_of_a_fresh_one(built):
+    spec, linear, k = _tailed_medium(), _linear_medium(), 1.1 + 0.3j
+    bundle = _route_bundle(spec, linear, k)
+    for calls in (bundle, bundle[::-1]):
+        n = len(built)
+        got = {name: repr(call()) for name, call, _ in calls}
+        shared = len(built) - n
+        want = {name: repr(reference()) for name, _, reference in calls}
+        assert got == want
+        # one sweep per medium in the forward order; the reversed order
+        # enters the tailed medium's calls twice, after and before the rk4 ones
+        assert shared <= 3
+
+
+def test_shared_sweep_is_keyed_by_the_checked_k_and_the_medium_object(built):
+    spec = _tailed_medium()
+    green_closed_form(spec, _X, _Y, 1)
+    # a bool is refused before any lookup, though True == 1
+    with pytest.raises(ConfigError) as info:
+        green_closed_form(spec, _X, _Y, True)
+    assert info.value.field == "k"
+    assert len(built) == 1
+    green_closed_form(spec, _X, _Y, 1.0 + 0j)
+    assert len(built) == 1
+    # equal under ==, but not the same k
+    green_closed_form(spec, _X, _Y, complex(1.0, -0.0))
+    assert len(built) == 2 and built[1].k.imag == 0.0
+    assert math.copysign(1.0, built[1].k.imag) == -1.0
+    # a medium equal by value is another object
+    twin = PotentialSpec(spec.segments, spec.left_tail, spec.right_tail)
+    assert twin == spec
+    green_closed_form(twin, _X, _Y, 1)
+    assert len(built) == 3 and built[2].spec is twin
+    # the step and its type key an rk4 sweep; exact_piecewise never reads it
+    linear = _linear_medium()
+    for step in (0.01, 0.01, 0.02, np.float64(0.02)):
+        green_closed_form(linear, _X, _Y, 1.1 + 0.3j, method="rk4", step=step)
+    assert len(built) == 6
+    for step in (1e-3, 0.5):
+        green_closed_form(spec, _X, _Y, 1.1 + 0.3j, step=step)
+    assert len(built) == 7
+
+
+def test_a_numpy_point_never_serves_a_float_point(built):
+    # a numpy float's arithmetic rounds unlike a float's, so an entry made
+    # for np.float64(0.6) must not serve 0.6 on the shared sweep
+    spec, k = _tailed_medium(), 1.1 + 0.3j
+    x, y = np.float64(_X), np.float64(_Y)
+    green_closed_form(spec, x, y, k)
+    got = green_closed_form(spec, _X, _Y, k).value
+    assert len(built) == 1
+    fresh = Sweep(spec, k)
+    want = closed_form_at(fresh, *fresh.points((_Y, _X)))[0]
+    assert repr(got) == repr(want)
+
+
+def test_a_failed_call_leaves_the_shared_sweep_usable(built):
+    from gf1d.transfer import interval_triple
+
+    pole = load_potential(io.StringIO(POLE_POT))
+    with pytest.raises(DenominatorZero):
+        green_closed_form(pole, 0.3, -0.2, POLE_K)
+    got = interval_triple(pole, -0.2, 0.3, POLE_K)
+    fresh = Sweep(pole, POLE_K)
+    assert repr(got[:3]) == repr(fresh.between(*fresh.points((-0.2, 0.3)))[:3])
+    got = semi_infinite_coefficients(pole, 0.3, POLE_K)
+    (p,) = fresh.points((0.3,))
+    assert repr(got) == repr((fresh.rr_of(p), fresh.rl_of(p)))
+    # f = 3x - 1.5 in three pieces at a coarse step: a span over all three
+    # fails the summed step-doubling error, a span inside one piece passes
+    ramp = PotentialSpec(
+        segments=tuple(Segment(a, a + 0.5, LinearProfile(3.0 * a - 1.5, 3.0))
+                       for a in (0.0, 0.5, 1.0))
+    )
+    k, rk4 = 1.2 + 0.3j, {"method": "rk4", "step": 0.05}
+    with pytest.raises(StepTooLarge):
+        interval_triple(ramp, 0.0, 1.5, k, **rk4)
+    got = interval_triple(ramp, 0.6, 0.9, k, **rk4)
+    fresh = Sweep(ramp, k, **rk4)
+    assert repr(got[:3]) == repr(fresh.between(*fresh.points((0.6, 0.9)))[:3])
+    # the remembered sweep served both calls after each failure
+    assert [s.spec for s in built] == [pole, ramp]
+
+
+def test_a_long_scan_keeps_the_shared_table_bounded(built):
+    # route B along x at a fixed y: each call brings one new point
+    spec, k, bound = _tailed_medium(), 1.1 + 0.3j, transfer._SHARED_POINTS
+    xs = [-0.9 + 1.7 * i / (10 * bound) for i in range(10 * bound)]
+    got = [repr(green_closed_form(spec, x, _Y, k).value) for x in xs]
+    assert len(built) >= 10
+    assert max(len(s._table) for s in built) <= bound
+    want = []
+    for x in xs:
+        s = Sweep(spec, k)
+        want.append(repr(closed_form_at(s, *s.points(sorted((x, _Y))))[0]))
+    assert got == want
+
+
+def test_the_point_series_bundle_builds_one_sweep(monkeypatch, built):
+    # a point_series job's eight routes on one medium and k: 8 sweeps before
+    # the shared sweep, and about 2.6 times the constant pieces
+    pieces = []
+    piece = transfer._constant_piece
+    monkeypatch.setattr(transfer, "_constant_piece", lambda *a: pieces.append(a) or piece(*a))
+    k = 1.3 + 0.4j
+    counts = []
+    for _ in range(2):
+        spec = _tailed_medium()
+        n, m = len(built), len(pieces)
+        green_wronskian(spec, _X, _Y, k)
+        green_closed_form(spec, _X, _Y, k)
+        green_polyrep(spec, _X, _Y, k, P=64)
+        green_polyrep(spec, _X, _Y, k, P=64, variant="asymmetric")
+        green_power(spec, _X, _Y, k, 2, P=64)
+        green_negative_power(spec, _X, _Y, k, 1, P=64)
+        green_product(spec, _PAIRS[:2], k, P=64)
+        green_product(spec, _PAIRS, k, P=128)
+        counts.append((len(built) - n, len(pieces) - m))
+    # a second medium object builds its own sweep, and the counts repeat
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 1
+    # each route on a sweep of its own composes the pieces again
+    n = len(pieces)
+    spec = _tailed_medium()
+    green_wronskian(spec, _X, _Y, k)
+    for _ in range(5):
+        green_closed_form(PotentialSpec(spec.segments, spec.left_tail, spec.right_tail),
+                          _X, _Y, k)
+    assert len(pieces) - n > counts[0][1]
+
+
+def test_threads_read_their_own_shared_sweeps():
+    # Sweep._row extends a row by check-then-append: a sweep shared between
+    # threads could append one span twice and shift the spans after it.  In
+    # each round every thread runs the bundle on the same new medium object,
+    # at one shared k and at a k of its own.
+    import sys
+    import threading
+    import time
+
+    # many slabs, so that extending a row is a long loop
+    edges = np.linspace(-0.9, 0.9, 25).tolist()
+    segments = tuple(
+        Segment(a, b, ConstantProfile(0.9 * math.sin(3.0 * a))) for a, b in zip(edges, edges[1:])
+    )
+    spec = PotentialSpec(segments=segments, left_tail=0.4, right_tail=-0.3)
+    linear = _linear_medium()
+    shared_k, n_threads = 1.1 + 0.3j, 8
+    ks = [shared_k] + [1.0 + 0.1 * i + 0.25j for i in range(n_threads)]
+    reference = {
+        k: {name: repr(call()) for name, call, _ in _route_bundle(spec, linear, k)}
+        for k in ks
+    }
+    deadline = time.monotonic() + 2.0
+    media, failures, go = [], [], []
+
+    def next_round():  # run by one thread while the others wait
+        go.append(time.monotonic() < deadline)
+        media.append(PotentialSpec(spec.segments, spec.left_tail, spec.right_tail))
+
+    barrier = threading.Barrier(n_threads, action=next_round, timeout=60)
+
+    def work(own_k):
+        try:
+            while barrier.wait() is not None and go[-1]:
+                medium = media[-1]
+                for k in (shared_k, own_k):
+                    for name, call, _ in _route_bundle(medium, linear, k):
+                        if repr(call()) != reference[k][name]:
+                            failures.append((k, name))
+        except Exception as exc:  # reported below, not lost with the thread
+            failures.append(repr(exc))
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in ks[1:]]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert len(media) > 2
