@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureBudget, ResonanceDivision
 from .green import GreenValue
-from .potential import check_point, check_wavenumber
+from .potential import check_point, check_spec, check_wavenumber
 from .quadrature import gauss_legendre
 
 __all__ = ["SeriesTerm", "born_series"]
@@ -97,17 +97,6 @@ def _passes(spec, edges, k, n_nodes, x_c, y_c, max_order):
             phi = phi[::-1]
 
 
-def _check_count(field, n, least):
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise ConfigError(field, f"must be an integer >= {least}, got {n!r}")
-
-
-def _check_tails(spec):
-    for name in ("left_tail", "right_tail"):
-        if getattr(spec, name) not in (None, 0.0):
-            raise ConfigError(name, "the Born series needs vacuum tails")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def born_series(spec, x, y, k, max_order=3, n_nodes=32):
     """Terms of the expansion of 2ikG(x, y) up to max_order.
@@ -117,11 +106,15 @@ def born_series(spec, x, y, k, max_order=3, n_nodes=32):
     per panel and the rule n_nodes**2, all counted against NODE_BUDGET.  A
     term or sum that leaves the float range raises ``ResonanceDivision``.
     """
-    _check_count("order", max_order, 0)
-    _check_count("n_nodes", n_nodes, 1)
+    for field, n, least in (("order", max_order, 0), ("n_nodes", n_nodes, 1)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+            raise ConfigError(field, f"must be an integer >= {least}, got {n!r}")
     k = check_wavenumber(k)
     x_in, y_in = check_point(x, "x"), check_point(y, "y")
-    _check_tails(spec)
+    check_spec(spec)
+    for name in ("left_tail", "right_tail"):
+        if getattr(spec, name) not in (None, 0.0):
+            raise ConfigError(name, "the Born series needs vacuum tails")
     if x < y:
         x, y = y, x
     terms = [SeriesTerm(0, "A0", +1, complex(np.exp(1j * k * (x - y))))]

@@ -9,7 +9,6 @@ Re/Im columns, rows in deterministic grid order, no timestamps.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -18,7 +17,7 @@ import sys
 
 from . import born as born_mod
 from . import green as green_mod
-from . import polyrep, sl3, transfer, verify
+from . import sl3, transfer, verify
 from .errors import ConfigError, DenominatorZero, Gf1dError, WronskianZero
 from .potential import PotentialSpec, check_wavenumber, load_potential
 
@@ -96,24 +95,33 @@ class _Rows:
         return ", ".join(key + json.dumps(v) for key, v in zip(keys, values))
 
 
-@contextlib.contextmanager
-def _output(args):
-    """The --out file, closed after, or stdout, where a reader that closes
-    the pipe early (``| head``) ends the output quietly."""
-    if args.out not in (None, "-"):
+def _write(args, texts):
+    """Write a command's rows to the --out file or to stdout; return its exit
+    code.  A command yields its exit code with its header, then at least one
+    row, and raises on an error in a row.  Neither output is opened before
+    the first row exists, so an error in that row, of an argument or of a
+    number, leaves stdout empty and the --out file as it was.  A reader that
+    closes stdout early (``| head``) ends the output quietly.
+    """
+    code, header = next(texts)
+    first = header + next(texts)
+    if args.out in (None, "-"):
         try:
-            stream = open(args.out, "w", newline="")
-        except OSError as exc:
-            msg = f"cannot write {args.out!r}: {exc.strerror}"
-            raise ConfigError("--out", msg) from exc
-        with stream:
-            yield stream
-        return
+            sys.stdout.write(first)
+            sys.stdout.writelines(texts)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the flush at interpreter exit would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     try:
-        yield sys.stdout
-        sys.stdout.flush()
-    except BrokenPipeError:  # the flush at interpreter exit would fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        stream = open(args.out, "w", newline="")
+    except OSError as exc:
+        msg = f"cannot write {args.out!r}: {exc.strerror}"
+        raise ConfigError("--out", msg) from exc
+    with stream:
+        stream.write(first)
+        stream.writelines(texts)
+    return code
 
 
 def cmd_coefficients(args):
@@ -131,23 +139,22 @@ def cmd_coefficients(args):
         "tau_re", "tau_im", "r_right_re", "r_right_im",
         "r_left_re", "r_left_im",
     ]
-    transfer._check_method(args.method, args.step)  # before any output
     rows = _Rows(args.format, header)
-    with _output(args) as stream:
-        stream.write(rows.header)
-        # each interval's cells, and each k's below, are formatted once
-        heads = [rows.start + rows.cells(0, span) + rows.sep for span in intervals]
-        for k in ks:
-            sweep = transfer.Sweep(spec, k, args.method, args.step)
-            k_cells = rows.cells(2, [k.real, k.imag]) + rows.sep
-            for span, head in zip(intervals, heads):
-                tau, rr, rl, _ = sweep.between(*sweep.points(span))
-                coefficients = [tau.real, tau.imag, rr.real, rr.imag, rl.real, rl.imag]
-                stream.write(head + k_cells + rows.cells(4, coefficients) + rows.end)
-    return 0
+    yield 0, rows.header
+    # each interval's cells, and each k's below, are formatted once
+    heads = [rows.start + rows.cells(0, span) + rows.sep for span in intervals]
+    for k in ks:
+        sweep = transfer.Sweep(spec, k, args.method, args.step)
+        k_cells = rows.cells(2, [k.real, k.imag]) + rows.sep
+        for span, head in zip(intervals, heads):
+            tau, rr, rl, _ = sweep.between(*sweep.points(span))
+            coefficients = [tau.real, tau.imag, rr.real, rr.imag, rl.real, rl.imag]
+            yield head + k_cells + rows.cells(4, coefficients) + rows.end
 
 
 def _born(sweep, q, p, args):
+    if args.method != "exact_piecewise":
+        raise ConfigError("--method", "route born samples f directly; it has no rk4")
     gv = born_mod.born_series(sweep.spec, q.x, p.x, sweep.k, max_order=args.order)[0]
     return gv.value, gv.truncation_loss
 
@@ -183,66 +190,52 @@ def cmd_green(args):
     label, route = _ROUTES[args.route]
     check = green_mod.closed_form_at
     label = label.format(order=args.order)
-    # the arguments every pair reads are checked before any output, by the
-    # library's checks in the order the first pair meets them
-    transfer._check_method(args.method, args.step)
-    if args.route in ("C", "C-asym"):
-        polyrep._check_cutoff(args.P)
-    elif args.route == "born":
-        if args.method != "exact_piecewise":
-            raise ConfigError("--method", "route born samples f directly; it has no rk4")
-        born_mod._check_count("order", args.order, 0)
-        born_mod._check_tails(spec)
     rows = _Rows(args.format, header)
-    with _output(args) as stream:
-        stream.write(rows.header)
-        # each grid point's cells as x and as y, and each k's, formatted once
-        xs = [rows.start + rows.cells(0, [x]) + rows.sep for x in grid]
-        ys = [rows.cells(1, [y]) + rows.sep for y in grid]
-        for k in ks:
-            sweep = transfer.Sweep(spec, k, args.method, args.step)
-            points = sweep.points(grid)
-            k_cells = rows.cells(2, [k.real, k.imag]) + rows.sep
-            # every route orders (x, y) before it computes, so G(x, y) and
-            # G(y, x) are the same bits: a row below the diagonal reuses the
-            # text after y of the one above it, each formatted when grid
-            # order first meets it.  Each pair is computed as it is written,
-            # so a failure leaves the rows before it written.
-            mirrored = {}
-            for i, q in enumerate(points):
-                for j in range(i):
-                    stream.write(xs[i] + ys[j] + mirrored.pop((j, i)))
-                for j, p in enumerate(points[i:], i):
-                    try:
-                        g, loss = route(sweep, q, p, args)
-                    except (DenominatorZero, WronskianZero):  # a bound-state pole
-                        cells = ["", "", "pole", ""] + ([""] if args.check else [])
-                    else:
-                        val = 2j * k * g
-                        cells = [val.real, val.imag, label, loss]
-                        if args.check:  # route B is its own check
-                            try:
-                                b = g if args.route == "B" else check(sweep, q, p)[0]
-                            except DenominatorZero:  # route B's pole
-                                cells.append("")
-                            else:
-                                cells.append(abs(val - 2j * k * b))
-                    tail = k_cells + rows.cells(4, cells) + rows.end
-                    if j > i:
-                        mirrored[i, j] = tail
-                    stream.write(xs[i] + ys[j] + tail)
-    return 0
+    yield 0, rows.header
+    # each grid point's cells as x and as y, and each k's, formatted once
+    xs = [rows.start + rows.cells(0, [x]) + rows.sep for x in grid]
+    ys = [rows.cells(1, [y]) + rows.sep for y in grid]
+    for k in ks:
+        sweep = transfer.Sweep(spec, k, args.method, args.step)
+        points = sweep.points(grid)
+        k_cells = rows.cells(2, [k.real, k.imag]) + rows.sep
+        # every route orders (x, y) before it computes, so G(x, y) and
+        # G(y, x) are the same bits: a row below the diagonal reuses the
+        # text after y of the one above it, each formatted when grid order
+        # first meets it.  Each pair is computed as it is yielded, so a
+        # failure leaves the rows before it written.
+        mirrored = {}
+        for i, q in enumerate(points):
+            for j in range(i):
+                yield xs[i] + ys[j] + mirrored.pop((j, i))
+            for j, p in enumerate(points[i:], i):
+                try:
+                    g, loss = route(sweep, q, p, args)
+                except (DenominatorZero, WronskianZero):  # a bound-state pole
+                    cells = ["", "", "pole", ""] + ([""] if args.check else [])
+                else:
+                    val = 2j * k * g
+                    cells = [val.real, val.imag, label, loss]
+                    if args.check:  # route B is its own check
+                        try:
+                            b = g if args.route == "B" else check(sweep, q, p)[0]
+                        except DenominatorZero:  # route B's pole
+                            cells.append("")
+                        else:
+                            cells.append(abs(val - 2j * k * b))
+                tail = k_cells + rows.cells(4, cells) + rows.end
+                if j > i:
+                    mirrored[i, j] = tail
+                yield xs[i] + ys[j] + tail
 
 
 def cmd_verify(args):
     reports = verify.run_suite(
         seed=args.seed, P=args.P, corrupt=args.inject_corruption
     )
-    with _output(args) as stream:
-        for r in reports:
-            line = json.dumps(r.to_dict()) if args.format == "jsonl" else r.line()
-            stream.write(line + "\n")
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    yield (0 if all(r.status == "pass" for r in reports) else 1), ""  # no header
+    for r in reports:
+        yield (json.dumps(r.to_dict()) if args.format == "jsonl" else r.line()) + "\n"
 
 
 @functools.cache
@@ -310,7 +303,7 @@ def main(argv=None):
         # argparse exits 2 on bad flags already; normalize other codes
         raise SystemExit(2 if exc.code else 0)
     try:
-        return args.func(args)
+        return _write(args, args.func(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

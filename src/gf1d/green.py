@@ -39,6 +39,7 @@ from .errors import ConfigError, DenominatorZero, ResonanceDivision
 from .polyrep import (
     apply_generator,
     apply_U,
+    check_cutoff,
     inner_product,
     inverse_operator,
     lambda_l_power,
@@ -144,6 +145,7 @@ def _chain(sweep, pairs, P, n=1):
     A large n or many pairs send the series out of the float range; that
     raises ``ResonanceDivision``.
     """
+    check_cutoff(P)
     pairs = [(a, b) if a.x >= b.x else (b, a) for a, b in pairs]
     walk = sorted(pairs, key=lambda p: (p[1].x, p[0].x))
     xs = [p.x for p, _ in walk]
@@ -191,6 +193,7 @@ def green_polyrep(
 def polyrep_at(sweep, q, p, P=64, variant="symmetric"):
     """Route C's (G, truncation loss) at the sweep's table entries q of y and
     p of x, y <= x."""
+    check_cutoff(P)
     if variant == "symmetric":
         two_ik_g, loss = _chain(sweep, [(p, q)], P)
     elif variant == "asymmetric":
@@ -240,6 +243,7 @@ def green_negative_power(
     """
     _check_power(n, integral=True)
     sweep, at_y, at_x = _entries(spec, x, y, k, method, step)
+    check_cutoff(P)
     k = sweep.k
     q = n + 2
     out_of_range = f"the negative power {n} leaves the float range"
@@ -292,6 +296,7 @@ def green_product(spec, pairs, k, P=64, method="exact_piecewise", step=1e-3):
 
 def jump_condition_check(spec, y, k, h=1e-5):
     """Route B's |d_x G(y+, y) - d_x G(y-, y) - 1|, by one-sided 2nd-order stencils."""
+    check_point(y, "y")
     k = check_wavenumber(k)
     if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0 < h < math.inf:
         raise ConfigError("h", f"must be a finite real number > 0, got {h!r}")

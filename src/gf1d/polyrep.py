@@ -35,6 +35,7 @@ from .quadrature import gauss_legendre
 __all__ = [
     "PolyVec",
     "GENERATORS",
+    "check_cutoff",
     "apply_generator",
     "inner_product",
     "basis_weight",
@@ -68,7 +69,7 @@ class PolyVec:
     """
 
     def __init__(self, rows, P, loss=0.0):
-        _check_cutoff(P)
+        check_cutoff(P)
         self.P, self.loss, self.rows = P, loss, {}
         for q in sorted(rows):
             row = np.asarray(rows[q], dtype=complex)[: P + 1]
@@ -80,7 +81,7 @@ class PolyVec:
 
     @classmethod
     def basis(cls, p, q, P):
-        _check_cutoff(P)
+        check_cutoff(P)
         if not 0 <= p <= P:
             raise ConfigError("p", f"xi-degree {p} outside [0, {P}]")
         return cls({q: np.eye(1, P + 1, p, dtype=complex)[0]}, P)
@@ -123,7 +124,7 @@ class PolyVec:
         )
 
 
-def _check_cutoff(P):
+def check_cutoff(P):
     """P is an integer >= 1 whose series work fits CUTOFF_BUDGET; checked
     before any array of P + 1 coefficients is built."""
     # an int skips the slower ABC check
@@ -438,7 +439,7 @@ def lambda_l_power(r_l, n, P):
 
 def mu_over_one_minus_c_xi(m, c, P, scale=1.0):
     """Truncated coefficients of scale * (mu / (1 - c xi))**m."""
-    _check_cutoff(P)
+    check_cutoff(P)
     return PolyVec({m: complex(scale) * _binomial(m, c, P)}, P, 0.0)
 
 

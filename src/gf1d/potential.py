@@ -34,6 +34,7 @@ __all__ = [
     "load_potential",
     "check_wavenumber",
     "check_point",
+    "check_spec",
 ]
 
 
@@ -60,6 +61,13 @@ def check_point(x, field="x"):
     if not math.isfinite(x):
         raise ConfigError(field, f"must be finite, got {x}")
     return x
+
+
+def check_spec(spec):
+    """Validate that a medium is a ``PotentialSpec``; return it."""
+    if not isinstance(spec, PotentialSpec):
+        raise ConfigError("spec", f"must be a PotentialSpec, got {spec!r}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -95,11 +103,16 @@ class SampledProfile:
     points: tuple  # tuple of (x, f) pairs, x strictly increasing
 
     def __post_init__(self):
-        xs = [p[0] for p in self.points]
-        if len(xs) < 2:
+        try:
+            pairs = [(x, f) for x, f in self.points]
+        except (TypeError, ValueError):
+            msg = f"must be (x, f) pairs, got {self.points!r}"
+            raise ConfigError("points", msg) from None
+        if len(pairs) < 2:
             raise ConfigError("points", "sampled profile needs at least two points")
-        for v in (v for point in self.points for v in point):
+        for v in (v for pair in pairs for v in pair):
             check_point(v, "points")
+        xs = [x for x, _ in pairs]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             msg = "sampled profile abscissae must be strictly increasing"
             raise ConfigError("points", msg)
@@ -153,7 +166,13 @@ class PotentialSpec:
     _support: tuple = field(init=False, repr=False, compare=False, default=(0.0, 0.0))
 
     def __post_init__(self):
-        segs = tuple(self.segments)
+        try:
+            segs = tuple(self.segments)
+        except TypeError:
+            segs = None
+        if segs is None or not all(isinstance(s, Segment) for s in segs):
+            msg = f"must be a sequence of Segments, got {self.segments!r}"
+            raise ConfigError("segments", msg)
         for a, b in zip(segs, segs[1:]):
             if abs(a.x_end - b.x_start) > 1e-12 * max(1.0, abs(a.x_end)):
                 msg = f"segments must be contiguous: {a.x_end} != {b.x_start}"

@@ -52,7 +52,7 @@ from .errors import (
     StepTooLarge,
     UnsupportedProfile,
 )
-from .potential import check_point, check_wavenumber
+from .potential import check_point, check_spec, check_wavenumber
 
 __all__ = [
     "TransferMatrix",
@@ -207,9 +207,10 @@ def propagate(spec, x1, x2, k, method="exact_piecewise", step=1e-3):
     k, x1, x2 = check_wavenumber(k), check_point(x1, "x1"), check_point(x2, "x2")
     if x2 < x1:
         raise ConfigError("x2", f"propagate needs x1 <= x2, got [{x1}, {x2}]")
+    _check_method(method, step)
+    check_spec(spec)
     if x2 == x1:
         return TransferMatrix.identity(x1, k)
-    _check_method(method, step)
     u, err = np.eye(2, dtype=complex), 0.0
     nodes = spec.knots(x1, x2)
     try:
@@ -433,6 +434,7 @@ def riccati_coefficients(spec, x1, x2, k, step=1e-3):
     if x2 < x1:
         raise ConfigError("x2", f"needs x1 <= x2, got [{x1}, {x2}]")
     _check_step(step)
+    check_spec(spec)
     nodes = spec.knots(x1, x2)
     # a block takes whole runs of a piece's steps while they fit in _RICCATI_BLOCK
     blocks, size = [], _RICCATI_BLOCK
@@ -666,7 +668,7 @@ class Sweep:
     def __init__(self, spec, k, method="exact_piecewise", step=1e-3):
         self.k = check_wavenumber(k)
         _check_method(method, step)
-        self.spec = spec
+        self.spec = check_spec(spec)
         self.method = method
         self.step = step
         self._bps = spec.breakpoints()

@@ -125,6 +125,7 @@ def run_suite(seed=0, P=48, corrupt=False):
     """
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
+    polyrep.check_cutoff(P)
     rng = np.random.default_rng(seed)
     specs = sample_potentials(rng, 8)
     ks = sample_wavenumbers(rng, 4)

@@ -272,6 +272,33 @@ def test_argument_errors_come_before_any_output(argv, code, tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["coefficients"], "UnsupportedProfile: f is not constant on [0.0, 1.0]; use rk4"),
+        (["green", "--route", "B"],
+         "UnsupportedProfile: f is not constant on [0.0, 1.0]; use rk4"),
+        (["green", "--method", "rk4", "--step", "1e-12"],
+         "StepBudget: rk4 step 1e-12 across a piece of width 1.0 takes 1e+12 "
+         "steps, over the budget of 262144"),
+    ],
+    ids=["coefficients", "green-B", "green-rk4-tiny-step"],
+)
+def test_a_failing_first_row_writes_nothing(argv, message, tmp_path, capsys):
+    # the header was written, to stdout or to the truncated --out file, before
+    # the first row failed; the exit code and the message stay as they were
+    p = tmp_path / "lin.yaml"
+    p.write_text(LINEAR)
+    argv = argv + ["--potential", str(p), "--k", "1.3,0.2"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    assert main(argv + ["--out", str(path)]) == 3
+    assert path.read_text() == "kept\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["green", "coefficients"])
 def test_tiny_step_exits_3(command, tmp_path, capsys):
     # it ended in a numpy _ArrayMemoryError traceback of 7.28 TiB

@@ -20,11 +20,26 @@ from gf1d.green import (
     jump_condition_check,
 )
 from gf1d.polyrep import PolyVec, inner_product
-from gf1d.potential import ConstantProfile, PotentialSpec, Segment, slab
-from gf1d.transfer import riccati_coefficients
+from gf1d.potential import (
+    ConstantProfile,
+    LinearProfile,
+    PotentialSpec,
+    SampledProfile,
+    Segment,
+    slab,
+)
+from gf1d.sl3 import green_wronskian
+from gf1d.transfer import (
+    Sweep,
+    interval_triple,
+    propagate,
+    riccati_coefficients,
+    semi_infinite_coefficients,
+)
 from gf1d.verify import run_suite
 
 SPEC = slab(0.8, -0.5, 0.5)
+LINEAR = PotentialSpec((Segment(-0.5, 0.5, LinearProfile(0.3, 0.5)),))
 K = 1.2 + 0.2j
 
 CASES = {
@@ -99,6 +114,64 @@ CASES = {
         lambda: PolyVec({1: [1.0]}, 4) - PolyVec({1: [1.0]}, 5), "P"
     ),
     "basis-degree-past-cutoff": (lambda: PolyVec.basis(7, 1, 4), "p"),
+    # a medium that is no PotentialSpec: AttributeError from the first of its
+    # attributes a route read, and propagate over an empty interval returned I
+    "closed-form-none-spec": (lambda: green_closed_form(None, 0.3, -0.2, K), "spec"),
+    "polyrep-dict-spec": (lambda: green_polyrep({}, 0.3, -0.2, K), "spec"),
+    "power-none-spec": (lambda: green_power(None, 0.3, -0.2, K, 2), "spec"),
+    "negative-power-dict-spec": (
+        lambda: green_negative_power({}, 0.3, -0.2, K, 1), "spec"
+    ),
+    "product-none-spec": (lambda: green_product(None, [(0.3, -0.2)], K), "spec"),
+    "wronskian-dict-spec": (lambda: green_wronskian({}, 0.3, -0.2, K), "spec"),
+    "sweep-none-spec": (lambda: Sweep(None, K), "spec"),
+    "propagate-empty-dict-spec": (lambda: propagate({}, 0.3, 0.3, K), "spec"),
+    "riccati-none-spec": (lambda: riccati_coefficients(None, -0.5, 0.5, K), "spec"),
+    "interval-dict-spec": (lambda: interval_triple({}, -0.5, 0.5, K), "spec"),
+    "semi-infinite-none-spec": (
+        lambda: semi_infinite_coefficients(None, 0.3, K), "spec"
+    ),
+    "born-dict-spec": (lambda: born_series({}, 0.3, -0.2, K), "spec"),
+    # segments that are no Segments: TypeError or AttributeError
+    "none-segments": (lambda: PotentialSpec(None), "segments"),
+    "int-segments": (lambda: PotentialSpec(5), "segments"),
+    "str-segment": (lambda: PotentialSpec(("a",)), "segments"),
+    # sample points that are no (x, f) pairs were accepted, and a medium built
+    # on them ended in a ValueError
+    "one-value-points": (lambda: SampledProfile(((0.0,), (1.0,))), "points"),
+    "three-value-points": (
+        lambda: SampledProfile(((0.0, 0.1, 0.2), (1.0, 0.1, 0.2))), "points"
+    ),
+    # the suite's cutoff: a string ended in TypeError, and 2.5 and True were
+    # refused only after the algebra checks ran
+    "suite-str-P": (lambda: run_suite(P="4"), "P"),
+    "suite-float-P": (lambda: run_suite(P=2.5), "P"),
+    "suite-bool-P": (lambda: run_suite(P=True), "P"),
+    # propagate over an empty interval returned the identity before it read
+    # its method and step
+    "propagate-empty-bad-method": (
+        lambda: propagate(SPEC, 0.3, 0.3, K, method="euler"), "method"
+    ),
+    "propagate-empty-zero-step": (
+        lambda: propagate(SPEC, 0.3, 0.3, K, method="rk4", step=0.0), "step"
+    ),
+    # on a linear medium without rk4 the first span read raised
+    # UnsupportedProfile before P was checked
+    "polyrep-zero-P-first": (lambda: green_polyrep(LINEAR, 0.3, -0.2, K, P=0), "P"),
+    "polyrep-asym-zero-P-first": (
+        lambda: green_polyrep(LINEAR, 0.3, -0.2, K, P=0, variant="asymmetric"), "P"
+    ),
+    "power-zero-P-first": (lambda: green_power(LINEAR, 0.3, -0.2, K, 2, P=0), "P"),
+    "product-zero-P-first": (
+        lambda: green_product(LINEAR, [(0.3, -0.2), (0.4, 0.1)], K, P=0), "P"
+    ),
+    "negative-power-zero-P-first": (
+        lambda: green_negative_power(LINEAR, 0.3, -0.2, K, 1, P=0), "P"
+    ),
+    # a bad y was refused by the inner route call, naming x
+    "jump-str-y": (lambda: jump_condition_check(SPEC, "a", K), "y"),
+    "jump-nan-y": (lambda: jump_condition_check(SPEC, float("nan"), K), "y"),
+    "jump-bool-y": (lambda: jump_condition_check(SPEC, True, K), "y"),
 }
 
 

@@ -167,3 +167,81 @@ def test_an_orphaned_method_is_found(tmp_path):
         "from .mod import Box\n\nBox().read()\n\n\ndef use(unread):\n    return unread\n"
     )
     assert orphaned_methods(tmp_path) == ["mod.Box.again", "mod.Box.unread"]
+
+
+# the reads of another package module's private name that stay, as
+# "reader -> module.name": the reason each stays
+FOREIGN_PRIVATE = {
+    "green -> transfer._shared_sweep": (
+        "the public routes take the calling thread's last sweep, a memo that "
+        "transfer keeps beside the Sweep it serves"
+    ),
+    "sl3 -> green._entries": (
+        "route A takes its sweep and pair through green's helper until it "
+        "moves beside the other routes (ROADMAP Direction 1)"
+    ),
+}
+
+
+def foreign_reads(src=SRC):
+    """Each read of a private name of another package module at ``src``, as
+    "reader -> module.name": a ``from .module import _name`` or an attribute
+    ``alias._name`` of a module imported by ``from . import module as alias``."""
+    modules = {p.stem for p in src.glob("*.py")}
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif node.module in modules and _private(alias.name):
+                    found.add(f"{path.stem} -> {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and _private(node.attr)
+            ):
+                found.add(f"{path.stem} -> {aliases[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert foreign_reads() == sorted(FOREIGN_PRIVATE)
+
+
+def test_a_foreign_private_read_is_found(tmp_path):
+    # a private name read by an aliased module attribute and by a from-import
+    # is found; a module's own private names, a private attribute of an object
+    # and a dunder are not
+    (tmp_path / "transfer.py").write_text(
+        "def _check_method(m):\n    return m\n\n\n"
+        "def run(m):\n    return _check_method(m)\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from . import transfer as tr\n\n\n"
+        "def main(args):\n    args._seen = tr.__name__\n"
+        "    return tr._check_method(args.method)\n"
+    )
+    (tmp_path / "green.py").write_text("from .transfer import _check_method, run\n")
+    assert foreign_reads(tmp_path) == [
+        "cli -> transfer._check_method", "green -> transfer._check_method"
+    ]
+
+
+def test_a_restored_cli_check_is_found(tmp_path):
+    # the package as it is, with the CLI reading transfer's method check again
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    cli = tmp_path / "cli.py"
+    cli.write_text(
+        cli.read_text() + "\n\ndef _checked(args):\n"
+        "    transfer._check_method(args.method, args.step)\n"
+    )
+    found = set(foreign_reads(tmp_path)) - set(FOREIGN_PRIVATE)
+    assert found == {"cli -> transfer._check_method"}

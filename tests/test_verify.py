@@ -25,6 +25,20 @@ _KNOWN_FAILURES = {
 }
 
 
+def test_a_bad_cutoff_is_refused_before_any_check(monkeypatch):
+    # P = 2.5 ran the algebra checks and was then refused as P + 1 = 3.5
+    from gf1d import sl3
+    from gf1d.errors import ConfigError
+
+    def ran(*args):
+        raise AssertionError("a check ran before P was checked")
+
+    monkeypatch.setattr(sl3, "commutation_table_check", ran)
+    with pytest.raises(ConfigError, match=r"got 2\.5$") as err:
+        run_suite(P=2.5)
+    assert err.value.field == "P"
+
+
 @functools.cache
 def _statuses(seed):
     return {r.check_id: r.status for r in run_suite(seed=seed)}
